@@ -12,31 +12,8 @@ import csv
 import json
 from pathlib import Path
 
-from ioulab import BASE_NAMES, LossSpec, SimConfig
+from ioulab import BASE_NAMES, SCENARIOS, SimConfig, scenario_specs
 from ioulab.cli import main as ioulab_main
-
-# Largest grid steps at which every loss variant still descends stably in
-# its scenario (see scan_step_sizes.py); the library default of 0.1 is a
-# safe setting for arbitrary configs, not the fastest for these two.
-SCENARIOS = {
-    "high": {"radius": (0.0, 3.0), "ratio": 0.8, "step_size": 0.2},
-    "low": {"radius": (6.0, 9.0), "ratio": 1.2, "step_size": 0.3},
-}
-
-
-def build_config(radius, ratio, step_size, points, iterations, seed) -> SimConfig:
-    specs = []
-    for base in BASE_NAMES:
-        specs.append(LossSpec(base))
-        specs.append(LossSpec(base, inner=ratio))
-    return SimConfig(
-        specs=tuple(specs),
-        radius=radius,
-        n_points=points,
-        iterations=iterations,
-        step_size=step_size,
-        seed=seed,
-    )
 
 
 def final_totals(summary_csv: Path) -> dict[str, float]:
@@ -70,13 +47,13 @@ def main() -> int:
     for name, preset in SCENARIOS.items():
         out_dir = Path(args.out) / name
         out_dir.mkdir(parents=True, exist_ok=True)
-        cfg = build_config(
-            preset["radius"],
-            preset["ratio"],
-            preset["step_size"],
-            args.points,
-            args.iterations,
-            args.seed,
+        cfg = SimConfig(
+            specs=scenario_specs(preset["ratio"]),
+            radius=preset["radius"],
+            n_points=args.points,
+            iterations=args.iterations,
+            step_size=preset["step_size"],
+            seed=args.seed,
         )
         cfg_path = out_dir / "config.json"
         cfg_path.write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")

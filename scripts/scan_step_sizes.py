@@ -6,20 +6,15 @@ reports two things per run: the worst between-iteration rise of any
 spec's total error as a fraction of its starting value (terminal jitter
 from the fixed step; large values mean the step overshoots), and for
 which bases the auxiliary variant finished with lower total error than
-the plain loss. This is the evidence behind the step choices in
-run_convergence_experiments.py.
+the plain loss. This is the evidence behind the tuned steps in
+ioulab.simlab.SCENARIOS.
 """
 
 import argparse
 
 import numpy as np
 
-from ioulab import BASE_NAMES, LossSpec, SimConfig, run_simulation
-
-SCENARIOS = {
-    "high": {"radius": (0.0, 3.0), "ratio": 0.8},
-    "low": {"radius": (6.0, 9.0), "ratio": 1.2},
-}
+from ioulab import BASE_NAMES, SCENARIOS, SimConfig, run_simulation, scenario_specs
 
 
 def parse_steps(text: str) -> tuple[float, ...]:
@@ -27,12 +22,8 @@ def parse_steps(text: str) -> tuple[float, ...]:
 
 
 def scan_one(name: str, preset: dict, step: float, args) -> None:
-    specs = []
-    for base in BASE_NAMES:
-        specs.append(LossSpec(base))
-        specs.append(LossSpec(base, inner=preset["ratio"]))
     cfg = SimConfig(
-        specs=tuple(specs),
+        specs=scenario_specs(preset["ratio"]),
         radius=preset["radius"],
         n_points=args.points,
         iterations=args.iterations,

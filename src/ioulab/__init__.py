@@ -1,48 +1,39 @@
 """Overlap-based box regression losses, analytic gradients, experiments.
 
-The scalar API works on :class:`Box` pairs through :func:`evaluate` and
-the ``loss_*`` helpers; :mod:`ioulab.batch` evaluates whole populations as
-(n, 4) arrays. :mod:`ioulab.simlab` and :mod:`ioulab.sweep` drive the
+The scalar API evaluates a :class:`LossSpec` on a :class:`Box` pair through
+:func:`evaluate`; :mod:`ioulab.batch` evaluates whole populations as (n, 4)
+arrays. :mod:`ioulab.simlab` and :mod:`ioulab.sweep` drive the
 regression-convergence and gradient-sweep experiments the ``ioulab`` CLI
 exposes.
 """
 
 __version__ = "0.1.0"
 
-from .batch import BatchEval, eval_batch, inner_iou_batch, iou_batch
-from .geometry import Box, enclosing, inner_iou, iou, scale_about_center, to_corners
-from .gradients import grad_analytic, grad_fd, grad_fd_batch, grad_magnitude_1d
+from .batch import BatchEval, eval_batch, iou_batch
+from .gradients import grad_fd, grad_fd_batch
 from .losses import (
     BASE_NAMES,
     BaseLoss,
+    Box,
     CiouTerms,
     Grad4,
     LossSpec,
     LossValue,
     SiouTerms,
     evaluate,
-    loss_ciou,
-    loss_diou,
-    loss_eiou,
-    loss_giou,
-    loss_inner,
-    loss_iou,
-    loss_siou,
 )
 from .simlab import (
-    CaseResult,
+    SCENARIOS,
     ConvergenceSummary,
     SimConfig,
     generate_case_arrays,
-    generate_cases,
-    run_case,
     run_simulation,
+    scenario_specs,
 )
 from .sweep import (
     ConclusionResult,
     ConclusionsReport,
     SweepConfig,
-    SweepRecord,
     check_conclusions,
     run_sweep,
 )
@@ -53,7 +44,6 @@ __all__ = [
     "BaseLoss",
     "BatchEval",
     "Box",
-    "CaseResult",
     "CiouTerms",
     "ConclusionResult",
     "ConclusionsReport",
@@ -61,34 +51,18 @@ __all__ = [
     "Grad4",
     "LossSpec",
     "LossValue",
+    "SCENARIOS",
     "SimConfig",
     "SiouTerms",
     "SweepConfig",
-    "SweepRecord",
     "check_conclusions",
-    "enclosing",
     "eval_batch",
     "evaluate",
     "generate_case_arrays",
-    "generate_cases",
-    "grad_analytic",
     "grad_fd",
     "grad_fd_batch",
-    "grad_magnitude_1d",
-    "inner_iou",
-    "inner_iou_batch",
-    "iou",
     "iou_batch",
-    "loss_ciou",
-    "loss_diou",
-    "loss_eiou",
-    "loss_giou",
-    "loss_inner",
-    "loss_iou",
-    "loss_siou",
-    "run_case",
     "run_simulation",
     "run_sweep",
-    "scale_about_center",
-    "to_corners",
+    "scenario_specs",
 ]

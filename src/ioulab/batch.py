@@ -22,7 +22,8 @@ check gradients by finite differences must freeze it the same way (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,23 @@ class BatchEval:
     inner_iou: np.ndarray | None
     terms: dict[str, np.ndarray]
     grad: np.ndarray | None
-    iou_grad: np.ndarray | None
-    inner_iou_grad: np.ndarray | None
+
+
+class _Overlap(NamedTuple):
+    """Overlap of both boxes scaled about their centers by one ratio.
+
+    ``corners`` are the scaled (al, ar, at, ab, gl, gr, gt, gb) and ``picks``
+    the derivative weights of the four clamped edges (see :func:`_pick`);
+    ``picks``, ``d_union`` and ``d_iou`` are None without the gradient.
+    Derivatives are (4, ...) stacks over the anchor's (x, y, w, h).
+    """
+
+    corners: tuple[np.ndarray, ...]
+    union: np.ndarray
+    iou: np.ndarray
+    picks: tuple[np.ndarray, ...] | None
+    d_union: np.ndarray | None
+    d_iou: np.ndarray | None
 
 
 def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -58,35 +74,69 @@ def _unpack(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
 
 
+def _v4(shape, dx=None, dy=None, dw=None, dh=None) -> np.ndarray:
+    # Dense (4, *shape) derivative stack; missing components are zero.
+    comps = []
+    for c in (dx, dy, dw, dh):
+        if c is None:
+            comps.append(np.zeros(shape))
+        else:
+            comps.append(np.broadcast_to(np.asarray(c, dtype=np.float64), shape))
+    return np.stack(comps)
+
+
+def _overlap(a, g, shape, r: float, with_grad: bool) -> _Overlap:
+    """IoU of the anchor and gt boxes ``a``/``g`` (x, y, w, h) scaled by ``r``.
+
+    This is the one overlap computation: the plain overlap is ``r == 1``,
+    and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
+    bit.
+    """
+    def edges(center, side):
+        half = (side * r) / 2.0
+        return center - half, center + half
+
+    ax, ay, aw, ah = a
+    gx, gy, gw, gh = g
+    al, ar = edges(ax, aw)
+    at, ab = edges(ay, ah)
+    gl, gr = edges(gx, gw)
+    gt, gb = edges(gy, gh)
+    corners = (al, ar, at, ab, gl, gr, gt, gb)
+
+    iw_raw = np.minimum(ar, gr) - np.maximum(al, gl)
+    ih_raw = np.minimum(ab, gb) - np.maximum(at, gt)
+    iw = np.maximum(iw_raw, 0.0)
+    ih = np.maximum(ih_raw, 0.0)
+    inter = iw * ih
+    # Corner-derived side lengths; using them for the areas keeps
+    # inter <= union in floats (so iou <= 1, and exactly 1 on
+    # bitwise-identical boxes) and makes bitwise-coincident pairs exact
+    # stationary points of every loss.
+    sw, sh = ar - al, ab - at
+    union = sw * sh + (gr - gl) * (gb - gt) - inter
+    iou = inter / union
+    if not with_grad:
+        return _Overlap(corners, union, iou, None, None, None)
+
+    w_r = _pick(ar, gr)  # min(ar, gr) picks the anchor edge
+    w_l = _pick(gl, al)  # max(al, gl) picks the anchor edge
+    w_b = _pick(ab, gb)
+    w_t = _pick(gt, at)
+    open_w = np.where(iw_raw > 0.0, 1.0, 0.0)
+    open_h = np.where(ih_raw > 0.0, 1.0, 0.0)
+    d_iw = _v4(shape, dx=open_w * (w_r - w_l), dw=open_w * (w_r + w_l) * (r / 2.0))
+    d_ih = _v4(shape, dy=open_h * (w_b - w_t), dh=open_h * (w_b + w_t) * (r / 2.0))
+    d_inter = d_iw * ih + iw * d_ih
+    d_union = _v4(shape, dw=sh * r, dh=sw * r) - d_inter
+    d_iou = (d_inter * union - inter * d_union) / (union * union)
+    return _Overlap(corners, union, iou, (w_r, w_l, w_b, w_t), d_union, d_iou)
+
+
 def iou_batch(anchors, gts) -> np.ndarray:
     """Plain IoU over broadcastable (..., 4) center-form arrays."""
-    ax, ay, aw, ah = _unpack(anchors)
-    gx, gy, gw, gh = _unpack(gts)
-    al, ar = ax - aw / 2.0, ax + aw / 2.0
-    at, ab = ay - ah / 2.0, ay + ah / 2.0
-    gl, gr = gx - gw / 2.0, gx + gw / 2.0
-    gt, gb = gy - gh / 2.0, gy + gh / 2.0
-    iw = np.maximum(np.minimum(ar, gr) - np.maximum(al, gl), 0.0)
-    ih = np.maximum(np.minimum(ab, gb) - np.maximum(at, gt), 0.0)
-    inter = iw * ih
-    # Areas from the same corner subtractions as the intersection keep the
-    # quotient <= 1 and exactly 1 on bitwise-identical boxes.
-    return inter / ((ar - al) * (ab - at) + (gr - gl) * (gb - gt) - inter)
-
-
-def inner_iou_batch(anchors, gts, ratio: float) -> np.ndarray:
-    """IoU of both boxes scaled by ``ratio`` about their centers."""
-    ax, ay, aw, ah = _unpack(anchors)
-    gx, gy, gw, gh = _unpack(gts)
-    r = float(ratio)
-    al, ar = ax - (aw * r) / 2.0, ax + (aw * r) / 2.0
-    at, ab = ay - (ah * r) / 2.0, ay + (ah * r) / 2.0
-    gl, gr = gx - (gw * r) / 2.0, gx + (gw * r) / 2.0
-    gt, gb = gy - (gh * r) / 2.0, gy + (gh * r) / 2.0
-    iw = np.maximum(np.minimum(ar, gr) - np.maximum(al, gl), 0.0)
-    ih = np.maximum(np.minimum(ab, gb) - np.maximum(at, gt), 0.0)
-    inter = iw * ih
-    return inter / ((ar - al) * (ab - at) + (gr - gl) * (gb - gt) - inter)
+    a, g = _unpack(anchors), _unpack(gts)
+    return _overlap(a, g, None, 1.0, False).iou
 
 
 def eval_batch(
@@ -104,40 +154,20 @@ def eval_batch(
     and the siou angle cost with fixed values; they exist so that finite
     difference probes can hold those terms at the center point.
     """
-    ax, ay, aw, ah = _unpack(anchors)
-    gx, gy, gw, gh = _unpack(gts)
+    a, g = _unpack(anchors), _unpack(gts)
+    ax, ay, aw, ah = a
+    gx, gy, gw, gh = g
     shape = np.broadcast_shapes(ax.shape, gx.shape)
 
-    def v4(dx=None, dy=None, dw=None, dh=None):
-        comps = []
-        for c in (dx, dy, dw, dh):
-            if c is None:
-                comps.append(np.zeros(shape))
-            else:
-                comps.append(np.broadcast_to(np.asarray(c, dtype=np.float64), shape))
-        return np.stack(comps)
+    v4 = partial(_v4, shape)
 
     base = spec.base
     eps = spec.epsilon
 
     # --- overlap -----------------------------------------------------------
-    al, ar = ax - aw / 2.0, ax + aw / 2.0
-    at, ab = ay - ah / 2.0, ay + ah / 2.0
-    gl, gr = gx - gw / 2.0, gx + gw / 2.0
-    gt, gb = gy - gh / 2.0, gy + gh / 2.0
-
-    iw_raw = np.minimum(ar, gr) - np.maximum(al, gl)
-    ih_raw = np.minimum(ab, gb) - np.maximum(at, gt)
-    iw = np.maximum(iw_raw, 0.0)
-    ih = np.maximum(ih_raw, 0.0)
-    inter = iw * ih
-    # Corner-derived side lengths; using them for the areas keeps
-    # inter <= union in floats (so iou <= 1) and makes bitwise-coincident
-    # pairs exact stationary points of every loss below.
-    aw_c, ah_c = ar - al, ab - at
-    gw_c, gh_c = gr - gl, gb - gt
-    union = aw_c * ah_c + gw_c * gh_c - inter
-    iou = inter / union
+    plain = _overlap(a, g, shape, 1.0, with_grad)
+    al, ar, at, ab, gl, gr, gt, gb = plain.corners
+    union, iou, d_union, d_iou = plain.union, plain.iou, plain.d_union, plain.d_iou
 
     # --- enclosing box ------------------------------------------------------
     cw = np.maximum(ar, gr) - np.minimum(al, gl)
@@ -145,22 +175,9 @@ def eval_batch(
     c_area = cw * ch
     c_diag = cw * cw + ch * ch
 
-    d_iou = None
-    d_union = None
     d_cw = d_ch = None
     if with_grad:
-        w_r = _pick(ar, gr)  # min(ar, gr) picks the anchor edge
-        w_l = _pick(gl, al)  # max(al, gl) picks the anchor edge
-        w_b = _pick(ab, gb)
-        w_t = _pick(gt, at)
-        open_w = np.where(iw_raw > 0.0, 1.0, 0.0)
-        open_h = np.where(ih_raw > 0.0, 1.0, 0.0)
-        d_iw = v4(dx=open_w * (w_r - w_l), dw=open_w * (w_r + w_l) * 0.5)
-        d_ih = v4(dy=open_h * (w_b - w_t), dh=open_h * (w_b + w_t) * 0.5)
-        d_inter = d_iw * ih + iw * d_ih
-        d_union = v4(dw=ah_c, dh=aw_c) - d_inter
-        d_iou = (d_inter * union - inter * d_union) / (union * union)
-
+        w_r, w_l, w_b, w_t = plain.picks
         u_r = 1.0 - w_r  # max(ar, gr) picks the anchor edge
         u_l = 1.0 - w_l
         u_b = 1.0 - w_b
@@ -295,41 +312,14 @@ def eval_batch(
     inner = None
     d_inner = None
     if spec.inner is not None:
-        r = spec.inner
-        ial, iar = ax - (aw * r) / 2.0, ax + (aw * r) / 2.0
-        iat, iab = ay - (ah * r) / 2.0, ay + (ah * r) / 2.0
-        igl, igr = gx - (gw * r) / 2.0, gx + (gw * r) / 2.0
-        igt, igb = gy - (gh * r) / 2.0, gy + (gh * r) / 2.0
-        jw_raw = np.minimum(iar, igr) - np.maximum(ial, igl)
-        jh_raw = np.minimum(iab, igb) - np.maximum(iat, igt)
-        jw = np.maximum(jw_raw, 0.0)
-        jh = np.maximum(jh_raw, 0.0)
-        jinter = jw * jh
-        # Scaled areas from the scaled corners, same reasoning as above.
-        saw, sah = iar - ial, iab - iat
-        sgw, sgh = igr - igl, igb - igt
-        junion = saw * sah + sgw * sgh - jinter
-        inner = jinter / junion
+        aux = _overlap(a, g, shape, spec.inner, with_grad)
+        inner, d_inner = aux.iou, aux.d_iou
         if base == "iou":
             loss = 1.0 - inner
         else:
             loss = loss + iou - inner
-        if with_grad:
-            y_r = _pick(iar, igr)
-            y_l = _pick(igl, ial)
-            y_b = _pick(iab, igb)
-            y_t = _pick(igt, iat)
-            open_jw = np.where(jw_raw > 0.0, 1.0, 0.0)
-            open_jh = np.where(jh_raw > 0.0, 1.0, 0.0)
-            d_jw = v4(dx=open_jw * (y_r - y_l), dw=open_jw * (y_r + y_l) * (r / 2.0))
-            d_jh = v4(dy=open_jh * (y_b - y_t), dh=open_jh * (y_b + y_t) * (r / 2.0))
-            d_jinter = d_jw * jh + jw * d_jh
-            d_junion = v4(dw=sah * r, dh=saw * r) - d_jinter
-            d_inner = (d_jinter * junion - jinter * d_junion) / (junion * junion)
 
     grad = None
-    iou_grad = None
-    inner_iou_grad = None
     if with_grad:
         if spec.inner is None:
             d_loss = d_base
@@ -338,16 +328,5 @@ def eval_batch(
         else:
             d_loss = d_base + d_iou - d_inner
         grad = np.moveaxis(d_loss, 0, -1)
-        iou_grad = np.moveaxis(d_iou, 0, -1)
-        if d_inner is not None:
-            inner_iou_grad = np.moveaxis(d_inner, 0, -1)
 
-    return BatchEval(
-        loss=loss,
-        iou=iou,
-        inner_iou=inner,
-        terms=terms,
-        grad=grad,
-        iou_grad=iou_grad,
-        inner_iou_grad=inner_iou_grad,
-    )
+    return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)

@@ -18,19 +18,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .geometry import Box
-from .losses import BASE_NAMES, LossSpec, evaluate
-from .simlab import SimConfig, run_simulation
+from .losses import BASE_NAMES, Box, LossSpec, evaluate
+from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_specs
 from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
-
-_SCENARIOS = {
-    # (radius, auxiliary ratio): clustered anchors that mostly overlap the
-    # target versus distant anchors that mostly miss it.
-    "high": ((0.0, 3.0), 0.8),
-    "low": ((6.0, 9.0), 1.2),
-}
 
 
 def _fmt(x: float) -> str:
@@ -118,12 +110,13 @@ def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
             data["seed"] = args.seed
         return SimConfig.from_dict(data)
 
-    radius, ratio = _SCENARIOS[args.scenario]
-    specs = []
-    for base in args.bases or ("ciou",):
-        specs.append(LossSpec(base))
-        specs.append(LossSpec(base, inner=ratio))
-    kwargs: dict = {"specs": tuple(specs), "radius": radius}
+    # The preset's tuned step is not applied here: --scenario runs keep
+    # the SimConfig default step.
+    preset = SCENARIOS[args.scenario]
+    kwargs: dict = {
+        "specs": scenario_specs(preset["ratio"], args.bases or ("ciou",)),
+        "radius": preset["radius"],
+    }
     if args.points is not None:
         kwargs["n_points"] = args.points
     if args.iterations is not None:
@@ -194,27 +187,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         samples=args.samples,
         axis=args.axis,
     )
-    records = run_sweep(cfg)
+    devs, iou, absgrad = run_sweep(cfg)
     report = check_conclusions(
-        records,
+        devs,
+        iou,
+        absgrad,
         actual_side=cfg.box_side,
         high_iou_threshold=args.high_iou_threshold,
         low_iou_threshold=args.low_iou_threshold,
     )
 
     if args.out is not None:
-        sides = cfg.sides()
         header = ["deviation"]
-        for s in sides:
+        columns = [devs.tolist()]
+        for s in cfg.sides():
             header += [f"iou_{s:g}", f"absgrad_{s:g}"]
+            columns += [iou[s].tolist(), absgrad[s].tolist()]
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(header)
-            for rec in records:
-                row = [_fmt(rec.deviation)]
-                for s in sides:
-                    row += [_fmt(rec.iou_per_side[s]), _fmt(rec.absgrad_per_side[s])]
-                w.writerow(row)
+            for row in zip(*columns):
+                w.writerow([_fmt(v) for v in row])
 
     doc = report.to_dict()
     if args.report is not None:
@@ -246,8 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", metavar="FILE", help="JSON file mirroring SimConfig")
     src.add_argument(
         "--scenario",
-        choices=tuple(_SCENARIOS),
-        help="preset: 'high' = radius 0-3 with ratio 0.8, 'low' = radius 6-9 with ratio 1.2",
+        choices=tuple(SCENARIOS),
+        help="preset: "
+        + ", ".join(
+            f"'{name}' = radius {p['radius'][0]:g}-{p['radius'][1]:g} with ratio {p['ratio']:g}"
+            for name, p in SCENARIOS.items()
+        ),
     )
     ps.add_argument("--out", required=True, metavar="DIR")
     ps.add_argument(

@@ -1,12 +1,12 @@
-"""Gradient access: analytic values, finite-difference probes, 1-D magnitudes.
+"""Finite-difference probes of the loss gradients.
 
-The analytic gradient comes from the same evaluation kernel as the loss
-value. The finite-difference probe only reuses the forward evaluation and
-differences it numerically, so it is an independent check on every derived
-derivative expression. Because the ciou aspect weight is defined as a
-constant of the evaluation point, the probe freezes it there (and does the
-same for the siou angle cost when the spec says to differentiate with the
-angle held fixed).
+The analytic gradient comes from the evaluation kernel together with the
+loss value (:func:`ioulab.evaluate`, :func:`ioulab.eval_batch`). The probe
+here only reuses the forward evaluation and differences it numerically, so
+it is an independent check on every derived derivative expression.
+Because the ciou aspect weight is defined as a constant of the evaluation
+point, the probe freezes it there (and does the same for the siou angle
+cost when the spec says to differentiate with the angle held fixed).
 """
 
 from __future__ import annotations
@@ -14,16 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import eval_batch
-from .geometry import Box
-from .losses import BaseLoss, Grad4, LossSpec, _box_array
+from .losses import BaseLoss, Box, Grad4, LossSpec, _box_array
 
 AXES = ("x", "y", "w", "h")
-
-
-def grad_analytic(spec: LossSpec, anchor: Box, gt: Box) -> Grad4:
-    """Hand-derived partial derivatives of the loss w.r.t. the anchor."""
-    res = eval_batch(spec, _box_array(anchor), _box_array(gt), with_grad=True)
-    return Grad4(*(float(g) for g in res.grad))
 
 
 def _frozen_terms(spec: LossSpec, anchors: np.ndarray, gts: np.ndarray):
@@ -66,17 +59,3 @@ def grad_fd(spec: LossSpec, anchor: Box, gt: Box, step: float = 1e-5) -> Grad4:
     """Central-difference gradient of the loss at one box pair."""
     g = grad_fd_batch(spec, _box_array(anchor), _box_array(gt), step=step)
     return Grad4(*(float(v) for v in g))
-
-
-def grad_magnitude_1d(spec: LossSpec, anchor: Box, gt: Box, axis: str = "x") -> float:
-    """|d(overlap term)/d(center deviation)| along one axis.
-
-    This is the magnitude of the derivative of the IoU value itself (the
-    scaled-auxiliary IoU when the spec carries an inner ratio), not of the
-    full loss, as a function of the anchor center coordinate.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    res = eval_batch(spec, _box_array(anchor), _box_array(gt), with_grad=True)
-    g = res.inner_iou_grad if res.inner_iou_grad is not None else res.iou_grad
-    return float(abs(g[0 if axis == "x" else 1]))

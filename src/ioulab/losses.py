@@ -1,8 +1,10 @@
 """Box-regression losses built on overlap, enclosure, and center-distance terms.
 
 Every loss maps an (anchor, gt) pair of boxes to a scalar that is zero iff
-the boxes coincide. A :class:`LossSpec` selects the base loss, an optional
-center-scaled auxiliary ("inner") ratio, and the numerical knobs. Evaluation
+the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
+downward, so ``top`` is the smaller ordinate. A :class:`LossSpec` selects
+the base loss, an optional center-scaled auxiliary ("inner") ratio, and the
+numerical knobs; it is the one place that validates the ratio. Evaluation
 returns the loss together with its analytic gradient with respect to the
 anchor parameters (x, y, w, h); the gt box is treated as constant.
 """
@@ -16,9 +18,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import RATIO_RANGE, Box
-
 THETA_RANGE = (2.0, 6.0)
+
+# Inner ratios outside this interval are legal but unusual enough to flag.
+RATIO_RANGE = (0.5, 1.5)
 
 
 class BaseLoss(str, enum.Enum):
@@ -31,6 +34,53 @@ class BaseLoss(str, enum.Enum):
 
 
 BASE_NAMES: tuple[str, ...] = tuple(b.value for b in BaseLoss)
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned rectangle in center form with strictly positive sides."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "w", "h"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+            raise ValueError(f"box fields must be finite, got {self!r}")
+        if self.w <= 0.0 or self.h <= 0.0:
+            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
+        # Side lengths must survive the corner round trip; overlap math
+        # divides by corner-derived areas.
+        if not (self.left < self.right and self.top < self.bottom):
+            raise ValueError(
+                f"box sides vanish at the center's float resolution, got {self!r}"
+            )
+
+    @property
+    def left(self) -> float:
+        return self.x - self.w / 2.0
+
+    @property
+    def right(self) -> float:
+        return self.x + self.w / 2.0
+
+    @property
+    def top(self) -> float:
+        return self.y - self.h / 2.0
+
+    @property
+    def bottom(self) -> float:
+        return self.y + self.h / 2.0
+
+    @property
+    def area(self) -> float:
+        return self.w * self.h
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.x, self.y, self.w, self.h)
 
 
 @dataclass(frozen=True)
@@ -202,49 +252,3 @@ def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> LossValue:
         terms=terms,
         grad=Grad4(*(float(g) + 0.0 for g in res.grad)),  # normalizes -0.0
     )
-
-
-def loss_iou(anchor: Box, gt: Box) -> LossValue:
-    return evaluate(LossSpec(BaseLoss.IOU), anchor, gt)
-
-
-def loss_giou(anchor: Box, gt: Box) -> LossValue:
-    return evaluate(LossSpec(BaseLoss.GIOU), anchor, gt)
-
-
-def loss_diou(anchor: Box, gt: Box) -> LossValue:
-    return evaluate(LossSpec(BaseLoss.DIOU), anchor, gt)
-
-
-def loss_ciou(anchor: Box, gt: Box, *, epsilon: float = 1e-7) -> LossValue:
-    return evaluate(LossSpec(BaseLoss.CIOU, epsilon=epsilon), anchor, gt)
-
-
-def loss_eiou(anchor: Box, gt: Box) -> LossValue:
-    return evaluate(LossSpec(BaseLoss.EIOU), anchor, gt)
-
-
-def loss_siou(
-    anchor: Box,
-    gt: Box,
-    *,
-    epsilon: float = 1e-7,
-    theta: float = 4.0,
-    half_terms: bool = True,
-    positive_shape_exp: bool = False,
-) -> LossValue:
-    spec = LossSpec(
-        BaseLoss.SIOU,
-        epsilon=epsilon,
-        theta=theta,
-        siou_half_terms=half_terms,
-        siou_positive_shape_exp=positive_shape_exp,
-    )
-    return evaluate(spec, anchor, gt)
-
-
-def loss_inner(spec: LossSpec, anchor: Box, gt: Box) -> LossValue:
-    """Evaluate the auxiliary-box composition; ``spec.inner`` must be set."""
-    if spec.inner is None:
-        raise ValueError("loss_inner requires a spec with an inner ratio")
-    return evaluate(spec, anchor, gt)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .batch import eval_batch, iou_batch
-from .geometry import Box
-from .losses import LossSpec
+from .losses import BASE_NAMES, LossSpec
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
@@ -33,6 +32,22 @@ _DEFAULT_ASPECTS = (0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 4.0)
 _DEFAULT_SCALES = (0.5, 0.67, 0.75, 1.0, 1.33, 1.5, 2.0)
 
 STEP_SCHEDULES = ("constant", "diou_style")
+
+# The high- and low-overlap starts of the DIoU paper's regression
+# simulation: anchors clustered on the target, where a shrunken auxiliary
+# pair should help, versus anchors that mostly miss it, where an enlarged
+# one should. ``step_size`` is the largest grid step at which every loss
+# variant still descends stably from that start (scripts/scan_step_sizes.py);
+# the SimConfig default of 0.1 is the safe setting for arbitrary configs.
+SCENARIOS = {
+    "high": {"radius": (0.0, 3.0), "ratio": 0.8, "step_size": 0.2},
+    "low": {"radius": (6.0, 9.0), "ratio": 1.2, "step_size": 0.3},
+}
+
+
+def scenario_specs(ratio: float, bases=BASE_NAMES) -> tuple[LossSpec, ...]:
+    """Each base loss followed by its auxiliary variant at ``ratio``."""
+    return tuple(spec for b in bases for spec in (LossSpec(b), LossSpec(b, inner=ratio)))
 
 
 @dataclass(frozen=True)
@@ -157,17 +172,6 @@ class SimConfig:
             raise ValueError(f"invalid config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    """One anchor regressed onto one target under one spec."""
-
-    case_id: int
-    spec_id: int
-    error_curve: np.ndarray  # corner L1 error, length iterations + 1
-    final_iou: float
-    clamps: int
-
-
 @dataclass
 class ConvergenceSummary:
     """Aggregates over all cases for one spec."""
@@ -221,15 +225,6 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return anchors, targets
 
 
-def generate_cases(cfg: SimConfig) -> list[tuple[Box, Box]]:
-    """The case list as Box pairs; prefer the array form for large runs."""
-    anchors, targets = generate_case_arrays(cfg)
-    return [
-        (Box(*a), Box(*t))
-        for a, t in zip(anchors.tolist(), targets.tolist())
-    ]
-
-
 def _corner_l1(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
     sx, sy, sw, sh = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
     tx, ty, tw, th = targets[:, 0], targets[:, 1], targets[:, 2], targets[:, 3]
@@ -246,20 +241,21 @@ def _simulate_chunk(
     anchors: np.ndarray,
     targets: np.ndarray,
     cfg: SimConfig,
-    keep_curves: bool = False,
 ):
+    """Descend one chunk of cases under ``spec``.
+
+    Returns the per-iteration total error (the case's own error curve for a
+    one-row chunk), then the per-case initial error, final error, final IoU
+    and clamp count.
+    """
     state = anchors.copy()
-    n = state.shape[0]
     steps = cfg.iterations
     totals = np.empty(steps + 1)
-    curves = np.empty((steps + 1, n)) if keep_curves else None
-    clamps = np.zeros(n, dtype=np.int64)
+    clamps = np.zeros(state.shape[0], dtype=np.int64)
 
     err = _corner_l1(state, targets)
     initial = err.copy()
     totals[0] = err.sum()
-    if keep_curves:
-        curves[0] = err
     adaptive = cfg.step_schedule == "diou_style"
     for t in range(1, steps + 1):
         ev = eval_batch(spec, state, targets, with_grad=True)
@@ -279,33 +275,8 @@ def _simulate_chunk(
         np.maximum(state[:, 3], cfg.min_size, out=state[:, 3])
         err = _corner_l1(state, targets)
         totals[t] = err.sum()
-        if keep_curves:
-            curves[t] = err
     final_iou = iou_batch(state, targets)
-    return totals, initial, err, final_iou, clamps, curves
-
-
-def run_case(
-    spec: LossSpec,
-    anchor: Box,
-    target: Box,
-    cfg: SimConfig,
-    case_id: int = 0,
-    spec_id: int = 0,
-) -> CaseResult:
-    """Regress a single anchor onto a single target."""
-    anchors = np.array([[anchor.x, anchor.y, anchor.w, anchor.h]])
-    targets = np.array([[target.x, target.y, target.w, target.h]])
-    _, _, _, final_iou, clamps, curves = _simulate_chunk(
-        spec, anchors, targets, cfg, keep_curves=True
-    )
-    return CaseResult(
-        case_id=case_id,
-        spec_id=spec_id,
-        error_curve=curves[:, 0].copy(),
-        final_iou=float(final_iou[0]),
-        clamps=int(clamps[0]),
-    )
+    return totals, initial, err, final_iou, clamps
 
 
 def run_simulation(
@@ -314,8 +285,8 @@ def run_simulation(
     """Run every spec over the full case population.
 
     ``threads`` parallelizes over fixed-size chunks of cases (0 = one per
-    CPU); the reduction order is by chunk index, so summaries are
-    bit-identical for any thread count.
+    CPU this process may run on); the reduction order is by chunk index,
+    so summaries are bit-identical for any thread count.
     """
     if not cfg.specs:
         raise ValueError("config needs at least one loss spec")
@@ -323,7 +294,10 @@ def run_simulation(
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if threads == 0:
-        threads = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
 
     anchors, targets = generate_case_arrays(cfg)
     n = anchors.shape[0]

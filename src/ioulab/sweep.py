@@ -80,17 +80,8 @@ class SweepConfig:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
 
     def sides(self) -> tuple[float, ...]:
-        """All curve sides: the actual one first, then the auxiliaries."""
-        return (self.box_side,) + tuple(s for s in self.aux_sides if s != self.box_side)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """Overlap and gradient magnitude at one deviation, keyed by side."""
-
-    deviation: float
-    iou_per_side: dict[float, float]
-    absgrad_per_side: dict[float, float]
+        """All curve sides, each once: the actual one first, then the auxiliaries."""
+        return tuple(dict.fromkeys((self.box_side,) + self.aux_sides))
 
 
 @dataclass(frozen=True)
@@ -140,39 +131,31 @@ class ConclusionsReport:
         }
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate every curve of ``cfg`` at every sampled deviation."""
+def run_sweep(
+    cfg: SweepConfig,
+) -> tuple[np.ndarray, dict[float, np.ndarray], dict[float, np.ndarray]]:
+    """Evaluate every curve of ``cfg`` at every sampled deviation.
+
+    Returns the increasing deviations and, keyed by side in ``cfg.sides()``
+    order, the overlap and the |gradient| columns along those deviations.
+    """
     devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], cfg.samples)
-    n = cfg.samples
-    targets = np.zeros((n, 4))
+    targets = np.zeros((cfg.samples, 4))
     targets[:, 2] = cfg.box_side
     targets[:, 3] = cfg.box_side
     anchors = targets.copy()
     col = 0 if cfg.axis == "x" else 1
     anchors[:, col] = devs
 
-    iou_cols: dict[float, np.ndarray] = {}
-    grad_cols: dict[float, np.ndarray] = {}
+    iou: dict[float, np.ndarray] = {}
+    absgrad: dict[float, np.ndarray] = {}
     for side in cfg.sides():
-        ratio = side / cfg.box_side
-        if ratio == 1.0:
-            ev = eval_batch(LossSpec(BaseLoss.IOU), anchors, targets)
-            iou_cols[side] = ev.iou
-            grad_cols[side] = np.abs(ev.iou_grad[:, col])
-        else:
-            ev = eval_batch(LossSpec(BaseLoss.IOU, inner=ratio), anchors, targets)
-            iou_cols[side] = ev.inner_iou
-            grad_cols[side] = np.abs(ev.inner_iou_grad[:, col])
-
-    sides = cfg.sides()
-    return [
-        SweepRecord(
-            deviation=float(devs[i]),
-            iou_per_side={s: float(iou_cols[s][i]) for s in sides},
-            absgrad_per_side={s: float(grad_cols[s][i]) for s in sides},
-        )
-        for i in range(n)
-    ]
+        # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
+        # and ratio 1 reproduces the plain overlap bit for bit.
+        ev = eval_batch(LossSpec(BaseLoss.IOU, inner=side / cfg.box_side), anchors, targets)
+        iou[side] = ev.inner_iou
+        absgrad[side] = np.abs(ev.grad[:, col])
+    return devs, iou, absgrad
 
 
 def _mask_regions(devs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -190,21 +173,25 @@ def _mask_regions(devs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, floa
 
 
 def check_conclusions(
-    records: list[SweepRecord],
+    devs: np.ndarray,
+    iou: dict[float, np.ndarray],
+    grad: dict[float, np.ndarray],
     *,
     actual_side: float,
     high_iou_threshold: float = 0.7,
     low_iou_threshold: float = 0.0,
 ) -> ConclusionsReport:
-    """Test the three gradient-behavior claims against sweep records.
+    """Test the three gradient-behavior claims against the curves of a sweep.
 
-    ``actual_side`` names the curve of the unscaled pair; every other side
-    in the records is an auxiliary curve, compared as smaller or larger
-    than the actual one. A claim whose precondition never holds is
-    reported vacuous, which does not count as passing.
+    The arguments are what :func:`run_sweep` returns: increasing deviations
+    and per-side overlap and |gradient| columns. ``actual_side`` names the
+    curve of the unscaled pair; every other side is an auxiliary curve,
+    compared as smaller or larger than the actual one. A claim whose
+    precondition never holds is reported vacuous, which does not count as
+    passing.
     """
-    if not records:
-        raise ValueError("records must not be empty")
+    if len(devs) == 0:
+        raise ValueError("sweep has no records to check")
     high = float(high_iou_threshold)
     low = float(low_iou_threshold)
     if not (math.isfinite(high) and math.isfinite(low)):
@@ -214,20 +201,15 @@ def check_conclusions(
             f"low_iou_threshold must be below high_iou_threshold, got {low} >= {high}"
         )
     actual = float(actual_side)
-    sides = tuple(records[0].iou_per_side)
+    sides = tuple(iou)
     if actual not in sides:
-        raise ValueError(f"records carry no curve for actual_side {actual:g}")
+        raise ValueError(f"sweep has no curve for actual_side {actual:g}")
     smaller = tuple(s for s in sides if s < actual)
     larger = tuple(s for s in sides if s > actual)
     if not smaller:
         raise ValueError("need an auxiliary side smaller than the actual one")
     if not larger:
         raise ValueError("need an auxiliary side larger than the actual one")
-
-    ordered = sorted(records, key=lambda r: r.deviation)
-    devs = np.array([r.deviation for r in ordered])
-    iou = {s: np.array([r.iou_per_side[s] for r in ordered]) for s in sides}
-    grad = {s: np.array([r.absgrad_per_side[s] for r in ordered]) for s in sides}
 
     nonzero = devs != 0.0
 

@@ -18,7 +18,7 @@ import pytest
 
 from ioulab import (
     BASE_NAMES,
-    Box,
+    SCENARIOS,
     LossSpec,
     SimConfig,
     SweepConfig,
@@ -26,11 +26,10 @@ from ioulab import (
     eval_batch,
     generate_case_arrays,
     grad_fd_batch,
-    inner_iou_batch,
-    iou,
     iou_batch,
     run_simulation,
     run_sweep,
+    scenario_specs,
 )
 from ioulab.cli import main as cli_main
 
@@ -57,7 +56,8 @@ def test_criterion_1_degeneration_identity_at_ratio_one():
     start = time.perf_counter()
     anchors, gts = _random_population(101, 100_000)
 
-    gap = np.abs(inner_iou_batch(anchors, gts, 1.0) - iou_batch(anchors, gts))
+    inner = eval_batch(LossSpec("iou", inner=1.0), anchors, gts, with_grad=False).inner_iou
+    gap = np.abs(inner - iou_batch(anchors, gts))
     assert gap.max() <= 1e-12, f"inner overlap at ratio 1 deviates by {gap.max():.3e}"
 
     for base in BASE_NAMES:
@@ -111,14 +111,13 @@ def test_criterion_4_overlap_matches_cell_counting_oracle():
     for _ in range(10_000):
         a = random_integer_box(rng)
         b = random_integer_box(rng)
-        assert iou(a, b) == raster_iou(a, b), f"mismatch on {a} vs {b}"
+        assert iou_batch(a.as_tuple(), b.as_tuple()) == raster_iou(a, b), f"mismatch on {a} vs {b}"
         checked += 1
     assert checked == 10_000
 
 
 def test_criterion_5_deviation_sweep_conclusions(capsys):
-    records = run_sweep(SweepConfig())
-    report = check_conclusions(records, actual_side=10.0)
+    report = check_conclusions(*run_sweep(SweepConfig()), actual_side=10.0)
     assert report.c1.passed, "overlap trends are not consistent across scales"
     assert report.c2.passed and not report.c2.vacuous, "no high-overlap region where the smaller auxiliary is steeper"
     assert report.c3.passed and not report.c3.vacuous, "no zero-overlap region where the larger auxiliary is steeper"
@@ -129,17 +128,14 @@ def test_criterion_5_deviation_sweep_conclusions(capsys):
     assert exit_code == 0
 
 
-def _scenario_results(radius, ratio, step_size):
-    specs = []
-    for base in BASE_NAMES:
-        specs.append(LossSpec(base))
-        specs.append(LossSpec(base, inner=ratio))
+def _scenario_results(name):
+    preset = SCENARIOS[name]
     cfg = SimConfig(
-        specs=tuple(specs),
-        radius=radius,
+        specs=scenario_specs(preset["ratio"]),
+        radius=preset["radius"],
         n_points=100,
         iterations=200,
-        step_size=step_size,
+        step_size=preset["step_size"],
         seed=0,
     )
     start = time.perf_counter()
@@ -151,16 +147,12 @@ def _scenario_results(radius, ratio, step_size):
 
 @pytest.fixture(scope="module")
 def high_overlap_run():
-    # step 0.2: largest grid step at which every variant still descends
-    # stably from the near-overlap start
-    return _scenario_results(radius=(0.0, 3.0), ratio=0.8, step_size=0.2)
+    return _scenario_results("high")
 
 
 @pytest.fixture(scope="module")
 def low_overlap_run():
-    # step 0.3: ditto for the distant start, where early steps are scaled
-    # up by the adaptive schedule anyway
-    return _scenario_results(radius=(6.0, 9.0), ratio=1.2, step_size=0.3)
+    return _scenario_results("low")
 
 
 def _ordering_table(finals, ratio):
@@ -181,7 +173,7 @@ def _ordering_table(finals, ratio):
 
 def test_criterion_6_high_overlap_auxiliary_converges_faster(high_overlap_run):
     finals, elapsed = high_overlap_run
-    table, failures = _ordering_table(finals, 0.8)
+    table, failures = _ordering_table(finals, SCENARIOS["high"]["ratio"])
     print(f"\nfinal total error after 200 iterations (34300 cases, step 0.2):\n{table}")
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
     # Known honest failures: with the shrunken auxiliary, iou stalls in the
@@ -198,7 +190,7 @@ def test_criterion_6_high_overlap_auxiliary_converges_faster(high_overlap_run):
 
 def test_criterion_7_low_overlap_auxiliary_converges_faster(low_overlap_run):
     finals, elapsed = low_overlap_run
-    table, failures = _ordering_table(finals, 1.2)
+    table, failures = _ordering_table(finals, SCENARIOS["low"]["ratio"])
     print(f"\nfinal total error after 200 iterations (34300 cases, step 0.3):\n{table}")
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
     # Known honest failure: the plain overlap loss is blind to anchors that

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from ioulab import SimConfig, __version__
+from ioulab import SCENARIOS, SimConfig, __version__, scenario_specs
 from ioulab.cli import main
 
 
@@ -116,6 +117,24 @@ class TestSim:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec_list"] == ["ciou", "inner-ciou(1.2)"]
+
+    def test_scenario_reads_preset_table(self, tmp_path, monkeypatch):
+        # radius and ratio come from SCENARIOS; the step stays at the
+        # SimConfig default rather than the preset's tuned one
+        monkeypatch.setitem(SCENARIOS, "low", {"radius": (1.0, 2.0), "ratio": 1.3, "step_size": 0.3})
+        out = tmp_path / "run"
+        code = run_cli(
+            "sim", "--scenario", "low", "--points", "1", "--iterations", "2",
+            "--threads", "1", "--out", str(out),
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["spec_list"] == ["ciou", "inner-ciou(1.3)"]
+        want = SimConfig(
+            specs=scenario_specs(1.3, ("ciou",)), radius=(1.0, 2.0), n_points=1, iterations=2
+        )
+        canonical = json.dumps(want.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert manifest["config_digest"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def test_scenario_bases_flag(self, tmp_path):
         out = tmp_path / "run"
@@ -275,6 +294,12 @@ class TestSweep:
         code = run_cli("sweep", "--aux-sides", "10")
         assert code == 2
         assert "auxiliary side" in capsys.readouterr().err
+
+    def test_repeated_aux_sides_write_each_column_once(self, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--aux-sides", "8,8,12", "--out", str(csv_path)) == 0
+        header = csv_path.read_text().splitlines()[0]
+        assert header == "deviation,iou_10,absgrad_10,iou_8,absgrad_8,iou_12,absgrad_12"
 
     def test_bad_aux_sides_value(self):
         assert run_cli("sweep", "--aux-sides", "8,abc") == 2

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ioulab import Box, enclosing, inner_iou, iou, scale_about_center, to_corners
+from ioulab import Box, LossSpec, eval_batch, iou_batch
+from ioulab.batch import _overlap, _unpack
+from ioulab.losses import BaseLoss
 
 from helpers import random_integer_box, raster_iou
 
@@ -18,6 +20,33 @@ ratios = st.floats(min_value=0.5, max_value=1.5, allow_nan=False)
 @st.composite
 def boxes(draw):
     return Box(draw(coords), draw(coords), draw(sides), draw(sides))
+
+
+def iou(a: Box, b: Box) -> float:
+    return float(iou_batch(a.as_tuple(), b.as_tuple()))
+
+
+def inner_iou(a: Box, b: Box, ratio: float) -> float:
+    spec = LossSpec("iou", inner=ratio)
+    return float(eval_batch(spec, a.as_tuple(), b.as_tuple(), with_grad=False).inner_iou)
+
+
+def scale_about_center(box: Box, ratio: float) -> Box:
+    return Box(box.x, box.y, box.w * ratio, box.h * ratio)
+
+
+def kernel_corners(box: Box, ratio: float = 1.0) -> tuple[float, ...]:
+    """(left, right, top, bottom) of ``box`` as the overlap kernel scales it."""
+    arr = _unpack(box.as_tuple())
+    return tuple(float(v) for v in _overlap(arr, arr, None, ratio, False).corners[:4])
+
+
+def enclosing_losses(a: Box, b: Box) -> tuple[float, float, float]:
+    """iou, giou and diou losses; the last two add enclosing-box terms to the first."""
+    return tuple(
+        float(eval_batch(LossSpec(base), a.as_tuple(), b.as_tuple(), with_grad=False).loss)
+        for base in ("iou", "giou", "diou")
+    )
 
 
 class TestBoxValidation:
@@ -51,36 +80,24 @@ class TestBoxValidation:
 
 class TestCornersAndScaling:
     def test_to_corners_identity_ratio(self):
-        b = Box(100.0, 100.0, 8.0, 4.0)
-        c = to_corners(b)
-        assert (c.left, c.right, c.top, c.bottom) == (96.0, 104.0, 98.0, 102.0)
-        assert (c.width, c.height) == (8.0, 4.0)
+        left, right, top, bottom = kernel_corners(Box(100.0, 100.0, 8.0, 4.0))
+        assert (left, right, top, bottom) == (96.0, 104.0, 98.0, 102.0)
+        assert (right - left, bottom - top) == (8.0, 4.0)
 
     def test_to_corners_scaled(self):
-        c = to_corners(Box(100.0, 100.0, 8.0, 4.0), 1.5)
-        assert (c.left, c.right, c.top, c.bottom) == (94.0, 106.0, 97.0, 103.0)
+        assert kernel_corners(Box(100.0, 100.0, 8.0, 4.0), 1.5) == (94.0, 106.0, 97.0, 103.0)
 
     def test_scale_about_center_keeps_center(self):
-        s = scale_about_center(Box(3.0, -7.0, 10.0, 2.0), 0.5)
-        assert (s.x, s.y, s.w, s.h) == (3.0, -7.0, 5.0, 1.0)
+        left, right, top, bottom = kernel_corners(Box(3.0, -7.0, 10.0, 2.0), 0.5)
+        center = ((left + right) / 2.0, (top + bottom) / 2.0)
+        assert center + (right - left, bottom - top) == (3.0, -7.0, 5.0, 1.0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     def test_bad_ratio_rejected(self, bad):
-        b = Box(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="ratio"):
-            to_corners(b, bad)
-        with pytest.raises(ValueError, match="ratio"):
-            scale_about_center(b, bad)
-
-    @pytest.mark.parametrize("odd", [0.3, 1.7])
-    def test_unusual_ratio_warns(self, odd):
-        b = Box(0.0, 0.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="typical range"):
-            to_corners(b, odd)
-
-    def test_typical_ratio_does_not_warn(self, recwarn):
-        to_corners(Box(0.0, 0.0, 1.0, 1.0), 0.8)
-        assert not recwarn.list
+        # LossSpec is the only way a ratio reaches the kernel, for every base.
+        for base in BaseLoss:
+            with pytest.raises(ValueError, match="ratio"):
+                LossSpec(base, inner=bad)
 
 
 class TestIou:
@@ -133,24 +150,26 @@ class TestIou:
 
 class TestEnclosing:
     def test_disjoint_pair(self):
-        e = enclosing(Box(0, 0, 10, 10), Box(20, 0, 10, 10))
-        assert (e.width, e.height, e.area, e.diagonal_sq) == (30.0, 10.0, 300.0, 1000.0)
+        # enclosing box 30 x 10: area 300, squared diagonal 1000; union 200
+        base, giou, diou = enclosing_losses(Box(0, 0, 10, 10), Box(20, 0, 10, 10))
+        assert base == 1.0
+        assert giou == 1.0 + (300.0 - 200.0) / 300.0
+        assert diou == 1.0 + 400.0 / 1000.0
 
     def test_contained_pair(self):
-        e = enclosing(Box(0, 0, 10, 10), Box(1, 1, 2, 2))
-        assert (e.corners.left, e.corners.right) == (-5.0, 5.0)
-        assert e.area == 100.0
+        # the enclosing box is the outer box itself: area 100 (the union),
+        # squared diagonal 200
+        base, giou, diou = enclosing_losses(Box(0, 0, 10, 10), Box(1, 1, 2, 2))
+        assert giou == base
+        assert diou == base + 2.0 / 200.0
 
     @given(boxes(), boxes())
     @settings(max_examples=200)
     def test_covers_both_boxes(self, a, b):
-        e = enclosing(a, b)
-        for box in (a, b):
-            assert e.corners.left <= box.left and box.right <= e.corners.right
-            assert e.corners.top <= box.top and box.bottom <= e.corners.bottom
-        area_a = (a.right - a.left) * (a.bottom - a.top)
-        area_b = (b.right - b.left) * (b.bottom - b.top)
-        assert e.area >= max(area_a, area_b) - 1e-9 * e.area
+        # covering both boxes means area >= union and both centers inside
+        base, giou, diou = enclosing_losses(a, b)
+        assert -1e-9 <= giou - base <= 1.0
+        assert -1e-9 <= diou - base <= 1.0 + 1e-9
 
 
 class TestInnerIou:

@@ -3,17 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import (
-    BASE_NAMES,
-    Box,
-    Grad4,
-    LossSpec,
-    evaluate,
-    grad_analytic,
-    grad_fd,
-    grad_fd_batch,
-    grad_magnitude_1d,
-)
+from ioulab import BASE_NAMES, Box, Grad4, LossSpec, evaluate, grad_fd, grad_fd_batch
 from ioulab.batch import eval_batch
 
 from helpers import random_smooth_pairs, spec_matrix
@@ -31,7 +21,7 @@ def fd_agrees(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 class TestFrozenValues:
     def test_iou_dx_half_overlap(self):
-        g = grad_analytic(LossSpec("iou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        g = evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10)).grad
         assert g.dx == pytest.approx(-2000.0 / 22500.0, rel=1e-12)
         assert g.dy == 0.0
 
@@ -52,23 +42,23 @@ class TestStationaryPoints:
         # configuration is an exact zero of every gradient; dx = dy = 0
         # is also forced by symmetry.
         b = Box(11.375, -2.625, 6.5, 3.25)
-        g = grad_analytic(spec, b, b)
+        g = evaluate(spec, b, b).grad
         assert (g.dx, g.dy, g.dw, g.dh) == (0.0, 0.0, 0.0, 0.0)
 
     def test_disjoint_overlap_term_is_flat(self):
         a, gt = Box(0, 0, 10, 10), Box(30, 0, 10, 10)
-        g = grad_analytic(LossSpec("iou"), a, gt)
+        g = evaluate(LossSpec("iou"), a, gt).grad
         assert (g.dx, g.dy, g.dw, g.dh) == (0.0, 0.0, 0.0, 0.0)
 
     def test_giou_pulls_disjoint_boxes_together(self):
         a, gt = Box(0, 0, 10, 10), Box(30, 0, 10, 10)
-        g = grad_analytic(LossSpec("giou"), a, gt)
+        g = evaluate(LossSpec("giou"), a, gt).grad
         # anchor sits left of the target: increasing x must decrease the loss
         assert g.dx < 0.0
 
     def test_diou_concentric_centers_stationary_in_xy(self):
         a, gt = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        g = grad_analytic(LossSpec("diou"), a, gt)
+        g = evaluate(LossSpec("diou"), a, gt).grad
         assert g.dx == 0.0 and g.dy == 0.0
         f = grad_fd(LossSpec("diou"), a, gt)
         assert abs(f.dx) < 1e-8 and abs(f.dy) < 1e-8
@@ -90,7 +80,7 @@ class TestFiniteDifferenceAgreement:
     def test_step_sweep_converges(self):
         spec = LossSpec("diou")
         a, gt = Box(0.7, -1.3, 9.0, 6.0), Box(3.2, 1.9, 5.0, 8.0)
-        exact = grad_analytic(spec, a, gt).as_array()
+        exact = evaluate(spec, a, gt).grad.as_array()
         errs = [
             np.abs(grad_fd(spec, a, gt, step=s).as_array() - exact).max()
             for s in (1e-3, 1e-4, 1e-5)
@@ -126,8 +116,8 @@ class TestConventions:
         for _ in range(50):
             a = Box(*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
             g = Box(*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
-            ga = grad_analytic(spec, a, g)
-            gm = grad_analytic(spec, a, Box(2 * a.x - g.x, 2 * a.y - g.y, g.w, g.h))
+            ga = evaluate(spec, a, g).grad
+            gm = evaluate(spec, a, Box(2 * a.x - g.x, 2 * a.y - g.y, g.w, g.h)).grad
             assert gm.dx == pytest.approx(-ga.dx, abs=1e-12)
             assert gm.dy == pytest.approx(-ga.dy, abs=1e-12)
             assert gm.dw == pytest.approx(ga.dw, abs=1e-12)
@@ -139,7 +129,7 @@ class TestConventions:
         # function and must visibly disagree on aspect-mismatched pairs.
         spec = LossSpec("ciou")
         a, gt = Box(0, 0, 10, 5), Box(0, 0, 5, 10)
-        exact = grad_analytic(spec, a, gt).as_array()
+        exact = evaluate(spec, a, gt).grad.as_array()
         frozen = grad_fd(spec, a, gt).as_array()
         assert np.abs(exact - frozen).max() < 1e-7
 
@@ -157,41 +147,43 @@ class TestConventions:
 
     def test_siou_frozen_angle_changes_center_gradient(self):
         a, gt = Box(0, 0, 10, 10), Box(4, 2, 9, 8)
-        live = grad_analytic(LossSpec("siou"), a, gt)
-        frozen = grad_analytic(LossSpec("siou", freeze_angle=True), a, gt)
+        live = evaluate(LossSpec("siou"), a, gt).grad
+        frozen = evaluate(LossSpec("siou", freeze_angle=True), a, gt).grad
         assert live.dx != frozen.dx or live.dy != frozen.dy
         assert live.dw == frozen.dw and live.dh == frozen.dh
+
+
+def absgrad(spec: LossSpec, anchor: Box, gt: Box, axis: str = "x") -> float:
+    """|d(overlap)/d(center deviation)| as the sweep reads it: 1 - overlap is the iou loss."""
+    g = evaluate(spec, anchor, gt).grad
+    return abs(g.dx if axis == "x" else g.dy)
 
 
 class TestGradMagnitude1d:
     def test_hand_differentiated_half_overlap(self):
         # d/dx of the overlap quotient for side-10 squares at deviation 5
-        v = grad_magnitude_1d(LossSpec("iou"), Box(5, 0, 10, 10), Box(0, 0, 10, 10))
+        v = absgrad(LossSpec("iou"), Box(5, 0, 10, 10), Box(0, 0, 10, 10))
         assert v == pytest.approx(2000.0 / 22500.0, rel=1e-12)
 
     def test_disjoint_plateau(self):
-        v = grad_magnitude_1d(LossSpec("iou"), Box(15, 0, 10, 10), Box(0, 0, 10, 10))
+        v = absgrad(LossSpec("iou"), Box(15, 0, 10, 10), Box(0, 0, 10, 10))
         assert v == 0.0
 
     def test_magnitude_continuous_across_zero_deviation(self):
         gt = Box(0, 0, 10, 10)
-        left = grad_magnitude_1d(LossSpec("iou"), Box(-1e-6, 0, 10, 10), gt)
-        right = grad_magnitude_1d(LossSpec("iou"), Box(1e-6, 0, 10, 10), gt)
+        left = absgrad(LossSpec("iou"), Box(-1e-6, 0, 10, 10), gt)
+        right = absgrad(LossSpec("iou"), Box(1e-6, 0, 10, 10), gt)
         assert left == pytest.approx(right, rel=1e-4)
         # one-sided limit of |dIoU/d(deviation)|: 2*s*A/A^2 = 0.2 for side 10
         assert right == pytest.approx(0.2, rel=1e-4)
 
     def test_inner_spec_reads_auxiliary_overlap(self):
         a, gt = Box(8, 0, 10, 10), Box(0, 0, 10, 10)
-        plain = grad_magnitude_1d(LossSpec("iou"), a, gt)
-        aux = grad_magnitude_1d(LossSpec("iou", inner=0.5), a, gt)
+        plain = absgrad(LossSpec("iou"), a, gt)
+        aux = absgrad(LossSpec("iou", inner=0.5), a, gt)
         assert plain > 0.0
         assert aux == 0.0  # the shrunken boxes are already disjoint
 
-    def test_axis_validation(self):
-        with pytest.raises(ValueError, match="axis"):
-            grad_magnitude_1d(LossSpec("iou"), Box(0, 0, 1, 1), Box(0, 0, 1, 1), axis="w")
-
     def test_y_axis(self):
-        v = grad_magnitude_1d(LossSpec("iou"), Box(0, 5, 10, 10), Box(0, 0, 10, 10), axis="y")
+        v = absgrad(LossSpec("iou"), Box(0, 5, 10, 10), Box(0, 0, 10, 10), axis="y")
         assert v == pytest.approx(2000.0 / 22500.0, rel=1e-12)

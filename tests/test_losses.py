@@ -3,23 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import (
-    BASE_NAMES,
-    Box,
-    CiouTerms,
-    LossSpec,
-    SiouTerms,
-    evaluate,
-    inner_iou,
-    iou,
-    loss_ciou,
-    loss_diou,
-    loss_eiou,
-    loss_giou,
-    loss_inner,
-    loss_iou,
-    loss_siou,
-)
+from ioulab import BASE_NAMES, Box, CiouTerms, LossSpec, SiouTerms, evaluate, iou_batch
 
 from helpers import TEST_RATIOS, random_box
 
@@ -46,9 +30,14 @@ class TestLossSpec:
         with pytest.raises(ValueError, match="inner ratio"):
             LossSpec("iou", inner=bad)
 
-    def test_unusual_inner_ratio_warns(self):
+    @pytest.mark.parametrize("odd", [0.3, 1.7, 1.8])
+    def test_unusual_inner_ratio_warns(self, odd):
         with pytest.warns(UserWarning, match="typical range"):
-            LossSpec("iou", inner=1.8)
+            LossSpec("iou", inner=odd)
+
+    def test_typical_ratio_does_not_warn(self, recwarn):
+        LossSpec("iou", inner=0.8)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("bad", [1.9, 6.1, 0.0])
     def test_theta_out_of_range_rejected(self, bad):
@@ -95,13 +84,13 @@ class TestLossSpec:
 class TestIouLoss:
     def test_coincident(self):
         b = Box(3.1, -2.7, 6.3, 4.9)
-        assert loss_iou(b, b).loss == 0.0
+        assert evaluate(LossSpec("iou"), b, b).loss == 0.0
 
     def test_disjoint(self):
-        assert loss_iou(Box(0, 0, 10, 10), Box(20, 0, 10, 10)).loss == 1.0
+        assert evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(20, 0, 10, 10)).loss == 1.0
 
     def test_half_overlap(self):
-        v = loss_iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
         assert v.loss == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert v.inner_iou is None
@@ -109,52 +98,54 @@ class TestIouLoss:
 
     def test_range(self):
         for a, g in _pairs(11, 200):
-            v = loss_iou(a, g).loss
+            v = evaluate(LossSpec("iou"), a, g).loss
             assert 0.0 <= v <= 1.0
 
 
 class TestGiouLoss:
     def test_disjoint_exceeds_one(self):
-        v = loss_giou(Box(0, 0, 10, 10), Box(20, 0, 10, 10))
+        v = evaluate(LossSpec("giou"), Box(0, 0, 10, 10), Box(20, 0, 10, 10))
         # union 200, enclosing 300
         assert v.loss == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_contained_pair_equals_iou_loss(self):
         a, g = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        assert loss_giou(a, g).loss == pytest.approx(1.0 - 16.0 / 100.0, abs=1e-15)
-        assert loss_giou(a, g).loss == pytest.approx(loss_iou(a, g).loss, abs=1e-15)
+        assert evaluate(LossSpec("giou"), a, g).loss == pytest.approx(1.0 - 16.0 / 100.0, abs=1e-15)
+        assert evaluate(LossSpec("giou"), a, g).loss == pytest.approx(
+            evaluate(LossSpec("iou"), a, g).loss, abs=1e-15
+        )
 
     def test_dominates_iou_loss(self):
         for a, g in _pairs(12, 300):
-            assert loss_giou(a, g).loss >= loss_iou(a, g).loss
-            assert loss_giou(a, g).loss < 2.0
+            assert evaluate(LossSpec("giou"), a, g).loss >= evaluate(LossSpec("iou"), a, g).loss
+            assert evaluate(LossSpec("giou"), a, g).loss < 2.0
 
 
 class TestDiouLoss:
     def test_half_overlap(self):
-        v = loss_diou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = evaluate(LossSpec("diou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
         assert v.loss == pytest.approx(2.0 / 3.0 + 25.0 / 325.0, rel=1e-15)
 
     def test_concentric_equals_iou_loss(self):
         a, g = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        assert loss_diou(a, g).loss == loss_iou(a, g).loss
+        assert evaluate(LossSpec("diou"), a, g).loss == evaluate(LossSpec("iou"), a, g).loss
 
     def test_dominates_iou_loss(self):
         for a, g in _pairs(13, 300):
-            assert loss_diou(a, g).loss >= loss_iou(a, g).loss
+            assert evaluate(LossSpec("diou"), a, g).loss >= evaluate(LossSpec("iou"), a, g).loss
 
 
 class TestCiouLoss:
     def test_same_aspect_degrades_to_diou(self):
         a, g = Box(0, 0, 10, 10), Box(5, 3, 4, 4)
-        v = loss_ciou(a, g)
-        assert v.loss == loss_diou(a, g).loss
+        v = evaluate(LossSpec("ciou"), a, g)
+        assert v.loss == evaluate(LossSpec("diou"), a, g).loss
         assert isinstance(v.terms, CiouTerms)
         assert v.terms.v == 0.0 and v.terms.alpha == 0.0
 
     def test_swapped_aspect_pair(self):
         a, g = Box(0, 0, 10, 5), Box(0, 0, 5, 10)
-        v = loss_ciou(a, g)
+        v = evaluate(LossSpec("ciou"), a, g)
         vv = (4.0 / math.pi**2) * (math.atan(5.0 / 10.0) - math.atan(10.0 / 5.0)) ** 2
         alpha = vv / ((1.0 - 1.0 / 3.0) + vv)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -164,26 +155,28 @@ class TestCiouLoss:
 
     def test_dominates_diou(self):
         for a, g in _pairs(14, 300):
-            assert loss_ciou(a, g).loss >= loss_diou(a, g).loss
+            assert evaluate(LossSpec("ciou"), a, g).loss >= evaluate(LossSpec("diou"), a, g).loss
 
     def test_coincident(self):
         b = Box(1, 1, 2, 3)
-        assert loss_ciou(b, b).loss == 0.0
+        assert evaluate(LossSpec("ciou"), b, b).loss == 0.0
 
 
 class TestEiouLoss:
     def test_concentric_width_mismatch(self):
-        v = loss_eiou(Box(0, 0, 10, 10), Box(0, 0, 5, 10))
+        v = evaluate(LossSpec("eiou"), Box(0, 0, 10, 10), Box(0, 0, 5, 10))
         # iou 0.5; width term (10-5)^2 / 10^2; all other penalties 0
         assert v.loss == pytest.approx(0.5 + 0.25, abs=1e-15)
 
     def test_same_shape_translated_equals_diou(self):
         a, g = Box(0, 0, 10, 10), Box(5, 0, 10, 10)
-        assert loss_eiou(a, g).loss == pytest.approx(loss_diou(a, g).loss, abs=1e-15)
+        assert evaluate(LossSpec("eiou"), a, g).loss == pytest.approx(
+            evaluate(LossSpec("diou"), a, g).loss, abs=1e-15
+        )
 
     def test_coincident(self):
         b = Box(-4, 9, 3, 8)
-        assert loss_eiou(b, b).loss == 0.0
+        assert evaluate(LossSpec("eiou"), b, b).loss == 0.0
 
 
 def _siou_reference(a, g, *, eps=1e-7, theta=4.0, half=True, positive_exp=False):
@@ -203,23 +196,26 @@ def _siou_reference(a, g, *, eps=1e-7, theta=4.0, half=True, positive_exp=False)
     delta = scale * sum(1.0 - math.exp(-gamma * r) for r in (rho_x, rho_y))
     sign = 1.0 if positive_exp else -1.0
     omega = scale * sum((1.0 - math.exp(sign * w)) ** theta for w in (omega_w, omega_h))
-    return 1.0 - iou(a, g) + (delta + omega) / 2.0, angle, gamma, delta, omega
+    iw = max(0.0, min(a.right, g.right) - max(a.left, g.left))
+    ih = max(0.0, min(a.bottom, g.bottom) - max(a.top, g.top))
+    iou = iw * ih / (a.area + g.area - iw * ih)
+    return 1.0 - iou + (delta + omega) / 2.0, angle, gamma, delta, omega
 
 
 class TestSiouLoss:
     def test_axis_aligned_centers_zero_angle_cost(self):
-        v = loss_siou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
         assert isinstance(v.terms, SiouTerms)
         assert v.terms.angle_cost == 0.0
         assert v.terms.gamma == 2.0
 
     def test_diagonal_centers_unit_angle_cost(self):
-        v = loss_siou(Box(0, 0, 10, 10), Box(3, 3, 10, 10))
+        v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(3, 3, 10, 10))
         assert v.terms.angle_cost == pytest.approx(1.0, abs=1e-6)
 
     def test_coincident(self):
         b = Box(2, 2, 5, 7)
-        v = loss_siou(b, b)
+        v = evaluate(LossSpec("siou"), b, b)
         assert v.loss == 0.0
         assert v.terms.distance_cost == 0.0 and v.terms.shape_cost == 0.0
 
@@ -227,7 +223,8 @@ class TestSiouLoss:
     @pytest.mark.parametrize("positive_exp", [False, True])
     def test_matches_direct_recomputation(self, half, positive_exp):
         for a, g in _pairs(15, 60):
-            v = loss_siou(a, g, half_terms=half, positive_shape_exp=positive_exp)
+            spec = LossSpec("siou", siou_half_terms=half, siou_positive_shape_exp=positive_exp)
+            v = evaluate(spec, a, g)
             ref, angle, gamma, delta, omega = _siou_reference(
                 a, g, half=half, positive_exp=positive_exp
             )
@@ -239,7 +236,7 @@ class TestSiouLoss:
 
     def test_term_ranges(self):
         for a, g in _pairs(16, 200):
-            t = loss_siou(a, g).terms
+            t = evaluate(LossSpec("siou"), a, g).terms
             assert 0.0 <= t.angle_cost <= 1.0
             assert 1.0 <= t.gamma <= 2.0
             assert 0.0 <= t.rho_x <= 1.0 and 0.0 <= t.rho_y <= 1.0
@@ -247,23 +244,20 @@ class TestSiouLoss:
 
     def test_full_terms_dominate_halved_terms(self):
         a, g = Box(0, 0, 10, 10), Box(4, 2, 6, 9)
-        assert loss_siou(a, g, half_terms=False).loss > loss_siou(a, g).loss
+        full = evaluate(LossSpec("siou", siou_half_terms=False), a, g).loss
+        assert full > evaluate(LossSpec("siou"), a, g).loss
 
     def test_theta_sharpens_shape_cost(self):
         a, g = Box(0, 0, 10, 10), Box(4, 2, 6, 9)
         # omega terms are < 1, so a larger exponent shrinks the shape cost
-        s2 = loss_siou(a, g, theta=2.0).terms.shape_cost
-        s6 = loss_siou(a, g, theta=6.0).terms.shape_cost
+        s2 = evaluate(LossSpec("siou", theta=2.0), a, g).terms.shape_cost
+        s6 = evaluate(LossSpec("siou", theta=6.0), a, g).terms.shape_cost
         assert s6 < s2
 
 
 class TestInnerLoss:
-    def test_requires_ratio(self):
-        with pytest.raises(ValueError, match="inner ratio"):
-            loss_inner(LossSpec("ciou"), Box(0, 0, 1, 1), Box(0, 0, 1, 1))
-
     def test_iou_base_with_broken_overlap(self):
-        v = loss_inner(LossSpec("iou", inner=0.5), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = evaluate(LossSpec("iou", inner=0.5), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
         assert v.loss == 1.0
         assert v.inner_iou == 0.0
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -296,7 +290,9 @@ class TestInnerLoss:
         for a, g in _pairs(19, 40):
             v = evaluate(LossSpec("iou", inner=ratio), a, g)
             assert v.loss == pytest.approx(1.0 - v.inner_iou, abs=1e-15)
-            assert v.inner_iou == pytest.approx(inner_iou(a, g, ratio), abs=1e-15)
+            scale = np.array([1.0, 1.0, ratio, ratio])
+            scaled = iou_batch(np.array(a.as_tuple()) * scale, np.array(g.as_tuple()) * scale)
+            assert v.inner_iou == pytest.approx(float(scaled), abs=1e-15)
 
 
 class TestInvariance:

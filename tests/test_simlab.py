@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import (
-    Box,
-    CaseResult,
-    LossSpec,
-    SimConfig,
-    generate_case_arrays,
-    generate_cases,
-    run_case,
-    run_simulation,
-)
-from ioulab.simlab import CHUNK_CASES
+from ioulab import Box, LossSpec, SimConfig, generate_case_arrays, run_simulation
+from ioulab import simlab
+from ioulab.simlab import CHUNK_CASES, _simulate_chunk
 
 
 def tiny_cfg(**overrides) -> SimConfig:
@@ -27,6 +19,17 @@ def tiny_cfg(**overrides) -> SimConfig:
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def descend_one(spec: LossSpec, anchor: Box, target: Box, cfg: SimConfig):
+    """Descend one case: (error curve, final IoU, clamp events).
+
+    The total-error curve of a one-row chunk is that case's error curve.
+    """
+    totals, _, _, final_iou, clamps = _simulate_chunk(
+        spec, np.array([anchor.as_tuple()]), np.array([target.as_tuple()]), cfg
+    )
+    return totals, float(final_iou[0]), int(clamps[0])
 
 
 class TestSimConfig:
@@ -147,60 +150,51 @@ class TestCaseGeneration:
         assert np.array_equal(anchors[0], anchors[block])
         assert not np.array_equal(targets[0], targets[block])
 
-    def test_box_pair_view_matches_arrays(self):
-        cfg = tiny_cfg()
-        anchors, targets = generate_case_arrays(cfg)
-        pairs = generate_cases(cfg)
-        assert len(pairs) == cfg.case_count
-        assert pairs[5][0].as_tuple() == tuple(anchors[5])
-        assert pairs[5][1].as_tuple() == tuple(targets[5])
-
 
 class TestRunCase:
     def test_coincident_start_stays_at_zero(self):
         cfg = tiny_cfg(iterations=20)
         b = Box(100.0, 100.0, 2.0, 0.5)
         for spec in (LossSpec("iou"), LossSpec("siou"), LossSpec("ciou", inner=0.8)):
-            res = run_case(spec, b, b, cfg)
-            assert isinstance(res, CaseResult)
-            assert res.error_curve.shape == (21,)
-            assert np.all(res.error_curve == 0.0)
-            assert res.final_iou == 1.0
-            assert res.clamps == 0
+            curve, final_iou, clamps = descend_one(spec, b, b, cfg)
+            assert curve.shape == (21,)
+            assert np.all(curve == 0.0)
+            assert final_iou == 1.0
+            assert clamps == 0
 
     def test_disjoint_overlap_loss_plateaus(self):
         cfg = tiny_cfg(iterations=10)
-        res = run_case(LossSpec("iou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
-        assert np.all(res.error_curve == res.error_curve[0])
-        assert res.final_iou == 0.0
+        curve, final_iou, _ = descend_one(LossSpec("iou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        assert np.all(curve == curve[0])
+        assert final_iou == 0.0
 
     def test_enclosure_penalty_moves_disjoint_boxes(self):
         cfg = tiny_cfg(iterations=100)
-        res = run_case(LossSpec("giou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
-        assert res.error_curve[-1] < res.error_curve[0]
+        curve, _, _ = descend_one(LossSpec("giou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        assert curve[-1] < curve[0]
 
     def test_initial_error_is_spec_independent(self):
         cfg = tiny_cfg(iterations=2)
         a, t = Box(101, 99, 2, 1), Box(100, 100, 1, 1)
-        errs = {run_case(LossSpec(b), a, t, cfg).error_curve[0] for b in ("iou", "giou", "siou")}
+        errs = {descend_one(LossSpec(b), a, t, cfg)[0][0] for b in ("iou", "giou", "siou")}
         assert len(errs) == 1
 
     def test_single_iteration_curve_length(self):
         cfg = tiny_cfg(iterations=1)
-        res = run_case(LossSpec("diou"), Box(101, 100, 1, 1), Box(100, 100, 1, 1), cfg)
-        assert res.error_curve.shape == (2,)
+        curve, _, _ = descend_one(LossSpec("diou"), Box(101, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        assert curve.shape == (2,)
 
     def test_size_clamp_counts_events(self):
         # equilibrium sides sit below min_size, so both sides clamp every step
         cfg = tiny_cfg(iterations=7, min_size=5.0, step_schedule="constant", step_size=0.05)
-        res = run_case(LossSpec("iou"), Box(0, 0, 4.0, 4.0), Box(0, 0, 3.0, 3.0), cfg)
-        assert res.clamps == 2 * cfg.iterations
-        assert res.error_curve[-1] == pytest.approx(4.0)  # four corners, each off by 1
+        curve, _, clamps = descend_one(LossSpec("iou"), Box(0, 0, 4.0, 4.0), Box(0, 0, 3.0, 3.0), cfg)
+        assert clamps == 2 * cfg.iterations
+        assert curve[-1] == pytest.approx(4.0)  # four corners, each off by 1
 
     def test_corner_error_metric(self):
         cfg = tiny_cfg(iterations=1)
-        res = run_case(LossSpec("iou"), Box(103, 100, 1, 1), Box(100, 100, 1, 1), cfg)
-        assert res.error_curve[0] == pytest.approx(6.0)  # |dx| on both x corners
+        curve, _, _ = descend_one(LossSpec("iou"), Box(103, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        assert curve[0] == pytest.approx(6.0)  # |dx| on both x corners
 
 
 class TestRunSimulation:
@@ -216,10 +210,10 @@ class TestRunSimulation:
     def test_aggregation_identity_exact(self):
         cfg = tiny_cfg(specs=(LossSpec("giou"),), iterations=6)
         [summary] = run_simulation(cfg)
-        pairs = generate_cases(cfg)
+        anchors, targets = generate_case_arrays(cfg)
         per_case = [
-            run_case(cfg.specs[0], a, t, cfg, case_id=i).error_curve
-            for i, (a, t) in enumerate(pairs)
+            _simulate_chunk(cfg.specs[0], anchors[i : i + 1], targets[i : i + 1], cfg)[0]
+            for i in range(cfg.case_count)
         ]
         stacked = np.array(per_case)
         for t in range(cfg.iterations + 1):
@@ -259,6 +253,27 @@ class TestRunSimulation:
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):
             run_simulation(tiny_cfg(), threads=-1)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_threads_zero_counts_usable_cpus(self, monkeypatch, affinity):
+        # threads=0 sizes the pool by the CPUs this process may run on, and
+        # falls back to the machine's count where affinity is unavailable
+        workers = []
+
+        class RecordingPool(simlab.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 4)  # 24 cases -> 6 chunks
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: 5)
+        if affinity:
+            monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+        else:
+            monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
+        run_simulation(tiny_cfg(), threads=0)
+        assert workers == [3 if affinity else 5]
 
     def test_constant_schedule_supported(self):
         cfg = tiny_cfg(specs=(LossSpec("iou"),), step_schedule="constant", iterations=4)
