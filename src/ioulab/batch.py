@@ -5,6 +5,16 @@ Inputs are float64 arrays of shape (..., 4) holding boxes in center form
 the single implementation behind both the scalar API in :mod:`ioulab.losses`
 and the bulk simulation loop, so the two can never drift apart.
 
+Per-axis layout: each input is copied once into a contiguous (4, ...)
+block, so ``block[:2]`` holds the centers (x, y) and ``block[2:]`` the sides
+(w, h). Every overlap, enclosure and offset quantity splits into an x and a
+y factor that depends only on that axis's center and side, so it is one
+(2, ...) array over both axes. A derivative is a pair ``(dc, ds)`` of
+(2, ...) arrays: the partials with respect to the anchor's center (x, y)
+and to its sides (w, h). The partial of an x factor with respect to y or h
+is zero and is never stored; products of the two axes (areas, the squared
+diagonal) pick up the other axis's factor through ``[::-1]``.
+
 Subgradient conventions at the non-smooth points:
 
 * a clamped overlap contributes zero gradient on the clamped side
@@ -22,13 +32,18 @@ check gradients by finite differences must freeze it the same way (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .losses import LossSpec
+
+# Guards the denominators that can vanish: the center-angle term of siou
+# and the aspect-weight denominator of ciou.
+EPSILON = 1e-7
+# Exponent of the siou shape cost, (1 - exp(-omega)) ** SIOU_THETA.
+SIOU_THETA = 4.0
 
 _K_ASPECT = 4.0 / np.pi**2
 
@@ -47,18 +62,16 @@ class BatchEval:
 class _Overlap(NamedTuple):
     """Overlap of both boxes scaled about their centers by one ratio.
 
-    ``corners`` are the scaled (al, ar, at, ab, gl, gr, gt, gb) and ``picks``
-    the derivative weights of the four clamped edges (see :func:`_pick`);
-    ``picks``, ``d_union`` and ``d_iou`` are None without the gradient.
-    Derivatives are (4, ...) stacks over the anchor's (x, y, w, h).
+    ``edges`` are the scaled (anchor low, anchor high, gt low, gt high)
+    edges, each (2, ...) over the axes; ``d_union`` and ``d_iou`` are None
+    without the gradient.
     """
 
-    corners: tuple[np.ndarray, ...]
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     union: np.ndarray
     iou: np.ndarray
-    picks: tuple[np.ndarray, ...] | None
-    d_union: np.ndarray | None
-    d_iou: np.ndarray | None
+    d_union: tuple[np.ndarray, np.ndarray] | None
+    d_iou: tuple[np.ndarray, np.ndarray] | None
 
 
 def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -67,76 +80,64 @@ def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(v - u) + 1.0)
 
 
-def _unpack(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.asarray(boxes, dtype=np.float64)
-    if arr.shape[-1] != 4:
-        raise ValueError(f"boxes must have a trailing axis of size 4, got shape {arr.shape}")
-    return arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
+def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
+    """Both box arrays as contiguous (4, ...) blocks of equal rank."""
+    arrs = [np.asarray(boxes, dtype=np.float64) for boxes in (anchors, gts)]
+    for arr in arrs:
+        if arr.shape[-1] != 4:
+            raise ValueError(f"boxes must have a trailing axis of size 4, got shape {arr.shape}")
+    # Pad the leading dimensions first: with the box axis in front, a
+    # (3, 4) gt would otherwise not broadcast against (2, 3, 4) anchors.
+    nd = max(arr.ndim for arr in arrs)
+    return tuple(
+        np.ascontiguousarray(np.moveaxis(arr.reshape((1,) * (nd - arr.ndim) + arr.shape), -1, 0))
+        for arr in arrs
+    )
 
 
-def _v4(shape, dx=None, dy=None, dw=None, dh=None) -> np.ndarray:
-    # Dense (4, *shape) derivative stack; missing components are zero.
-    comps = []
-    for c in (dx, dy, dw, dh):
-        if c is None:
-            comps.append(np.zeros(shape))
-        else:
-            comps.append(np.broadcast_to(np.asarray(c, dtype=np.float64), shape))
-    return np.stack(comps)
-
-
-def _overlap(a, g, shape, r: float, with_grad: bool) -> _Overlap:
-    """IoU of the anchor and gt boxes ``a``/``g`` (x, y, w, h) scaled by ``r``.
+def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overlap:
+    """IoU of the (4, ...) anchor and gt blocks ``a``/``g`` scaled by ``r``.
 
     This is the one overlap computation: the plain overlap is ``r == 1``,
     and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
     bit.
     """
-    def edges(center, side):
-        half = (side * r) / 2.0
-        return center - half, center + half
+    def edges(box):
+        half = (box[2:] * r) / 2.0
+        return box[:2] - half, box[:2] + half
 
-    ax, ay, aw, ah = a
-    gx, gy, gw, gh = g
-    al, ar = edges(ax, aw)
-    at, ab = edges(ay, ah)
-    gl, gr = edges(gx, gw)
-    gt, gb = edges(gy, gh)
-    corners = (al, ar, at, ab, gl, gr, gt, gb)
-
-    iw_raw = np.minimum(ar, gr) - np.maximum(al, gl)
-    ih_raw = np.minimum(ab, gb) - np.maximum(at, gt)
-    iw = np.maximum(iw_raw, 0.0)
-    ih = np.maximum(ih_raw, 0.0)
-    inter = iw * ih
+    a_lo, a_hi = edges(a)
+    g_lo, g_hi = edges(g)
+    raw = np.minimum(a_hi, g_hi) - np.maximum(a_lo, g_lo)
+    ov = np.maximum(raw, 0.0)
+    inter = ov[0] * ov[1]
     # Corner-derived side lengths; using them for the areas keeps
     # inter <= union in floats (so iou <= 1, and exactly 1 on
     # bitwise-identical boxes) and makes bitwise-coincident pairs exact
     # stationary points of every loss.
-    sw, sh = ar - al, ab - at
-    union = sw * sh + (gr - gl) * (gb - gt) - inter
+    a_side = a_hi - a_lo
+    g_side = g_hi - g_lo
+    union = a_side[0] * a_side[1] + g_side[0] * g_side[1] - inter
     iou = inter / union
+    edges4 = (a_lo, a_hi, g_lo, g_hi)
     if not with_grad:
-        return _Overlap(corners, union, iou, None, None, None)
+        return _Overlap(edges4, union, iou, None, None)
 
-    w_r = _pick(ar, gr)  # min(ar, gr) picks the anchor edge
-    w_l = _pick(gl, al)  # max(al, gl) picks the anchor edge
-    w_b = _pick(ab, gb)
-    w_t = _pick(gt, at)
-    open_w = np.where(iw_raw > 0.0, 1.0, 0.0)
-    open_h = np.where(ih_raw > 0.0, 1.0, 0.0)
-    d_iw = _v4(shape, dx=open_w * (w_r - w_l), dw=open_w * (w_r + w_l) * (r / 2.0))
-    d_ih = _v4(shape, dy=open_h * (w_b - w_t), dh=open_h * (w_b + w_t) * (r / 2.0))
-    d_inter = d_iw * ih + iw * d_ih
-    d_union = _v4(shape, dw=sh * r, dh=sw * r) - d_inter
-    d_iou = (d_inter * union - inter * d_union) / (union * union)
-    return _Overlap(corners, union, iou, (w_r, w_l, w_b, w_t), d_union, d_iou)
+    w_hi = _pick(a_hi, g_hi)  # min(a_hi, g_hi) picks the anchor edge
+    w_lo = _pick(g_lo, a_lo)  # max(a_lo, g_lo) picks the anchor edge
+    is_open = np.where(raw > 0.0, 1.0, 0.0)
+    d_ov = (is_open * (w_hi - w_lo), is_open * (w_hi + w_lo) * (r / 2.0))
+    d_inter = [d * ov[::-1] for d in d_ov]
+    d_union = (-d_inter[0], a_side[::-1] * r - d_inter[1])
+    d_iou = tuple(
+        (di * union - inter * du) / (union * union) for di, du in zip(d_inter, d_union)
+    )
+    return _Overlap(edges4, union, iou, d_union, d_iou)
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
     """Plain IoU over broadcastable (..., 4) center-form arrays."""
-    a, g = _unpack(anchors), _unpack(gts)
-    return _overlap(a, g, None, 1.0, False).iou
+    return _overlap(*_blocks(anchors, gts), 1.0, False).iou
 
 
 def eval_batch(
@@ -146,187 +147,145 @@ def eval_batch(
     *,
     with_grad: bool = True,
     alpha_override: np.ndarray | float | None = None,
-    angle_override: np.ndarray | float | None = None,
 ) -> BatchEval:
     """Evaluate ``spec`` over broadcastable box arrays.
 
-    ``alpha_override``/``angle_override`` substitute the ciou aspect weight
-    and the siou angle cost with fixed values; they exist so that finite
-    difference probes can hold those terms at the center point.
+    ``alpha_override`` substitutes the ciou aspect weight with fixed values;
+    it exists so that finite difference probes can hold that weight at the
+    center point.
     """
-    a, g = _unpack(anchors), _unpack(gts)
-    ax, ay, aw, ah = a
-    gx, gy, gw, gh = g
-    shape = np.broadcast_shapes(ax.shape, gx.shape)
-
-    v4 = partial(_v4, shape)
-
+    a, g = _blocks(anchors, gts)
     base = spec.base
-    eps = spec.epsilon
 
     # --- overlap -----------------------------------------------------------
-    plain = _overlap(a, g, shape, 1.0, with_grad)
-    al, ar, at, ab, gl, gr, gt, gb = plain.corners
+    plain = _overlap(a, g, 1.0, with_grad)
+    a_lo, a_hi, g_lo, g_hi = plain.edges
     union, iou, d_union, d_iou = plain.union, plain.iou, plain.d_union, plain.d_iou
 
-    # --- enclosing box ------------------------------------------------------
-    cw = np.maximum(ar, gr) - np.minimum(al, gl)
-    ch = np.maximum(ab, gb) - np.minimum(at, gt)
-    c_area = cw * ch
-    c_diag = cw * cw + ch * ch
+    # --- enclosing box (every base but iou) ----------------------------------
+    if base != "iou":
+        ext = np.maximum(a_hi, g_hi) - np.minimum(a_lo, g_lo)  # (cw, ch)
+        c_area = ext[0] * ext[1]
+        c_diag = ext[0] * ext[0] + ext[1] * ext[1]
+        if with_grad:
+            u_hi = _pick(g_hi, a_hi)  # max(a_hi, g_hi) picks the anchor edge
+            u_lo = _pick(a_lo, g_lo)  # min(a_lo, g_lo) picks the anchor edge
+            d_ext = (u_hi - u_lo, (u_hi + u_lo) * 0.5)
 
-    d_cw = d_ch = None
-    if with_grad:
-        w_r, w_l, w_b, w_t = plain.picks
-        u_r = 1.0 - w_r  # max(ar, gr) picks the anchor edge
-        u_l = 1.0 - w_l
-        u_b = 1.0 - w_b
-        u_t = 1.0 - w_t
-        d_cw = v4(dx=u_r - u_l, dw=(u_r + u_l) * 0.5)
-        d_ch = v4(dy=u_b - u_t, dh=(u_b + u_t) * 0.5)
-
-    # --- base loss ----------------------------------------------------------
+    # --- base loss: partials dc (center) and ds (sides) ----------------------
     terms: dict[str, np.ndarray] = {}
-    d_base = None
 
     if base == "iou":
         loss = 1.0 - iou
         if with_grad:
-            d_base = -d_iou
+            dc, ds = -d_iou[0], -d_iou[1]
     elif base == "giou":
         loss = 1.0 - iou + (c_area - union) / c_area
         if with_grad:
-            d_c_area = d_cw * ch + cw * d_ch
-            d_pen = -(d_union * c_area - union * d_c_area) / (c_area * c_area)
-            d_base = -d_iou + d_pen
+            d_c_area = [d * ext[::-1] for d in d_ext]
+            dc, ds = (
+                -di - (du * c_area - union * dca) / (c_area * c_area)
+                for di, du, dca in zip(d_iou, d_union, d_c_area)
+            )
     elif base in ("diou", "ciou", "eiou"):
-        offx = ax - gx
-        offy = ay - gy
-        rho2 = offx * offx + offy * offy
+        off = a[:2] - g[:2]
+        rho2 = off[0] * off[0] + off[1] * off[1]
         loss = 1.0 - iou + rho2 / c_diag
         if with_grad:
-            d_rho2 = v4(dx=2.0 * offx, dy=2.0 * offy)
-            d_c_diag = 2.0 * (cw * d_cw + ch * d_ch)
-            d_base = -d_iou + (d_rho2 * c_diag - rho2 * d_c_diag) / (c_diag * c_diag)
+            d_c_diag = [2.0 * (ext * d) for d in d_ext]
+            cd2 = c_diag * c_diag
+            dc = -d_iou[0] + (2.0 * off * c_diag - rho2 * d_c_diag[0]) / cd2
+            ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
         if base == "ciou":
-            q = np.arctan(gw / gh) - np.arctan(aw / ah)
+            aw, ah = a[2], a[3]
+            q = np.arctan(g[2] / g[3]) - np.arctan(aw / ah)
             v = _K_ASPECT * q * q
             if alpha_override is not None:
+                shape = np.broadcast_shapes(a.shape[1:], g.shape[1:])
                 alpha = np.broadcast_to(np.asarray(alpha_override, dtype=np.float64), shape)
             else:
-                alpha = v / np.maximum((1.0 - iou) + v, eps)
+                alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
             loss = loss + alpha * v
             terms["v"] = v
             terms["alpha"] = alpha
             if with_grad:
-                s2 = aw * aw + ah * ah
-                d_v = v4(dw=-2.0 * _K_ASPECT * q * ah / s2, dh=2.0 * _K_ASPECT * q * aw / s2)
-                d_base = d_base + alpha * d_v
+                d_v = 2.0 * _K_ASPECT * q * np.stack((-ah, aw)) / (aw * aw + ah * ah)
+                ds = ds + alpha * d_v
         elif base == "eiou":
-            dw_off = aw - gw
-            dh_off = ah - gh
-            cw2 = cw * cw
-            ch2 = ch * ch
-            tw = (dw_off * dw_off) / cw2
-            th = (dh_off * dh_off) / ch2
-            loss = loss + tw + th
+            side_off = a[2:] - g[2:]
+            ext2 = ext * ext
+            t = (side_off * side_off) / ext2
+            loss = loss + t[0] + t[1]
             if with_grad:
-                d_tw = v4(dw=2.0 * dw_off / cw2) - (2.0 * tw / cw) * d_cw
-                d_th = v4(dh=2.0 * dh_off / ch2) - (2.0 * th / ch) * d_ch
-                d_base = d_base + d_tw + d_th
+                k = 2.0 * t / ext
+                dc = dc - k * d_ext[0]
+                ds = ds + (2.0 * side_off / ext2 - k * d_ext[1])
     elif base == "siou":
-        offx = ax - gx
-        offy = ay - gy
-        absx = np.abs(offx)
-        absy = np.abs(offy)
-        dist = np.sqrt(offx * offx + offy * offy)
+        off = a[:2] - g[:2]
+        absx, absy = np.abs(off)
+        dist = np.sqrt(off[0] * off[0] + off[1] * off[1])
         m = np.minimum(absx, absy)
-        z = m / (dist + eps)
-        if angle_override is not None:
-            angle = np.broadcast_to(np.asarray(angle_override, dtype=np.float64), shape)
-        else:
-            angle = 2.0 * z * np.sqrt(1.0 - z * z)  # sin of twice the elevation angle
+        z = m / (dist + EPSILON)
+        angle = 2.0 * z * np.sqrt(1.0 - z * z)  # sin of twice the elevation angle
         gamma = 2.0 - angle
-        rho_x = (offx / cw) ** 2
-        rho_y = (offy / ch) ** 2
-        ex = np.exp(-gamma * rho_x)
-        ey = np.exp(-gamma * rho_y)
-        half = 0.5 if spec.siou_half_terms else 1.0
-        dist_cost = half * ((1.0 - ex) + (1.0 - ey))
-        omega_w = np.abs(aw - gw) / np.maximum(aw, gw)
-        omega_h = np.abs(ah - gh) / np.maximum(ah, gh)
-        theta = spec.theta
-        if spec.siou_positive_shape_exp:
-            fw = (1.0 - np.exp(omega_w)) ** theta
-            fh = (1.0 - np.exp(omega_h)) ** theta
-        else:
-            fw = (1.0 - np.exp(-omega_w)) ** theta
-            fh = (1.0 - np.exp(-omega_h)) ** theta
-        shape_cost = half * (fw + fh)
+        rho = (off / ext) ** 2
+        e = np.exp(-gamma * rho)
+        dist_cost = 0.5 * ((1.0 - e[0]) + (1.0 - e[1]))
+        sa, sg = a[2:], g[2:]
+        omega = np.abs(sa - sg) / np.maximum(sa, sg)
+        e_omega = np.exp(-omega)
+        f = (1.0 - e_omega) ** SIOU_THETA
+        shape_cost = 0.5 * (f[0] + f[1])
         loss = 1.0 - iou + (dist_cost + shape_cost) / 2.0
         terms.update(
             angle_cost=angle,
             gamma=gamma,
             distance_cost=dist_cost,
             shape_cost=shape_cost,
-            rho_x=rho_x,
-            rho_y=rho_y,
-            omega_w=omega_w,
-            omega_h=omega_h,
+            rho_x=rho[0],
+            rho_y=rho[1],
+            omega_w=omega[0],
+            omega_h=omega[1],
         )
         if with_grad:
-            if spec.freeze_angle or angle_override is not None:
-                d_gamma = v4()
-            else:
-                use_x = absx <= absy
-                d_m = v4(
-                    dx=np.where(use_x, np.sign(offx), 0.0),
-                    dy=np.where(use_x, 0.0, np.sign(offy)),
-                )
-                pos = dist > 0.0
-                safe = np.where(pos, dist, 1.0)
-                d_dist = v4(dx=np.where(pos, offx / safe, 0.0), dy=np.where(pos, offy / safe, 0.0))
-                den = dist + eps
-                d_z = np.where(pos, (d_m * den - m * d_dist) / (den * den), 0.0)
-                d_angle = (2.0 * (1.0 - 2.0 * z * z) / np.sqrt(1.0 - z * z)) * d_z
-                d_gamma = -d_angle
-            d_rho_x = v4(dx=2.0 * offx / (cw * cw)) - (2.0 * rho_x / cw) * d_cw
-            d_rho_y = v4(dy=2.0 * offy / (ch * ch)) - (2.0 * rho_y / ch) * d_ch
-            d_dist_cost = half * (
-                ex * (gamma * d_rho_x + rho_x * d_gamma) + ey * (gamma * d_rho_y + rho_y * d_gamma)
+            # m, dist and so gamma depend on the centers only.
+            use_x = absx <= absy
+            d_m = np.where(np.stack((use_x, ~use_x)), np.sign(off), 0.0)
+            pos = dist > 0.0
+            safe = np.where(pos, dist, 1.0)
+            d_dist = np.where(pos, off / safe, 0.0)
+            den = dist + EPSILON
+            d_z = np.where(pos, (d_m * den - m * d_dist) / (den * den), 0.0)
+            d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / np.sqrt(1.0 - z * z)) * d_z)
+            k = 2.0 * rho / ext
+            d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]
+            d_rho_s = -(k * d_ext[1])
+            # each axis's distance term also moves with gamma, which both
+            # center partials reach
+            d_dist_cost_c = 0.5 * (
+                e * (gamma * d_rho_c + rho * d_gamma) + e[::-1] * (rho[::-1] * d_gamma)
             )
-            d_omega_w = np.where(aw >= gw, gw / (aw * aw), -1.0 / gw)
-            d_omega_h = np.where(ah >= gh, gh / (ah * ah), -1.0 / gh)
-            if spec.siou_positive_shape_exp:
-                dfw = -theta * (1.0 - np.exp(omega_w)) ** (theta - 1.0) * np.exp(omega_w)
-                dfh = -theta * (1.0 - np.exp(omega_h)) ** (theta - 1.0) * np.exp(omega_h)
-            else:
-                dfw = theta * (1.0 - np.exp(-omega_w)) ** (theta - 1.0) * np.exp(-omega_w)
-                dfh = theta * (1.0 - np.exp(-omega_h)) ** (theta - 1.0) * np.exp(-omega_h)
-            d_shape_cost = half * v4(dw=dfw * d_omega_w, dh=dfh * d_omega_h)
-            d_base = -d_iou + (d_dist_cost + d_shape_cost) / 2.0
+            d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
+            d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg)
+            df = SIOU_THETA * (1.0 - e_omega) ** (SIOU_THETA - 1.0) * e_omega
+            dc = -d_iou[0] + d_dist_cost_c / 2.0
+            ds = -d_iou[1] + (d_dist_cost_s + 0.5 * (df * d_omega)) / 2.0
     else:  # pragma: no cover - LossSpec validates the base name
         raise ValueError(f"unknown base loss {base!r}")
 
     # --- auxiliary (inner) composition ---------------------------------------
     inner = None
-    d_inner = None
     if spec.inner is not None:
-        aux = _overlap(a, g, shape, spec.inner, with_grad)
+        aux = _overlap(a, g, spec.inner, with_grad)
         inner, d_inner = aux.iou, aux.d_iou
         if base == "iou":
             loss = 1.0 - inner
+            if with_grad:
+                dc, ds = -d_inner[0], -d_inner[1]
         else:
             loss = loss + iou - inner
+            if with_grad:
+                dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
 
-    grad = None
-    if with_grad:
-        if spec.inner is None:
-            d_loss = d_base
-        elif base == "iou":
-            d_loss = -d_inner
-        else:
-            d_loss = d_base + d_iou - d_inner
-        grad = np.moveaxis(d_loss, 0, -1)
-
+    grad = np.moveaxis(np.concatenate((dc, ds)), 0, -1) if with_grad else None
     return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)

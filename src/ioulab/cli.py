@@ -86,7 +86,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.grad:
         g = value.grad
         payload["grad"] = {"x": g.dx, "y": g.dy, "w": g.dw, "h": g.dh}
-    print(json.dumps(payload))
+    try:
+        print(json.dumps(payload, allow_nan=False))
+    except ValueError:
+        raise ValueError("the result is not finite; the boxes are outside the supported range") from None
     return 0
 
 

@@ -5,8 +5,7 @@ loss value (:func:`ioulab.evaluate`, :func:`ioulab.eval_batch`). The probe
 here only reuses the forward evaluation and differences it numerically, so
 it is an independent check on every derived derivative expression.
 Because the ciou aspect weight is defined as a constant of the evaluation
-point, the probe freezes it there (and does the same for the siou angle
-cost when the spec says to differentiate with the angle held fixed).
+point, the probe freezes it there.
 """
 
 from __future__ import annotations
@@ -19,19 +18,6 @@ from .losses import BaseLoss, Box, Grad4, LossSpec, _box_array
 AXES = ("x", "y", "w", "h")
 
 
-def _frozen_terms(spec: LossSpec, anchors: np.ndarray, gts: np.ndarray):
-    """Term values the finite-difference probe must hold at the center point."""
-    alpha = None
-    angle = None
-    if spec.base == BaseLoss.CIOU or (spec.base == BaseLoss.SIOU and spec.freeze_angle):
-        center = eval_batch(spec, anchors, gts, with_grad=False)
-        if spec.base == BaseLoss.CIOU:
-            alpha = center.terms["alpha"]
-        else:
-            angle = center.terms["angle_cost"]
-    return alpha, angle
-
-
 def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradients over (..., 4) box arrays."""
     step = float(step)
@@ -39,7 +25,9 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
         raise ValueError(f"step must be positive, got {step}")
     anchors = np.asarray(anchors, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
-    alpha, angle = _frozen_terms(spec, anchors, gts)
+    alpha = None  # the ciou aspect weight, held at the center point
+    if spec.base == BaseLoss.CIOU:
+        alpha = eval_batch(spec, anchors, gts, with_grad=False).terms["alpha"]
 
     out = np.empty(np.broadcast_shapes(anchors.shape, gts.shape))
     for k in range(4):
@@ -49,8 +37,8 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
         lo[..., k] -= step
         if k >= 2 and np.any(lo[..., k] <= 0.0):
             raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
-        f_hi = eval_batch(spec, hi, gts, with_grad=False, alpha_override=alpha, angle_override=angle)
-        f_lo = eval_batch(spec, lo, gts, with_grad=False, alpha_override=alpha, angle_override=angle)
+        f_hi = eval_batch(spec, hi, gts, with_grad=False, alpha_override=alpha)
+        f_lo = eval_batch(spec, lo, gts, with_grad=False, alpha_override=alpha)
         out[..., k] = (f_hi.loss - f_lo.loss) / (2.0 * step)
     return out
 

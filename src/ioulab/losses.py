@@ -3,10 +3,10 @@
 Every loss maps an (anchor, gt) pair of boxes to a scalar that is zero iff
 the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
 downward, so ``top`` is the smaller ordinate. A :class:`LossSpec` selects
-the base loss, an optional center-scaled auxiliary ("inner") ratio, and the
-numerical knobs; it is the one place that validates the ratio. Evaluation
-returns the loss together with its analytic gradient with respect to the
-anchor parameters (x, y, w, h); the gt box is treated as constant.
+the base loss and an optional center-scaled auxiliary ("inner") ratio; it is
+the one place that validates the ratio. Evaluation returns the loss together
+with its analytic gradient with respect to the anchor parameters
+(x, y, w, h); the gt box is treated as constant.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-THETA_RANGE = (2.0, 6.0)
 
 # Inner ratios outside this interval are legal but unusual enough to flag.
 RATIO_RANGE = (0.5, 1.5)
@@ -88,22 +86,13 @@ class LossSpec:
     """Fully resolved description of one loss variant.
 
     ``inner`` scales both boxes about their centers before the overlap term;
-    ``None`` means the plain base loss. ``epsilon`` guards the denominators
-    that can otherwise vanish (the center-angle term and the aspect-weight
-    denominator). The two ``siou_*`` switches select between the bounded
-    shape-cost exponent used by default and the raw printed form, and between
-    keeping or dropping the extra one-half factor inside the distance and
-    shape sums. ``freeze_angle`` treats the center-angle term as a constant
-    when differentiating.
+    ``None`` means the plain base loss. The numeric constants of the losses
+    (the denominator guard, the siou shape exponent) live in
+    :mod:`ioulab.batch`.
     """
 
     base: BaseLoss
     inner: float | None = None
-    epsilon: float = 1e-7
-    theta: float = 4.0
-    siou_half_terms: bool = True
-    siou_positive_shape_exp: bool = False
-    freeze_angle: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", BaseLoss(self.base))
@@ -118,20 +107,6 @@ class LossSpec:
                     stacklevel=3,
                 )
             object.__setattr__(self, "inner", ratio)
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", eps)
-        theta = float(self.theta)
-        if not (THETA_RANGE[0] <= theta <= THETA_RANGE[1]):
-            raise ValueError(f"theta must lie in [{THETA_RANGE[0]:g}, {THETA_RANGE[1]:g}], got {self.theta}")
-        if self.siou_positive_shape_exp and not theta.is_integer():
-            # the shape base 1 - e^omega is negative under this flag, so a
-            # fractional exponent would leave the reals
-            raise ValueError(
-                f"siou_positive_shape_exp requires an integer theta, got {theta:g}"
-            )
-        object.__setattr__(self, "theta", theta)
 
     def label(self) -> str:
         """Short stable name, e.g. ``ciou`` or ``inner-ciou(0.8)``."""
@@ -140,15 +115,7 @@ class LossSpec:
         return f"inner-{self.base.value}({self.inner:g})"
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.value,
-            "inner": self.inner,
-            "epsilon": self.epsilon,
-            "theta": self.theta,
-            "siou_half_terms": self.siou_half_terms,
-            "siou_positive_shape_exp": self.siou_positive_shape_exp,
-            "freeze_angle": self.freeze_angle,
-        }
+        return {"base": self.base.value, "inner": self.inner}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
@@ -225,7 +192,7 @@ def _box_array(box: Box) -> np.ndarray:
 
 def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> LossValue:
     """Evaluate ``spec`` on a box pair, including the analytic gradient."""
-    from .batch import eval_batch
+    from .batch import SIOU_THETA, eval_batch
 
     res = eval_batch(spec, _box_array(anchor), _box_array(gt), with_grad=True)
     terms: CiouTerms | SiouTerms | None = None
@@ -242,7 +209,7 @@ def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> LossValue:
             rho_y=float(t["rho_y"]),
             omega_w=float(t["omega_w"]),
             omega_h=float(t["omega_h"]),
-            theta=spec.theta,
+            theta=SIOU_THETA,
         )
     assert res.grad is not None
     return LossValue(

@@ -15,6 +15,7 @@ so results are identical no matter how many worker threads run the chunks.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -89,18 +90,20 @@ class SimConfig:
             if any(not math.isfinite(v) or v <= 0.0 for v in vals):
                 raise ValueError(f"{name} must be positive finite numbers, got {vals}")
             object.__setattr__(self, name, vals)
-        n_points = int(self.n_points)
-        if n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-        object.__setattr__(self, "n_points", n_points)
+        for name in ("n_points", "iterations", "seed"):
+            value = getattr(self, name)
+            # int() alone would truncate 1.5 to 1 and read true as 1
+            whole = isinstance(value, numbers.Real) and float(value).is_integer()
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            least = 0 if name == "seed" else 1  # numpy seeds must be non-negative
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         lo, hi = self._pair("radius", self.radius)
         if not (0.0 <= lo <= hi):
             raise ValueError(f"radius must satisfy 0 <= lo <= hi, got {self.radius}")
         object.__setattr__(self, "radius", (lo, hi))
-        iterations = int(self.iterations)
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        object.__setattr__(self, "iterations", iterations)
         step = float(self.step_size)
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
@@ -109,7 +112,6 @@ class SimConfig:
             raise ValueError(
                 f"step_schedule must be one of {STEP_SCHEDULES}, got {self.step_schedule!r}"
             )
-        object.__setattr__(self, "seed", int(self.seed))
         area = float(self.target_area)
         if not math.isfinite(area) or area <= 0.0:
             raise ValueError(f"target_area must be positive and finite, got {self.target_area}")

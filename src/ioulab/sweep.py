@@ -191,7 +191,7 @@ def check_conclusions(
     passing.
     """
     if len(devs) == 0:
-        raise ValueError("sweep has no records to check")
+        raise ValueError("sweep has no samples to check")
     high = float(high_iou_threshold)
     low = float(low_iou_threshold)
     if not (math.isfinite(high) and math.isfinite(low)):

@@ -129,15 +129,10 @@ def random_smooth_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, n
 
 
 def spec_matrix() -> list[LossSpec]:
-    """Every base, plain and wrapped at each test ratio, plus flag variants."""
+    """Every base, plain and wrapped at each test ratio and at the degenerate ratio 1."""
     specs = []
     for base in BASE_NAMES:
         specs.append(LossSpec(base))
-        for r in TEST_RATIOS:
+        for r in TEST_RATIOS + (1.0,):
             specs.append(LossSpec(base, inner=r))
-    specs.append(LossSpec("siou", siou_half_terms=False))
-    specs.append(LossSpec("siou", siou_positive_shape_exp=True))
-    specs.append(LossSpec("siou", theta=2.0))
-    specs.append(LossSpec("siou", theta=6.0))
-    specs.append(LossSpec("siou", freeze_angle=True))
     return specs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ioulab import LossSpec, eval_batch, evaluate, iou_batch
+from ioulab import BASE_NAMES, LossSpec, eval_batch, evaluate, iou_batch
 
 from helpers import TEST_RATIOS, random_box, spec_matrix
 
@@ -111,6 +111,30 @@ class TestEvalBatch:
         assert res.grad.shape == (2, 3, 4)
         flat = eval_batch(LossSpec("giou"), anchors.reshape(-1, 4), gts.reshape(-1, 4))
         assert np.array_equal(res.loss.ravel(), flat.loss)
+        # lower-rank gts broadcast over the anchors' leading dimensions
+        for gt in (gts[0], gts[0, 1]):  # (3, 4) and (4,)
+            res = eval_batch(LossSpec("giou"), anchors, gt, with_grad=True)
+            assert res.loss.shape == (2, 3)
+            assert res.grad.shape == (2, 3, 4)
+            tiled = np.broadcast_to(gt, anchors.shape).reshape(-1, 4)
+            flat = eval_batch(LossSpec("giou"), anchors.reshape(-1, 4), tiled)
+            assert np.array_equal(res.loss.ravel(), flat.loss)
+            assert np.array_equal(res.grad.reshape(-1, 4), flat.grad)
+
+    @pytest.mark.parametrize("base", BASE_NAMES)
+    def test_strided_and_fortran_inputs_match_contiguous(self, base):
+        # Inputs are copied once into contiguous per-axis blocks, so the
+        # memory layout of the caller's arrays must not change any byte.
+        anchors, gts = _random_arrays(60, 40)
+        spec = LossSpec(base, inner=0.8)
+        ref = eval_batch(spec, anchors, gts, with_grad=True)
+        wide = np.zeros((40, 8))
+        wide[:, ::2] = anchors
+        for a in (wide[:, ::2], np.asfortranarray(anchors)):
+            res = eval_batch(spec, a, np.asfortranarray(gts), with_grad=True)
+            assert np.array_equal(res.loss, ref.loss)
+            assert np.array_equal(res.inner_iou, ref.inner_iou)
+            assert np.array_equal(res.grad, ref.grad)
 
     def test_without_grad(self):
         anchors, gts = _random_arrays(59, 8)

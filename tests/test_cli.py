@@ -57,6 +57,7 @@ class TestEval:
         )
         assert code == 0
         assert {"angle_cost", "gamma", "distance_cost", "shape_cost"} <= set(payload["terms"])
+        assert payload["terms"]["theta"] == 4.0
 
     def test_inner_without_ratio_fails(self, capsys):
         code = run_cli("eval", "--anchor", "0,0,1,1", "--gt", "0,0,1,1", "--loss", "inner-iou")
@@ -79,6 +80,17 @@ class TestEval:
 
     def test_degenerate_box(self, capsys):
         assert run_cli("eval", "--anchor", "0,0,-1,1", "--gt", "0,0,1,1", "--loss", "iou") == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_two(self, capsys):
+        # the box areas underflow to 0, so the overlap is 0/0; NaN is not JSON
+        code = run_cli(
+            "eval", "--anchor", "0,0,1e-200,1e-200", "--gt", "0,0,1e-200,1e-200", "--loss", "iou"
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
 
 
 class TestSim:

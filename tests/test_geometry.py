@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioulab import Box, LossSpec, eval_batch, iou_batch
-from ioulab.batch import _overlap, _unpack
+from ioulab.batch import _blocks, _overlap
 from ioulab.losses import BaseLoss
 
 from helpers import random_integer_box, raster_iou
@@ -37,8 +37,9 @@ def scale_about_center(box: Box, ratio: float) -> Box:
 
 def kernel_corners(box: Box, ratio: float = 1.0) -> tuple[float, ...]:
     """(left, right, top, bottom) of ``box`` as the overlap kernel scales it."""
-    arr = _unpack(box.as_tuple())
-    return tuple(float(v) for v in _overlap(arr, arr, None, ratio, False).corners[:4])
+    block, _ = _blocks(box.as_tuple(), box.as_tuple())
+    low, high = _overlap(block, block, ratio, False).edges[:2]
+    return tuple(float(v) for v in (low[0], high[0], low[1], high[1]))
 
 
 def enclosing_losses(a: Box, b: Box) -> tuple[float, float, float]:

@@ -145,13 +145,6 @@ class TestConventions:
             naive.append((f_hi - f_lo) / (2 * step))
         assert np.abs(exact - np.array(naive)).max() > 1e-6
 
-    def test_siou_frozen_angle_changes_center_gradient(self):
-        a, gt = Box(0, 0, 10, 10), Box(4, 2, 9, 8)
-        live = evaluate(LossSpec("siou"), a, gt).grad
-        frozen = evaluate(LossSpec("siou", freeze_angle=True), a, gt).grad
-        assert live.dx != frozen.dx or live.dy != frozen.dy
-        assert live.dw == frozen.dw and live.dh == frozen.dh
-
 
 def absgrad(spec: LossSpec, anchor: Box, gt: Box, axis: str = "x") -> float:
     """|d(overlap)/d(center deviation)| as the sweep reads it: 1 - overlap is the iou loss."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ioulab import SCENARIOS
+from ioulab.cli import main as ioulab_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -34,6 +35,11 @@ def test_convergence_experiments(tmp_path, monkeypatch, capsys):
         assert {s["inner"] for s in cfg["specs"]} == {None, preset["ratio"]}
         lines = (tmp_path / name / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 12 * 3  # 12 specs x (iterations + 1)
+        # the written config reproduces the run byte for byte
+        rerun = tmp_path / f"{name}-rerun"
+        config = str(tmp_path / name / "config.json")
+        assert ioulab_main(["sim", "--config", config, "--out", str(rerun)]) == 0
+        assert (rerun / "summary.csv").read_bytes() == (tmp_path / name / "summary.csv").read_bytes()
 
 
 def test_scan_step_sizes(monkeypatch, capsys):

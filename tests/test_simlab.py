@@ -61,6 +61,13 @@ class TestSimConfig:
             (dict(target_area=0.0), "target_area"),
             (dict(min_size=0.0), "min_size"),
             (dict(center=(1.0,)), "center"),
+            (dict(n_points=1.5), "n_points"),
+            (dict(iterations=2.9), "iterations"),
+            (dict(seed=1.7), "seed"),
+            (dict(n_points=True), "n_points"),
+            (dict(iterations=True), "iterations"),
+            (dict(seed=True), "seed"),
+            (dict(seed=-1), "seed"),
         ],
     )
     def test_validation(self, overrides, match):

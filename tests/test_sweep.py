@@ -190,7 +190,7 @@ class TestCheckConclusions:
             check_conclusions(*sweep, actual_side=10.0, high_iou_threshold=math.nan)
 
     def test_empty_records_rejected(self):
-        with pytest.raises(ValueError, match="records"):
+        with pytest.raises(ValueError, match="no samples"):
             check_conclusions(np.array([]), {}, {}, actual_side=10.0)
 
     def test_tight_low_threshold_fails_conclusion_three(self, sweep):
