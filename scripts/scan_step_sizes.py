@@ -67,7 +67,8 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"{343 * args.points} cases per run, {args.iterations} iterations")
+    cases = SimConfig(specs=(), n_points=args.points).case_count
+    print(f"{cases} cases per run, {args.iterations} iterations")
     for name, preset in SCENARIOS.items():
         for step in args.steps:
             scan_one(name, preset, step, args)

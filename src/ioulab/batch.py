@@ -158,7 +158,10 @@ def eval_batch(
     base = spec.base
 
     # --- overlap -----------------------------------------------------------
-    plain = _overlap(a, g, 1.0, with_grad)
+    aux = None if spec.inner is None else _overlap(a, g, spec.inner, with_grad)
+    # The iou base with a ratio is 1 - (auxiliary overlap), so its plain
+    # overlap only reports ``iou`` and needs no gradient.
+    plain = _overlap(a, g, 1.0, with_grad and (base != "iou" or aux is None))
     a_lo, a_hi, g_lo, g_hi = plain.edges
     union, iou, d_union, d_iou = plain.union, plain.iou, plain.d_union, plain.d_iou
 
@@ -176,9 +179,10 @@ def eval_batch(
     terms: dict[str, np.ndarray] = {}
 
     if base == "iou":
-        loss = 1.0 - iou
+        ov = plain if aux is None else aux
+        loss = 1.0 - ov.iou
         if with_grad:
-            dc, ds = -d_iou[0], -d_iou[1]
+            dc, ds = -ov.d_iou[0], -ov.d_iou[1]
     elif base == "giou":
         loss = 1.0 - iou + (c_area - union) / c_area
         if with_grad:
@@ -273,19 +277,12 @@ def eval_batch(
     else:  # pragma: no cover - LossSpec validates the base name
         raise ValueError(f"unknown base loss {base!r}")
 
-    # --- auxiliary (inner) composition ---------------------------------------
-    inner = None
-    if spec.inner is not None:
-        aux = _overlap(a, g, spec.inner, with_grad)
-        inner, d_inner = aux.iou, aux.d_iou
-        if base == "iou":
-            loss = 1.0 - inner
-            if with_grad:
-                dc, ds = -d_inner[0], -d_inner[1]
-        else:
-            loss = loss + iou - inner
-            if with_grad:
-                dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
+    # --- auxiliary (inner) composition: every base but iou ---------------------
+    inner = None if aux is None else aux.iou
+    if aux is not None and base != "iou":
+        loss = loss + iou - inner
+        if with_grad:
+            dc, ds = dc + d_iou[0] - aux.d_iou[0], ds + d_iou[1] - aux.d_iou[1]
 
     grad = np.moveaxis(np.concatenate((dc, ds)), 0, -1) if with_grad else None
     return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -32,6 +33,20 @@ class BaseLoss(str, enum.Enum):
 
 
 BASE_NAMES: tuple[str, ...] = tuple(b.value for b in BaseLoss)
+
+
+def whole_number(name: str, value, least: int) -> int:
+    """``value`` as an int, rejecting fractions, bools and anything below ``least``.
+
+    The count and seed fields of the experiment configs share this rule;
+    ``int()`` alone would truncate 1.5 to 1, read true as 1 and parse "5".
+    """
+    whole = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

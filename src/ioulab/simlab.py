@@ -1,10 +1,12 @@
 """Gradient-descent box regression experiments over seeded populations.
 
-A simulation scatters anchor boxes of several areas and aspect ratios on
-points sampled uniformly over an annulus around a shared target center,
-then regresses every anchor onto every target aspect with plain gradient
-descent on a chosen loss. The per-iteration error is the L1 distance
-between the four corner coordinates of the anchor and the target.
+A simulation follows the regression protocol of the DIoU paper: it
+scatters anchor boxes of several areas and aspect ratios on points sampled
+uniformly over an annulus around a shared target center, then regresses
+every anchor onto every unit-area target aspect with gradient descent on a
+chosen loss, stepping by ``step_size * (2 - IoU)``. The per-iteration
+error is the L1 distance between the four corner coordinates of the
+anchor and the target.
 
 Everything is deterministic: case generation is seeded, cases are laid out
 in a fixed nested order (target aspect, point, anchor scale, anchor
@@ -15,7 +17,6 @@ so results are identical no matter how many worker threads run the chunks.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -23,16 +24,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .batch import eval_batch, iou_batch
-from .losses import BASE_NAMES, LossSpec
+from .losses import BASE_NAMES, LossSpec, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
 CHUNK_CASES = 8192
 
-_DEFAULT_ASPECTS = (0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 4.0)
-_DEFAULT_SCALES = (0.5, 0.67, 0.75, 1.0, 1.33, 1.5, 2.0)
-
-STEP_SCHEDULES = ("constant", "diou_style")
+# The fixed population: every target has unit area and sits at CENTER;
+# the targets take each of ASPECTS, and the anchors each area in SCALES
+# combined with each of ASPECTS.
+CENTER = (100.0, 100.0)
+ASPECTS = (0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 4.0)
+SCALES = (0.5, 0.67, 0.75, 1.0, 1.33, 1.5, 2.0)
+# Widths and heights are clamped from below at this size after every step.
+MIN_SIZE = 1e-4
 
 # The high- and low-overlap starts of the DIoU paper's regression
 # simulation: anchors clustered on the target, where a shrunken auxiliary
@@ -56,102 +61,51 @@ class SimConfig:
     """Parameters of one regression experiment.
 
     ``radius`` bounds the annulus the anchor centers are sampled from
-    (uniform over its area); ``anchor_scales`` multiply ``target_area``.
-    ``step_schedule`` is either a constant step or the overlap-adaptive
-    variant that multiplies the step by ``2 - IoU`` of the current pair.
-    Widths and heights are clamped from below at ``min_size`` after every
-    update and clamp events are counted.
+    (uniform over its area); each of the ``n_points`` sampled centers
+    carries every anchor of the fixed grid against every target aspect.
+    The center, the aspects, the anchor scales, the unit target area, the
+    size clamp and the ``step_size * (2 - IoU)`` step rule are the module
+    constants above, not fields, and ``from_dict`` rejects a config that
+    names them.
     """
 
     specs: tuple[LossSpec, ...]
-    center: tuple[float, float] = (100.0, 100.0)
-    target_aspects: tuple[float, ...] = _DEFAULT_ASPECTS
-    anchor_scales: tuple[float, ...] = _DEFAULT_SCALES
-    anchor_aspects: tuple[float, ...] = _DEFAULT_ASPECTS
     n_points: int = 2000
     radius: tuple[float, float] = (0.0, 3.0)
     iterations: int = 200
     step_size: float = 0.1
-    step_schedule: str = "diou_style"
     seed: int = 0
-    target_area: float = 1.0
-    min_size: float = 1e-4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
         for s in self.specs:
             if not isinstance(s, LossSpec):
                 raise ValueError(f"specs must contain LossSpec values, got {type(s).__name__}")
-        object.__setattr__(self, "center", self._pair("center", self.center))
-        for name in ("target_aspects", "anchor_scales", "anchor_aspects"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not vals:
-                raise ValueError(f"{name} must not be empty")
-            if any(not math.isfinite(v) or v <= 0.0 for v in vals):
-                raise ValueError(f"{name} must be positive finite numbers, got {vals}")
-            object.__setattr__(self, name, vals)
-        for name in ("n_points", "iterations", "seed"):
-            value = getattr(self, name)
-            # int() alone would truncate 1.5 to 1 and read true as 1
-            whole = isinstance(value, numbers.Real) and float(value).is_integer()
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            least = 0 if name == "seed" else 1  # numpy seeds must be non-negative
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, int(value))
-        lo, hi = self._pair("radius", self.radius)
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"radius must satisfy 0 <= lo <= hi, got {self.radius}")
-        object.__setattr__(self, "radius", (lo, hi))
+        object.__setattr__(self, "n_points", whole_number("n_points", self.n_points, 1))
+        object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 1))
+        # numpy seeds must be non-negative
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        radius = tuple(float(v) for v in self.radius)
+        if len(radius) != 2 or not (0.0 <= radius[0] <= radius[1] < math.inf):
+            raise ValueError(f"radius must be a pair with 0 <= lo <= hi < inf, got {self.radius}")
+        object.__setattr__(self, "radius", radius)
         step = float(self.step_size)
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         object.__setattr__(self, "step_size", step)
-        if self.step_schedule not in STEP_SCHEDULES:
-            raise ValueError(
-                f"step_schedule must be one of {STEP_SCHEDULES}, got {self.step_schedule!r}"
-            )
-        area = float(self.target_area)
-        if not math.isfinite(area) or area <= 0.0:
-            raise ValueError(f"target_area must be positive and finite, got {self.target_area}")
-        object.__setattr__(self, "target_area", area)
-        min_size = float(self.min_size)
-        if not math.isfinite(min_size) or min_size <= 0.0:
-            raise ValueError(f"min_size must be positive and finite, got {self.min_size}")
-        object.__setattr__(self, "min_size", min_size)
-
-    @staticmethod
-    def _pair(name: str, value) -> tuple[float, float]:
-        vals = tuple(float(v) for v in value)
-        if len(vals) != 2 or any(not math.isfinite(v) for v in vals):
-            raise ValueError(f"{name} must be a pair of finite numbers, got {value}")
-        return vals
 
     @property
     def case_count(self) -> int:
-        return (
-            len(self.target_aspects)
-            * self.n_points
-            * len(self.anchor_scales)
-            * len(self.anchor_aspects)
-        )
+        return len(ASPECTS) * self.n_points * len(SCALES) * len(ASPECTS)
 
     def to_dict(self) -> dict:
         return {
             "specs": [s.to_dict() for s in self.specs],
-            "center": list(self.center),
-            "target_aspects": list(self.target_aspects),
-            "anchor_scales": list(self.anchor_scales),
-            "anchor_aspects": list(self.anchor_aspects),
             "n_points": self.n_points,
             "radius": list(self.radius),
             "iterations": self.iterations,
             "step_size": self.step_size,
-            "step_schedule": self.step_schedule,
             "seed": self.seed,
-            "target_area": self.target_area,
-            "min_size": self.min_size,
         }
 
     @classmethod
@@ -178,7 +132,6 @@ class SimConfig:
 class ConvergenceSummary:
     """Aggregates over all cases for one spec."""
 
-    spec_id: int
     label: str
     total_error_curve: np.ndarray  # length iterations + 1
     mean_final_error: float
@@ -201,28 +154,24 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     # Uniform over the annulus area, so radii are sqrt-uniform.
     r = np.sqrt(rng.uniform(lo * lo, hi * hi, cfg.n_points))
     phi = rng.uniform(0.0, 2.0 * np.pi, cfg.n_points)
-    px = cfg.center[0] + r * np.cos(phi)
-    py = cfg.center[1] + r * np.sin(phi)
+    px = CENTER[0] + r * np.cos(phi)
+    py = CENTER[1] + r * np.sin(phi)
 
-    t_aspect = np.asarray(cfg.target_aspects)
-    scale = np.asarray(cfg.anchor_scales)
-    a_aspect = np.asarray(cfg.anchor_aspects)
-    nt, np_, ns, na = len(t_aspect), cfg.n_points, len(scale), len(a_aspect)
+    aspect = np.asarray(ASPECTS)
+    scale = np.asarray(SCALES)
+    grid = (len(aspect), cfg.n_points, len(scale), len(aspect))
+    ti, pi, si, ai = np.indices(grid).reshape(4, -1)
 
-    ti, pi, si, ai = np.meshgrid(
-        np.arange(nt), np.arange(np_), np.arange(ns), np.arange(na), indexing="ij"
-    )
-    ti, pi, si, ai = ti.ravel(), pi.ravel(), si.ravel(), ai.ravel()
-
-    t_w = np.sqrt(cfg.target_area * t_aspect)[ti]
-    t_h = np.sqrt(cfg.target_area / t_aspect)[ti]
+    # unit target area: w * h == 1
+    t_w = np.sqrt(aspect)[ti]
+    t_h = np.sqrt(1.0 / aspect)[ti]
     targets = np.stack(
-        [np.full(ti.shape, cfg.center[0]), np.full(ti.shape, cfg.center[1]), t_w, t_h], axis=1
+        [np.full(ti.shape, CENTER[0]), np.full(ti.shape, CENTER[1]), t_w, t_h], axis=1
     )
 
-    area = (cfg.target_area * scale)[si]
-    a_w = np.sqrt(area * a_aspect[ai])
-    a_h = np.sqrt(area / a_aspect[ai])
+    area = scale[si]
+    a_w = np.sqrt(area * aspect[ai])
+    a_h = np.sqrt(area / aspect[ai])
     anchors = np.stack([px[pi], py[pi], a_w, a_h], axis=1)
     return anchors, targets
 
@@ -258,23 +207,19 @@ def _simulate_chunk(
     err = _corner_l1(state, targets)
     initial = err.copy()
     totals[0] = err.sum()
-    adaptive = cfg.step_schedule == "diou_style"
     for t in range(1, steps + 1):
         ev = eval_batch(spec, state, targets, with_grad=True)
-        if adaptive:
-            # Larger steps while the pair barely overlaps, annealing to
-            # step_size as the overlap approaches 1.
-            eta = cfg.step_size * (2.0 - ev.iou)
-            state -= eta[:, None] * ev.grad
-        else:
-            state -= cfg.step_size * ev.grad
-        low_w = state[:, 2] < cfg.min_size
-        low_h = state[:, 3] < cfg.min_size
+        # Larger steps while the pair barely overlaps, annealing to
+        # step_size as the overlap approaches 1.
+        eta = cfg.step_size * (2.0 - ev.iou)
+        state -= eta[:, None] * ev.grad
+        low_w = state[:, 2] < MIN_SIZE
+        low_h = state[:, 3] < MIN_SIZE
         # one event per clamped coordinate (bool + bool would OR, not add)
         clamps += low_w
         clamps += low_h
-        np.maximum(state[:, 2], cfg.min_size, out=state[:, 2])
-        np.maximum(state[:, 3], cfg.min_size, out=state[:, 3])
+        np.maximum(state[:, 2], MIN_SIZE, out=state[:, 2])
+        np.maximum(state[:, 3], MIN_SIZE, out=state[:, 3])
         err = _corner_l1(state, targets)
         totals[t] = err.sum()
     final_iou = iou_batch(state, targets)
@@ -306,7 +251,7 @@ def run_simulation(
     bounds = [(i, min(i + CHUNK_CASES, n)) for i in range(0, n, CHUNK_CASES)]
 
     summaries = []
-    for spec_id, spec in enumerate(cfg.specs):
+    for spec in cfg.specs:
 
         def job(span: tuple[int, int]):
             a, b = span
@@ -323,10 +268,10 @@ def run_simulation(
             totals += p[0]
         final_err = np.concatenate([p[2] for p in parts])
         mean_final = float(final_err.sum() / n)
-        auc = float(0.5 * (totals[0] + totals[-1]) + totals[1:-1].sum()) if len(totals) > 1 else float(totals[0])
+        # trapezoids; iterations >= 1, so the curve has at least two points
+        auc = float(0.5 * (totals[0] + totals[-1]) + totals[1:-1].sum())
         summary = ConvergenceSummary(
-            spec_id=spec_id,
-            label=cfg.specs[spec_id].label(),
+            label=spec.label(),
             total_error_curve=totals,
             mean_final_error=mean_final,
             auc=auc,

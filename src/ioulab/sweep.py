@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import eval_batch
-from .losses import BaseLoss, LossSpec
+from .losses import BaseLoss, LossSpec, whole_number
 
 AXES = ("x", "y")
 
@@ -72,10 +72,7 @@ class SweepConfig:
                 f"deviation_range must be an increasing pair, got {self.deviation_range}"
             )
         object.__setattr__(self, "deviation_range", rng)
-        samples = int(self.samples)
-        if samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", whole_number("samples", self.samples, 2))
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
 

@@ -174,10 +174,7 @@ class TestSim:
 
         cfg = SimConfig(
             specs=(LossSpec("diou"), LossSpec("diou", inner=0.8)),
-            target_aspects=(0.5, 2.0),
-            anchor_scales=(1.0,),
-            anchor_aspects=(1.0, 3.0),
-            n_points=4,
+            n_points=1,
             iterations=5,
             seed=9,
         )

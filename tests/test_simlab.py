@@ -5,18 +5,24 @@ import pytest
 
 from ioulab import Box, LossSpec, SimConfig, generate_case_arrays, run_simulation
 from ioulab import simlab
-from ioulab.simlab import CHUNK_CASES, _simulate_chunk
+from ioulab.simlab import ASPECTS, CENTER, CHUNK_CASES, MIN_SIZE, SCALES, _simulate_chunk
+
+# Config names for parts of the protocol that simlab fixes as constants
+# (the grid, the center, the unit target area, the size clamp and the step
+# rule), with values a config might give them.
+REMOVED_FIELDS = {
+    "center": [100.0, 100.0],
+    "target_aspects": [0.5, 2.0],
+    "anchor_scales": [1.0],
+    "anchor_aspects": [1.0, 3.0],
+    "target_area": 1.0,
+    "min_size": 1e-4,
+    "step_schedule": "constant",
+}
 
 
 def tiny_cfg(**overrides) -> SimConfig:
-    base = dict(
-        specs=(LossSpec("iou"),),
-        target_aspects=(0.5, 2.0),
-        anchor_scales=(1.0, 1.5),
-        anchor_aspects=(1.0, 2.0),
-        n_points=3,
-        iterations=5,
-    )
+    base = dict(specs=(LossSpec("iou"),), n_points=1, iterations=5)
     base.update(overrides)
     return SimConfig(**base)
 
@@ -35,13 +41,12 @@ def descend_one(spec: LossSpec, anchor: Box, target: Box, cfg: SimConfig):
 class TestSimConfig:
     def test_defaults_match_reference_protocol(self):
         cfg = SimConfig(specs=(LossSpec("iou"),))
-        assert cfg.center == (100.0, 100.0)
+        assert CENTER == (100.0, 100.0)
         assert cfg.n_points == 2000
         assert cfg.radius == (0.0, 3.0)
         assert cfg.iterations == 200
         assert cfg.step_size == 0.1
-        assert cfg.step_schedule == "diou_style"
-        assert len(cfg.target_aspects) == len(cfg.anchor_aspects) == len(cfg.anchor_scales) == 7
+        assert len(ASPECTS) == len(SCALES) == 7
 
     def test_case_count(self):
         assert SimConfig(specs=(LossSpec("iou"),)).case_count == 686000
@@ -54,13 +59,9 @@ class TestSimConfig:
             (dict(iterations=0), "iterations"),
             (dict(radius=(3.0, 1.0)), "radius"),
             (dict(radius=(-1.0, 2.0)), "radius"),
+            (dict(radius=(1.0, 2.0, 3.0)), "radius"),
+            (dict(radius=(0.0, math.inf)), "radius"),
             (dict(step_size=0.0), "step_size"),
-            (dict(step_schedule="momentum"), "step_schedule"),
-            (dict(target_aspects=()), "target_aspects"),
-            (dict(anchor_scales=(1.0, -2.0)), "anchor_scales"),
-            (dict(target_area=0.0), "target_area"),
-            (dict(min_size=0.0), "min_size"),
-            (dict(center=(1.0,)), "center"),
             (dict(n_points=1.5), "n_points"),
             (dict(iterations=2.9), "iterations"),
             (dict(seed=1.7), "seed"),
@@ -84,10 +85,11 @@ class TestSimConfig:
         cfg = tiny_cfg(specs=(LossSpec("ciou"), LossSpec("ciou", inner=0.8)), seed=7)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_from_dict_unknown_field_named(self):
+    @pytest.mark.parametrize("name", ["stepsize", *REMOVED_FIELDS])
+    def test_from_dict_unknown_field_named(self, name):
         data = tiny_cfg().to_dict()
-        data["stepsize"] = 0.2
-        with pytest.raises(ValueError, match="unknown config field 'stepsize'"):
+        data[name] = REMOVED_FIELDS.get(name, 0.2)
+        with pytest.raises(ValueError, match=f"unknown config field '{name}'"):
             SimConfig.from_dict(data)
 
     def test_from_dict_missing_specs(self):
@@ -106,7 +108,7 @@ class TestCaseGeneration:
         cfg = tiny_cfg()
         anchors, targets = generate_case_arrays(cfg)
         assert anchors.shape == targets.shape == (cfg.case_count, 4)
-        assert cfg.case_count == 2 * 3 * 2 * 2
+        assert cfg.case_count == 7 * 1 * 7 * 7
 
     def test_deterministic_given_seed(self):
         cfg = tiny_cfg(seed=42)
@@ -116,16 +118,16 @@ class TestCaseGeneration:
         a3, _ = generate_case_arrays(tiny_cfg(seed=43))
         assert not np.array_equal(a1, a3)
 
-    def test_targets_centered_with_requested_aspects(self):
+    def test_targets_centered_with_unit_area_and_each_aspect(self):
         cfg = tiny_cfg()
         _, targets = generate_case_arrays(cfg)
         assert np.all(targets[:, 0] == 100.0) and np.all(targets[:, 1] == 100.0)
-        block = cfg.n_points * len(cfg.anchor_scales) * len(cfg.anchor_aspects)
-        for i, aspect in enumerate(cfg.target_aspects):
+        block = cfg.n_points * len(SCALES) * len(ASPECTS)
+        for i, aspect in enumerate(ASPECTS):
             rows = targets[i * block : (i + 1) * block]
             assert np.all(rows == rows[0])
             w, h = rows[0, 2], rows[0, 3]
-            assert w * h == pytest.approx(cfg.target_area, rel=1e-12)
+            assert w * h == pytest.approx(1.0, rel=1e-12)
             assert w / h == pytest.approx(aspect, rel=1e-12)
 
     def test_anchor_areas_aspects_and_annulus(self):
@@ -133,27 +135,30 @@ class TestCaseGeneration:
         anchors, _ = generate_case_arrays(cfg)
         r = np.hypot(anchors[:, 0] - 100.0, anchors[:, 1] - 100.0)
         assert np.all(r >= 6.0 - 1e-9) and np.all(r <= 9.0 + 1e-9)
-        ns, na = len(cfg.anchor_scales), len(cfg.anchor_aspects)
+        ns, na = len(SCALES), len(ASPECTS)
         for row in range(0, len(anchors), 997):
             si = (row // na) % ns
             ai = row % na
             w, h = anchors[row, 2], anchors[row, 3]
-            assert w * h == pytest.approx(cfg.anchor_scales[si] * cfg.target_area, rel=1e-12)
-            assert w / h == pytest.approx(cfg.anchor_aspects[ai], rel=1e-12)
+            assert w * h == pytest.approx(SCALES[si], rel=1e-12)
+            assert w / h == pytest.approx(ASPECTS[ai], rel=1e-12)
 
     def test_nesting_order(self):
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(n_points=2)
         anchors, targets = generate_case_arrays(cfg)
         # innermost: anchor aspect; then scale; then sampled point; outermost target aspect
+        na, per_point = len(ASPECTS), len(SCALES) * len(ASPECTS)
         assert np.array_equal(anchors[0, :2], anchors[1, :2])
         assert anchors[0, 2] != anchors[1, 2]
-        assert np.array_equal(anchors[0, :2], anchors[2, :2])
-        area01 = anchors[0, 2] * anchors[0, 3]
-        area2 = anchors[2, 2] * anchors[2, 3]
-        assert area2 == pytest.approx(1.5 * area01, rel=1e-12)
-        assert not np.array_equal(anchors[0, :2], anchors[4, :2])  # next sampled point
+        assert np.array_equal(anchors[0, :2], anchors[na, :2])
+        area0 = anchors[0, 2] * anchors[0, 3]
+        area_next = anchors[na, 2] * anchors[na, 3]
+        assert area_next == pytest.approx(SCALES[1] / SCALES[0] * area0, rel=1e-12)
+        # next sampled point
+        assert np.array_equal(anchors[0, :2], anchors[per_point - 1, :2])
+        assert not np.array_equal(anchors[0, :2], anchors[per_point, :2])
         # the point sample is shared across target aspects
-        block = cfg.n_points * 4
+        block = cfg.n_points * per_point
         assert np.array_equal(anchors[0], anchors[block])
         assert not np.array_equal(targets[0], targets[block])
 
@@ -192,11 +197,16 @@ class TestRunCase:
         assert curve.shape == (2,)
 
     def test_size_clamp_counts_events(self):
-        # equilibrium sides sit below min_size, so both sides clamp every step
-        cfg = tiny_cfg(iterations=7, min_size=5.0, step_schedule="constant", step_size=0.05)
-        curve, _, clamps = descend_one(LossSpec("iou"), Box(0, 0, 4.0, 4.0), Box(0, 0, 3.0, 3.0), cfg)
+        # equilibrium sides sit below MIN_SIZE, so both sides clamp every step
+        cfg = tiny_cfg(iterations=7)
+        t = MIN_SIZE / 2.0
+        curve, final_iou, clamps = descend_one(
+            LossSpec("iou"), Box(0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), Box(0, 0, t, t), cfg
+        )
         assert clamps == 2 * cfg.iterations
-        assert curve[-1] == pytest.approx(4.0)  # four corners, each off by 1
+        # both sides end at MIN_SIZE: four corners, each off by MIN_SIZE / 4
+        assert curve[-1] == pytest.approx(MIN_SIZE, rel=1e-9)
+        assert final_iou == pytest.approx(0.25, rel=1e-9)
 
     def test_corner_error_metric(self):
         cfg = tiny_cfg(iterations=1)
@@ -209,7 +219,6 @@ class TestRunSimulation:
         cfg = tiny_cfg(specs=(LossSpec("ciou"), LossSpec("ciou", inner=0.8)))
         out = run_simulation(cfg)
         assert [s.label for s in out] == ["ciou", "inner-ciou(0.8)"]
-        assert [s.spec_id for s in out] == [0, 1]
         for s in out:
             assert s.total_error_curve.shape == (cfg.iterations + 1,)
             assert np.all(s.total_error_curve >= 0.0)
@@ -273,7 +282,7 @@ class TestRunSimulation:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simlab, "CHUNK_CASES", 4)  # 24 cases -> 6 chunks
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 5)
         if affinity:
             monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
@@ -281,8 +290,3 @@ class TestRunSimulation:
             monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
         run_simulation(tiny_cfg(), threads=0)
         assert workers == [3 if affinity else 5]
-
-    def test_constant_schedule_supported(self):
-        cfg = tiny_cfg(specs=(LossSpec("iou"),), step_schedule="constant", iterations=4)
-        [s] = run_simulation(cfg)
-        assert s.total_error_curve.shape == (5,)

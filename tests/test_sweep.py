@@ -49,6 +49,9 @@ class TestSweepConfig:
             (dict(deviation_range=(5.0, 5.0)), "deviation_range"),
             (dict(deviation_range=(7.0, 3.0)), "deviation_range"),
             (dict(samples=1), "samples"),
+            (dict(samples=2.7), "samples"),
+            (dict(samples=True), "samples"),
+            (dict(samples="5"), "samples"),
             (dict(axis="z"), "axis"),
         ],
     )
