@@ -24,9 +24,9 @@ Subgradient conventions at the non-smooth points:
 * the center-angle term has zero gradient at coincident centers.
 
 The aspect-weight ``alpha`` of the ciou loss is treated as a constant at the
-evaluation point, so gradients do not differentiate through it; callers that
-check gradients by finite differences must freeze it the same way (see
-``alpha_override``).
+evaluation point, so gradients do not differentiate through it; a
+finite-difference check must hold it fixed the same way, as
+:func:`ioulab.gradients.grad_fd_batch` does.
 """
 
 from __future__ import annotations
@@ -50,12 +50,22 @@ _K_ASPECT = 4.0 / np.pi**2
 
 @dataclass
 class BatchEval:
-    """Arrays produced by :func:`eval_batch`; gradient axes are (..., 4)."""
+    """Arrays produced by :func:`eval_batch`; gradient axes are (..., 4).
+
+    ``terms`` holds the ciou aspect term and weight (``v``, ``alpha``) or the
+    siou decomposition, and is empty for the other bases. Of the siou terms,
+    ``angle_cost`` is 0 with axis-aligned centers and 1 at a 45-degree
+    diagonal, ``gamma = 2 - angle_cost`` steers the distance falloff,
+    ``rho_x``/``rho_y`` are squared center offsets normalized by the
+    enclosing box, ``omega_w``/``omega_h`` relative side differences, and
+    ``theta`` is the constant shape exponent. On a single (4,) pair
+    ``loss``, ``iou``, ``inner_iou`` and the ``terms`` values are scalars.
+    """
 
     loss: np.ndarray
     iou: np.ndarray
     inner_iou: np.ndarray | None
-    terms: dict[str, np.ndarray]
+    terms: dict[str, np.ndarray | float]
     grad: np.ndarray | None
 
 
@@ -140,20 +150,8 @@ def iou_batch(anchors, gts) -> np.ndarray:
     return _overlap(*_blocks(anchors, gts), 1.0, False).iou
 
 
-def eval_batch(
-    spec: "LossSpec",
-    anchors,
-    gts,
-    *,
-    with_grad: bool = True,
-    alpha_override: np.ndarray | float | None = None,
-) -> BatchEval:
-    """Evaluate ``spec`` over broadcastable box arrays.
-
-    ``alpha_override`` substitutes the ciou aspect weight with fixed values;
-    it exists so that finite difference probes can hold that weight at the
-    center point.
-    """
+def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
+    """Evaluate ``spec`` over broadcastable box arrays."""
     a, g = _blocks(anchors, gts)
     base = spec.base
 
@@ -176,7 +174,7 @@ def eval_batch(
             d_ext = (u_hi - u_lo, (u_hi + u_lo) * 0.5)
 
     # --- base loss: partials dc (center) and ds (sides) ----------------------
-    terms: dict[str, np.ndarray] = {}
+    terms: dict[str, np.ndarray | float] = {}
 
     if base == "iou":
         ov = plain if aux is None else aux
@@ -204,11 +202,7 @@ def eval_batch(
             aw, ah = a[2], a[3]
             q = np.arctan(g[2] / g[3]) - np.arctan(aw / ah)
             v = _K_ASPECT * q * q
-            if alpha_override is not None:
-                shape = np.broadcast_shapes(a.shape[1:], g.shape[1:])
-                alpha = np.broadcast_to(np.asarray(alpha_override, dtype=np.float64), shape)
-            else:
-                alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
+            alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
             loss = loss + alpha * v
             terms["v"] = v
             terms["alpha"] = alpha
@@ -250,6 +244,7 @@ def eval_batch(
             rho_y=rho[1],
             omega_w=omega[0],
             omega_h=omega[1],
+            theta=SIOU_THETA,
         )
         if with_grad:
             # m, dist and so gamma depend on the centers only.

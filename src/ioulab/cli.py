@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,16 +75,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.ratio is not None:
             raise ValueError("--ratio only applies to inner-* losses")
         spec = LossSpec(name)
-    value = evaluate(spec, args.anchor, args.gt)
+    res = evaluate(spec, args.anchor, args.gt)
     payload = {
-        "loss": value.loss,
-        "iou": value.iou,
-        "inner_iou": value.inner_iou,
-        "terms": asdict(value.terms) if value.terms is not None else {},
+        "loss": res.loss,
+        "iou": res.iou,
+        "inner_iou": res.inner_iou,
+        "terms": res.terms,
     }
     if args.grad:
-        g = value.grad
-        payload["grad"] = {"x": g.dx, "y": g.dy, "w": g.dw, "h": g.dh}
+        # + 0.0 turns a -0.0 partial into 0.0
+        payload["grad"] = dict(zip("xywh", (float(g) + 0.0 for g in res.grad)))
     try:
         print(json.dumps(payload, allow_nan=False))
     except ValueError:

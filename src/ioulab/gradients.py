@@ -1,11 +1,12 @@
-"""Finite-difference probes of the loss gradients.
+"""Finite-difference probe of the loss gradients.
 
 The analytic gradient comes from the evaluation kernel together with the
-loss value (:func:`ioulab.evaluate`, :func:`ioulab.eval_batch`). The probe
-here only reuses the forward evaluation and differences it numerically, so
-it is an independent check on every derived derivative expression.
-Because the ciou aspect weight is defined as a constant of the evaluation
-point, the probe freezes it there.
+loss value (:func:`ioulab.eval_batch`). The probe here only reuses the
+forward evaluation and differences it numerically, so it is an independent
+check on every derived derivative expression. Because the ciou aspect
+weight is defined as a constant of the evaluation point, the probe holds it
+there: it differences ``loss + (alpha0 - alpha) * v``, which swaps each
+perturbed point's weight ``alpha`` for the centre point's ``alpha0``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import eval_batch
-from .losses import BaseLoss, Box, Grad4, LossSpec, _box_array
+from .losses import BaseLoss, LossSpec
 
 AXES = ("x", "y", "w", "h")
 
@@ -25,9 +26,15 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
         raise ValueError(f"step must be positive, got {step}")
     anchors = np.asarray(anchors, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
-    alpha = None  # the ciou aspect weight, held at the center point
+    alpha0 = None
     if spec.base == BaseLoss.CIOU:
-        alpha = eval_batch(spec, anchors, gts, with_grad=False).terms["alpha"]
+        alpha0 = eval_batch(spec, anchors, gts, with_grad=False).terms["alpha"]
+
+    def loss(boxes):
+        ev = eval_batch(spec, boxes, gts, with_grad=False)
+        if alpha0 is None:
+            return ev.loss
+        return ev.loss + (alpha0 - ev.terms["alpha"]) * ev.terms["v"]
 
     out = np.empty(np.broadcast_shapes(anchors.shape, gts.shape))
     for k in range(4):
@@ -37,13 +44,5 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
         lo[..., k] -= step
         if k >= 2 and np.any(lo[..., k] <= 0.0):
             raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
-        f_hi = eval_batch(spec, hi, gts, with_grad=False, alpha_override=alpha)
-        f_lo = eval_batch(spec, lo, gts, with_grad=False, alpha_override=alpha)
-        out[..., k] = (f_hi.loss - f_lo.loss) / (2.0 * step)
+        out[..., k] = (loss(hi) - loss(lo)) / (2.0 * step)
     return out
-
-
-def grad_fd(spec: LossSpec, anchor: Box, gt: Box, step: float = 1e-5) -> Grad4:
-    """Central-difference gradient of the loss at one box pair."""
-    g = grad_fd_batch(spec, _box_array(anchor), _box_array(gt), step=step)
-    return Grad4(*(float(v) for v in g))

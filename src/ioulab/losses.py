@@ -4,8 +4,9 @@ Every loss maps an (anchor, gt) pair of boxes to a scalar that is zero iff
 the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
 downward, so ``top`` is the smaller ordinate. A :class:`LossSpec` selects
 the base loss and an optional center-scaled auxiliary ("inner") ratio; it is
-the one place that validates the ratio. Evaluation returns the loss together
-with its analytic gradient with respect to the anchor parameters
+the one place that validates the ratio. :func:`evaluate` runs the one
+evaluation kernel, :func:`ioulab.batch.eval_batch`, on a single pair: the
+loss comes with its analytic gradient with respect to the anchor parameters
 (x, y, w, h); the gt box is treated as constant.
 """
 
@@ -16,8 +17,10 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .batch import BatchEval
 
 # Inner ratios outside this interval are legal but unusual enough to flag.
 RATIO_RANGE = (0.5, 1.5)
@@ -41,7 +44,10 @@ def whole_number(name: str, value, least: int) -> int:
     The count and seed fields of the experiment configs share this rule;
     ``int()`` alone would truncate 1.5 to 1, read true as 1 and parse "5".
     """
-    whole = isinstance(value, numbers.Real) and float(value).is_integer()
+    try:
+        whole = isinstance(value, numbers.Real) and float(value).is_integer()
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{name} is out of range: {exc}") from None
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < least:
@@ -87,10 +93,6 @@ class Box:
     @property
     def bottom(self) -> float:
         return self.y + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -148,89 +150,13 @@ class LossSpec:
             raise ValueError(f"invalid loss spec: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Grad4:
-    """Partial derivatives of a loss with respect to the anchor (x, y, w, h)."""
+def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> BatchEval:
+    """Evaluate ``spec`` on a box pair, including the analytic gradient.
 
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dw, self.dh], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class CiouTerms:
-    """Aspect-consistency term and its weight at the evaluation point."""
-
-    v: float
-    alpha: float
-
-
-@dataclass(frozen=True)
-class SiouTerms:
-    """Intermediate quantities of the angle/distance/shape decomposition.
-
-    ``angle_cost`` is 0 with axis-aligned centers and 1 at a 45-degree
-    diagonal; ``gamma = 2 - angle_cost`` steers the distance falloff.
-    ``rho_x``/``rho_y`` are squared center offsets normalized by the
-    enclosing box, ``omega_w``/``omega_h`` relative side differences.
+    The result is the kernel's :class:`~ioulab.batch.BatchEval` for one
+    pair: ``loss``, ``iou``, ``inner_iou`` and every ``terms`` value are
+    scalars, and ``grad`` holds (dx, dy, dw, dh).
     """
+    from .batch import eval_batch
 
-    angle_cost: float
-    gamma: float
-    distance_cost: float
-    shape_cost: float
-    rho_x: float
-    rho_y: float
-    omega_w: float
-    omega_h: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Loss with its overlap diagnostics, optional terms, and gradient."""
-
-    loss: float
-    iou: float
-    inner_iou: float | None
-    terms: CiouTerms | SiouTerms | None
-    grad: Grad4
-
-
-def _box_array(box: Box) -> np.ndarray:
-    return np.array([box.x, box.y, box.w, box.h], dtype=np.float64)
-
-
-def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> LossValue:
-    """Evaluate ``spec`` on a box pair, including the analytic gradient."""
-    from .batch import SIOU_THETA, eval_batch
-
-    res = eval_batch(spec, _box_array(anchor), _box_array(gt), with_grad=True)
-    terms: CiouTerms | SiouTerms | None = None
-    if spec.base == BaseLoss.CIOU:
-        terms = CiouTerms(v=float(res.terms["v"]), alpha=float(res.terms["alpha"]))
-    elif spec.base == BaseLoss.SIOU:
-        t = res.terms
-        terms = SiouTerms(
-            angle_cost=float(t["angle_cost"]),
-            gamma=float(t["gamma"]),
-            distance_cost=float(t["distance_cost"]),
-            shape_cost=float(t["shape_cost"]),
-            rho_x=float(t["rho_x"]),
-            rho_y=float(t["rho_y"]),
-            omega_w=float(t["omega_w"]),
-            omega_h=float(t["omega_h"]),
-            theta=SIOU_THETA,
-        )
-    assert res.grad is not None
-    return LossValue(
-        loss=float(res.loss),
-        iou=float(res.iou),
-        inner_iou=None if res.inner_iou is None else float(res.inner_iou),
-        terms=terms,
-        grad=Grad4(*(float(g) + 0.0 for g in res.grad)),  # normalizes -0.0
-    )
+    return eval_batch(spec, anchor.as_tuple(), gt.as_tuple())

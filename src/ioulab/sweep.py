@@ -156,17 +156,10 @@ def run_sweep(
 
 
 def _mask_regions(devs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:
-    regions = []
-    start = None
-    for i in range(len(devs)):
-        if mask[i] and start is None:
-            start = i
-        elif not mask[i] and start is not None:
-            regions.append((float(devs[start]), float(devs[i - 1])))
-            start = None
-    if start is not None:
-        regions.append((float(devs[start]), float(devs[-1])))
-    return tuple(regions)
+    # The padded diff is True where each run of True starts and just past
+    # where it ends, so the edges come in (start, stop) pairs.
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return tuple((float(devs[i]), float(devs[j - 1])) for i, j in edges.reshape(-1, 2))
 
 
 def check_conclusions(

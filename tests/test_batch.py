@@ -79,11 +79,7 @@ class TestEvalBatch:
                     assert res.inner_iou is None
                 else:
                     assert res.inner_iou[i] == single.inner_iou
-                _assert_matches(
-                    res.grad[i],
-                    (single.grad.dx, single.grad.dy, single.grad.dw, single.grad.dh),
-                    spec,
-                )
+                _assert_matches(res.grad[i], single.grad, spec)
 
     def test_batched_equals_per_row_loop(self):
         anchors, gts = _random_arrays(55, 64)

@@ -21,7 +21,35 @@ def eval_json(capsys, *argv):
     return code, json.loads(out)
 
 
+# sha256 of the exact stdout of `ioulab eval --anchor 0,0,10,5 --gt 2,1,8,6
+# --loss <loss> --grad`, with --ratio 0.8 for the inner variants.
+EVAL_STDOUT_SHA256 = {
+    "iou": "20bd11da0f61f9ba1d9b0103a0526c7e27f29163fe9bf03e07b0f12f9decdcc3",
+    "inner-iou": "243d94b622b55072b57d141da0f47a759ae81edbc5ade18d5e445f83d3595179",
+    "giou": "d5404ba48209804b129a609b39ad5f70f14a4dd2891af92222cd578132160e7b",
+    "inner-giou": "5c6e95bfc95ed5e7f9a39a719e40a4dfea0baa47e0609f2eb91f39956b37b031",
+    "diou": "f1a398d1e25a611a685c7ea0c7791f70af6ac574d2a7003638fe4d49eab843f0",
+    "inner-diou": "7157f7001ddf45e24f1c8ecb958a07f5d3e4035ef022574579802174722cc68a",
+    "ciou": "15a56cb82e6ad80fb7c47cc386f509aade786fc08e0da195489d9f6352f3c666",
+    "inner-ciou": "652b72d59d80bf7e5d2cfe3cfa1a0dc34292a94ca621df597f6099b1628dc099",
+    "eiou": "2b635273f8a27414ed35a2d454337934939945f97673b06c6f61fa31ff133741",
+    "inner-eiou": "3e810501d3b976ec01a0e62ab640484ef0ac55a8a8fc0a2d20ec564b5a0c553c",
+    "siou": "1c512370a4553a50542e6caa828933794e61d166446651c34fb2bd044517628d",
+    "inner-siou": "5480622fd0713f9392e95dcc6476d34a4b59bb6af2333cdb89099cf71c4466ba",
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("loss", list(EVAL_STDOUT_SHA256))
+    def test_stdout_bytes_pinned(self, capsys, loss):
+        ratio = ("--ratio", "0.8") if loss.startswith("inner-") else ()
+        code = run_cli(
+            "eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", loss, *ratio, "--grad"
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_STDOUT_SHA256[loss]
+
     def test_iou_value(self, capsys):
         code, payload = eval_json(
             capsys, "--anchor", "0,0,10,10", "--gt", "5,0,10,10", "--loss", "iou"
@@ -40,6 +68,12 @@ class TestEval:
         assert code == 0
         assert payload["grad"]["x"] == pytest.approx(-2000.0 / 22500.0, rel=1e-12)
         assert set(payload["grad"]) == {"x", "y", "w", "h"}
+
+    def test_zero_partials_print_without_sign(self, capsys):
+        # the kernel's zero partials may be -0.0 on coincident boxes
+        run_cli("eval", "--anchor", "1,1,2,3", "--gt", "1,1,2,3", "--loss", "iou", "--grad")
+        out = capsys.readouterr().out
+        assert '"grad": {"x": 0.0, "y": 0.0, "w": 0.0, "h": 0.0}' in out
 
     def test_inner_loss_with_ratio(self, capsys):
         code, payload = eval_json(
@@ -234,6 +268,13 @@ class TestSim:
         cfg_path.write_text(json.dumps({"specs": [{"base": "iou"}], "n_pts": 3}))
         assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
         assert "unknown config field 'n_pts'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n_points", "iterations", "seed"])
+    def test_config_integer_beyond_float_range_exits_two(self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(f'{{"specs": [{{"base": "iou"}}], "{field}": 1{"0" * 400}}}')
+        assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert f"{field} is out of range" in capsys.readouterr().err
 
     def test_config_json_syntax_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

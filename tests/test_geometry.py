@@ -76,7 +76,6 @@ class TestBoxValidation:
     def test_corner_accessors(self):
         b = Box(10.0, 20.0, 4.0, 6.0)
         assert (b.left, b.right, b.top, b.bottom) == (8.0, 12.0, 17.0, 23.0)
-        assert b.area == 24.0
 
 
 class TestCornersAndScaling:

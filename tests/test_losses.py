@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import BASE_NAMES, Box, CiouTerms, LossSpec, SiouTerms, evaluate, iou_batch
+from ioulab import BASE_NAMES, Box, LossSpec, evaluate, iou_batch
 
 from helpers import TEST_RATIOS, random_box
 
@@ -79,7 +79,7 @@ class TestIouLoss:
         assert v.loss == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert v.inner_iou is None
-        assert v.terms is None
+        assert v.terms == {}
 
     def test_range(self):
         for a, g in _pairs(11, 200):
@@ -125,8 +125,8 @@ class TestCiouLoss:
         a, g = Box(0, 0, 10, 10), Box(5, 3, 4, 4)
         v = evaluate(LossSpec("ciou"), a, g)
         assert v.loss == evaluate(LossSpec("diou"), a, g).loss
-        assert isinstance(v.terms, CiouTerms)
-        assert v.terms.v == 0.0 and v.terms.alpha == 0.0
+        assert set(v.terms) == {"v", "alpha"}
+        assert v.terms["v"] == 0.0 and v.terms["alpha"] == 0.0
 
     def test_swapped_aspect_pair(self):
         a, g = Box(0, 0, 10, 5), Box(0, 0, 5, 10)
@@ -134,8 +134,8 @@ class TestCiouLoss:
         vv = (4.0 / math.pi**2) * (math.atan(5.0 / 10.0) - math.atan(10.0 / 5.0)) ** 2
         alpha = vv / ((1.0 - 1.0 / 3.0) + vv)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert v.terms.v == pytest.approx(vv, rel=1e-12)
-        assert v.terms.alpha == pytest.approx(alpha, rel=1e-12)
+        assert v.terms["v"] == pytest.approx(vv, rel=1e-12)
+        assert v.terms["alpha"] == pytest.approx(alpha, rel=1e-12)
         assert v.loss == pytest.approx(2.0 / 3.0 + alpha * vv, rel=1e-12)
 
     def test_dominates_diou(self):
@@ -181,44 +181,47 @@ def _siou_reference(a, g, *, eps=1e-7, theta=4.0):
     omega = 0.5 * sum((1.0 - math.exp(-w)) ** theta for w in (omega_w, omega_h))
     iw = max(0.0, min(a.right, g.right) - max(a.left, g.left))
     ih = max(0.0, min(a.bottom, g.bottom) - max(a.top, g.top))
-    iou = iw * ih / (a.area + g.area - iw * ih)
+    iou = iw * ih / (a.w * a.h + g.w * g.h - iw * ih)
     return 1.0 - iou + (delta + omega) / 2.0, angle, gamma, delta, omega
 
 
 class TestSiouLoss:
     def test_axis_aligned_centers_zero_angle_cost(self):
         v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
-        assert isinstance(v.terms, SiouTerms)
-        assert v.terms.angle_cost == 0.0
-        assert v.terms.gamma == 2.0
+        assert list(v.terms) == [
+            "angle_cost", "gamma", "distance_cost", "shape_cost",
+            "rho_x", "rho_y", "omega_w", "omega_h", "theta",
+        ]
+        assert v.terms["angle_cost"] == 0.0
+        assert v.terms["gamma"] == 2.0
 
     def test_diagonal_centers_unit_angle_cost(self):
         v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(3, 3, 10, 10))
-        assert v.terms.angle_cost == pytest.approx(1.0, abs=1e-6)
+        assert v.terms["angle_cost"] == pytest.approx(1.0, abs=1e-6)
 
     def test_coincident(self):
         b = Box(2, 2, 5, 7)
         v = evaluate(LossSpec("siou"), b, b)
         assert v.loss == 0.0
-        assert v.terms.distance_cost == 0.0 and v.terms.shape_cost == 0.0
+        assert v.terms["distance_cost"] == 0.0 and v.terms["shape_cost"] == 0.0
 
     def test_matches_direct_recomputation(self):
         for a, g in _pairs(15, 60):
             v = evaluate(LossSpec("siou"), a, g)
             ref, angle, gamma, delta, omega = _siou_reference(a, g)
             assert v.loss == pytest.approx(ref, rel=1e-12, abs=1e-12)
-            assert v.terms.angle_cost == pytest.approx(angle, rel=1e-12, abs=1e-12)
-            assert v.terms.gamma == pytest.approx(gamma, rel=1e-12)
-            assert v.terms.distance_cost == pytest.approx(delta, rel=1e-12, abs=1e-12)
-            assert v.terms.shape_cost == pytest.approx(omega, rel=1e-12, abs=1e-12)
+            assert v.terms["angle_cost"] == pytest.approx(angle, rel=1e-12, abs=1e-12)
+            assert v.terms["gamma"] == pytest.approx(gamma, rel=1e-12)
+            assert v.terms["distance_cost"] == pytest.approx(delta, rel=1e-12, abs=1e-12)
+            assert v.terms["shape_cost"] == pytest.approx(omega, rel=1e-12, abs=1e-12)
 
     def test_term_ranges(self):
         for a, g in _pairs(16, 200):
             t = evaluate(LossSpec("siou"), a, g).terms
-            assert 0.0 <= t.angle_cost <= 1.0
-            assert 1.0 <= t.gamma <= 2.0
-            assert 0.0 <= t.rho_x <= 1.0 and 0.0 <= t.rho_y <= 1.0
-            assert 0.0 <= t.omega_w < 1.0 and 0.0 <= t.omega_h < 1.0
+            assert 0.0 <= t["angle_cost"] <= 1.0
+            assert 1.0 <= t["gamma"] <= 2.0
+            assert 0.0 <= t["rho_x"] <= 1.0 and 0.0 <= t["rho_y"] <= 1.0
+            assert 0.0 <= t["omega_w"] < 1.0 and 0.0 <= t["omega_h"] < 1.0
 
 
 class TestInnerLoss:

@@ -69,6 +69,9 @@ class TestSimConfig:
             (dict(iterations=True), "iterations"),
             (dict(seed=True), "seed"),
             (dict(seed=-1), "seed"),
+            (dict(n_points=10**400), "n_points"),
+            (dict(iterations=10**400), "iterations"),
+            (dict(seed=10**400), "seed"),
         ],
     )
     def test_validation(self, overrides, match):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ioulab import SweepConfig, check_conclusions, iou_batch, run_sweep
+from ioulab.sweep import _mask_regions
 
 
 def square_iou(side: float, dev: float) -> float:
@@ -135,6 +136,20 @@ class TestRunSweep:
             assert np.array_equal(gx[side], gy[side])
 
 
+def _regions_by_loop(devs, mask):
+    """Reference for the runs of True: walk the samples, closing each run."""
+    regions, start = [], None
+    for i, on in enumerate(mask):
+        if on and start is None:
+            start = i
+        elif not on and start is not None:
+            regions.append((float(devs[start]), float(devs[i - 1])))
+            start = None
+    if start is not None:
+        regions.append((float(devs[start]), float(devs[-1])))
+    return tuple(regions)
+
+
 class TestCheckConclusions:
     def test_default_sweep_passes_everything(self, sweep):
         rep = check_conclusions(*sweep, actual_side=10.0)
@@ -159,6 +174,19 @@ class TestCheckConclusions:
         (neg3, pos3) = rep.c3.regions
         assert neg3 == pytest.approx((-11.95, -10.0), abs=1e-9)
         assert pos3 == pytest.approx((10.0, 11.95), abs=1e-9)
+
+    def test_mask_regions_at_both_ends_and_single_samples(self):
+        devs = np.arange(8.0)
+        mask = np.array([True, True, False, True, False, False, True, True])
+        assert _mask_regions(devs, mask) == ((0.0, 1.0), (3.0, 3.0), (6.0, 7.0))
+        assert _mask_regions(devs, np.ones(8, dtype=bool)) == ((0.0, 7.0),)
+        assert _mask_regions(devs, np.zeros(8, dtype=bool)) == ()
+        assert _mask_regions(devs, devs == 7.0) == ((7.0, 7.0),)
+        rng = np.random.default_rng(61)
+        devs = np.linspace(-3.0, 3.0, 40)
+        for _ in range(50):
+            mask = rng.random(40) < rng.random()
+            assert _mask_regions(devs, mask) == _regions_by_loop(devs, mask)
 
     def test_report_dict_shape(self, sweep):
         d = check_conclusions(*sweep, actual_side=10.0).to_dict()
