@@ -2,52 +2,28 @@
 
 :func:`evaluate` runs a :class:`LossSpec` on one validated :class:`Box`
 pair and :func:`eval_batch` on whole populations of (n, 4) arrays; both
-return the same :class:`BatchEval`. :mod:`ioulab.simlab` and
-:mod:`ioulab.sweep` drive the regression-convergence and gradient-sweep
-experiments the ``ioulab`` CLI exposes.
+return the same :class:`~ioulab.batch.BatchEval`. :mod:`ioulab.simlab`
+and :mod:`ioulab.sweep` drive the regression-convergence and
+gradient-sweep experiments the ``ioulab`` CLI exposes.
 """
 
 __version__ = "0.1.0"
 
-from .batch import BatchEval, eval_batch, iou_batch
-from .gradients import grad_fd_batch
-from .losses import BASE_NAMES, BaseLoss, Box, LossSpec, evaluate
-from .simlab import (
-    SCENARIOS,
-    ConvergenceSummary,
-    SimConfig,
-    generate_case_arrays,
-    run_simulation,
-    scenario_specs,
-)
-from .sweep import (
-    ConclusionResult,
-    ConclusionsReport,
-    SweepConfig,
-    check_conclusions,
-    run_sweep,
-)
+from .batch import eval_batch, iou_batch
+from .losses import BASE_NAMES, Box, LossSpec, evaluate
+from .simlab import SCENARIOS, SimConfig, generate_case_arrays, run_simulation, scenario_specs
 
 __all__ = [
     "__version__",
     "BASE_NAMES",
-    "BaseLoss",
-    "BatchEval",
     "Box",
-    "ConclusionResult",
-    "ConclusionsReport",
-    "ConvergenceSummary",
     "LossSpec",
+    "evaluate",
+    "eval_batch",
+    "iou_batch",
     "SCENARIOS",
     "SimConfig",
-    "SweepConfig",
-    "check_conclusions",
-    "eval_batch",
-    "evaluate",
-    "generate_case_arrays",
-    "grad_fd_batch",
-    "iou_batch",
-    "run_simulation",
-    "run_sweep",
     "scenario_specs",
+    "run_simulation",
+    "generate_case_arrays",
 ]

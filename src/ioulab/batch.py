@@ -25,8 +25,8 @@ Subgradient conventions at the non-smooth points:
 
 The aspect-weight ``alpha`` of the ciou loss is treated as a constant at the
 evaluation point, so gradients do not differentiate through it; a
-finite-difference check must hold it fixed the same way, as
-:func:`ioulab.gradients.grad_fd_batch` does.
+finite-difference check must hold it fixed the same way, as the test
+suite's probe ``grad_fd_batch`` in ``tests/helpers.py`` does.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ def _sides_arg(text: str) -> tuple[float, ...]:
 
 
 def _bases_arg(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip().lower() for p in text.split(",") if p.strip())
+    # A repeated name runs once, in first-seen order.
+    names = tuple(dict.fromkeys(p.strip().lower() for p in text.split(",") if p.strip()))
     if not names:
         raise argparse.ArgumentTypeError("expected a comma-separated list of base losses")
     for name in names:
@@ -190,7 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axis=args.axis,
     )
     devs, iou, absgrad = run_sweep(cfg)
-    report = check_conclusions(
+    doc = check_conclusions(
         devs,
         iou,
         absgrad,
@@ -211,13 +212,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for row in zip(*columns):
                 w.writerow([_fmt(v) for v in row])
 
-    doc = report.to_dict()
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8", newline="") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
     print(json.dumps(doc, indent=2))
-    return 0 if report.all_passed else 1
+    return 0 if doc["all_passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,30 +12,17 @@ loss comes with its analytic gradient with respect to the anchor parameters
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .batch import BatchEval
+from .batch import BatchEval, eval_batch
 
 # Inner ratios outside this interval are legal but unusual enough to flag.
 RATIO_RANGE = (0.5, 1.5)
 
-
-class BaseLoss(str, enum.Enum):
-    IOU = "iou"
-    GIOU = "giou"
-    DIOU = "diou"
-    CIOU = "ciou"
-    EIOU = "eiou"
-    SIOU = "siou"
-
-
-BASE_NAMES: tuple[str, ...] = tuple(b.value for b in BaseLoss)
+BASE_NAMES: tuple[str, ...] = ("iou", "giou", "diou", "ciou", "eiou", "siou")
 
 
 def whole_number(name: str, value, least: int) -> int:
@@ -53,6 +40,16 @@ def whole_number(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a float, rejecting bools and anything that is not a real number.
+
+    ``float()`` alone would parse the string "0.1" and read true as 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -108,13 +105,16 @@ class LossSpec:
     :mod:`ioulab.batch`.
     """
 
-    base: BaseLoss
+    base: str
     inner: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", BaseLoss(self.base))
+        if self.base not in BASE_NAMES:
+            raise ValueError(
+                f"unknown base loss {self.base!r} (choose from {', '.join(BASE_NAMES)})"
+            )
         if self.inner is not None:
-            ratio = float(self.inner)
+            ratio = real_number("inner ratio", self.inner)
             if not math.isfinite(ratio) or ratio <= 0.0:
                 raise ValueError(f"inner ratio must be a positive finite number, got {self.inner}")
             lo, hi = RATIO_RANGE
@@ -128,11 +128,11 @@ class LossSpec:
     def label(self) -> str:
         """Short stable name, e.g. ``ciou`` or ``inner-ciou(0.8)``."""
         if self.inner is None:
-            return self.base.value
-        return f"inner-{self.base.value}({self.inner:g})"
+            return self.base
+        return f"inner-{self.base}({self.inner:g})"
 
     def to_dict(self) -> dict:
-        return {"base": self.base.value, "inner": self.inner}
+        return {"base": self.base, "inner": self.inner}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
@@ -157,6 +157,4 @@ def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> BatchEval:
     pair: ``loss``, ``iou``, ``inner_iou`` and every ``terms`` value are
     scalars, and ``grad`` holds (dx, dy, dw, dh).
     """
-    from .batch import eval_batch
-
     return eval_batch(spec, anchor.as_tuple(), gt.as_tuple())

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .batch import eval_batch, iou_batch
-from .losses import BASE_NAMES, LossSpec, whole_number
+from .losses import BASE_NAMES, LossSpec, real_number, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
@@ -85,11 +85,16 @@ class SimConfig:
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 1))
         # numpy seeds must be non-negative
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
-        radius = tuple(float(v) for v in self.radius)
-        if len(radius) != 2 or not (0.0 <= radius[0] <= radius[1] < math.inf):
-            raise ValueError(f"radius must be a pair with 0 <= lo <= hi < inf, got {self.radius}")
+        radius = tuple(real_number("radius", v) for v in self.radius)
+        # Case generation draws the squared radius from [lo * lo, hi * hi].
+        if len(radius) != 2 or not (
+            0.0 <= radius[0] <= radius[1] and math.isfinite(radius[1] * radius[1])
+        ):
+            raise ValueError(
+                f"radius must be a pair with 0 <= lo <= hi and hi * hi finite, got {self.radius}"
+            )
         object.__setattr__(self, "radius", radius)
-        step = float(self.step_size)
+        step = real_number("step_size", self.step_size)
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         object.__setattr__(self, "step_size", step)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import eval_batch
-from .losses import BaseLoss, LossSpec, whole_number
+from .losses import LossSpec, whole_number
 
 AXES = ("x", "y")
 
@@ -81,53 +81,6 @@ class SweepConfig:
         return tuple(dict.fromkeys((self.box_side,) + self.aux_sides))
 
 
-@dataclass(frozen=True)
-class ConclusionResult:
-    statement: str
-    passed: bool
-    vacuous: bool  # no sample satisfied the precondition
-    checked: int
-    violations: int
-    regions: tuple[tuple[float, float], ...]  # deviation spans that were checked
-
-    def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "checked": self.checked,
-            "violations": self.violations,
-            "regions": [list(r) for r in self.regions],
-        }
-
-
-@dataclass(frozen=True)
-class ConclusionsReport:
-    c1: ConclusionResult
-    c2: ConclusionResult
-    c3: ConclusionResult
-    high_iou_threshold: float
-    low_iou_threshold: float
-
-    @property
-    def all_passed(self) -> bool:
-        return self.c1.passed and self.c2.passed and self.c3.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": {
-                "high_iou": self.high_iou_threshold,
-                "low_iou": self.low_iou_threshold,
-            },
-            "conclusions": {
-                "c1": self.c1.to_dict(),
-                "c2": self.c2.to_dict(),
-                "c3": self.c3.to_dict(),
-            },
-            "all_passed": self.all_passed,
-        }
-
-
 def run_sweep(
     cfg: SweepConfig,
 ) -> tuple[np.ndarray, dict[float, np.ndarray], dict[float, np.ndarray]]:
@@ -149,7 +102,7 @@ def run_sweep(
     for side in cfg.sides():
         # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
         # and ratio 1 reproduces the plain overlap bit for bit.
-        ev = eval_batch(LossSpec(BaseLoss.IOU, inner=side / cfg.box_side), anchors, targets)
+        ev = eval_batch(LossSpec("iou", inner=side / cfg.box_side), anchors, targets)
         iou[side] = ev.inner_iou
         absgrad[side] = np.abs(ev.grad[:, col])
     return devs, iou, absgrad
@@ -162,6 +115,18 @@ def _mask_regions(devs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, floa
     return tuple((float(devs[i]), float(devs[j - 1])) for i, j in edges.reshape(-1, 2))
 
 
+def _conclusion(statement: str, checked: int, violations: int, devs, mask) -> dict:
+    """One claim's report entry; ``regions`` are the deviation spans of ``mask``."""
+    return {
+        "statement": statement,
+        "passed": checked > 0 and violations == 0,
+        "vacuous": checked == 0,  # no sample satisfied the precondition
+        "checked": checked,
+        "violations": violations,
+        "regions": [list(r) for r in _mask_regions(devs, mask)],
+    }
+
+
 def check_conclusions(
     devs: np.ndarray,
     iou: dict[float, np.ndarray],
@@ -170,7 +135,7 @@ def check_conclusions(
     actual_side: float,
     high_iou_threshold: float = 0.7,
     low_iou_threshold: float = 0.0,
-) -> ConclusionsReport:
+) -> dict:
     """Test the three gradient-behavior claims against the curves of a sweep.
 
     The arguments are what :func:`run_sweep` returns: increasing deviations
@@ -179,6 +144,9 @@ def check_conclusions(
     compared as smaller or larger than the actual one. A claim whose
     precondition never holds is reported vacuous, which does not count as
     passing.
+
+    Returns the report the CLI prints: the two thresholds, each claim's
+    entry under ``c1``..``c3`` and ``all_passed``.
     """
     if len(devs) == 0:
         raise ValueError("sweep has no samples to check")
@@ -216,13 +184,9 @@ def check_conclusions(
         if len(seq) > 1:
             violations += int(((seq[1:] - seq[:-1]) > _TREND_SLACK).sum())
             checked += len(seq) - 1
-    c1 = ConclusionResult(
-        statement="overlap decays consistently with deviation at every scale",
-        passed=checked > 0 and violations == 0,
-        vacuous=checked == 0,
-        checked=checked,
-        violations=violations,
-        regions=_mask_regions(devs, nonzero),
+    c1 = _conclusion(
+        "overlap decays consistently with deviation at every scale",
+        checked, violations, devs, nonzero,
     )
 
     # 2: where the actual pair overlaps strongly, every smaller curve is
@@ -230,13 +194,9 @@ def check_conclusions(
     mask2 = (iou[actual] >= high) & nonzero
     checked = int(mask2.sum()) * len(smaller)
     violations = sum(int((grad[s][mask2] <= grad[actual][mask2]).sum()) for s in smaller)
-    c2 = ConclusionResult(
-        statement="smaller auxiliary boxes steepen the gradient on high-overlap pairs",
-        passed=checked > 0 and violations == 0,
-        vacuous=checked == 0,
-        checked=checked,
-        violations=violations,
-        regions=_mask_regions(devs, mask2),
+    c2 = _conclusion(
+        "smaller auxiliary boxes steepen the gradient on high-overlap pairs",
+        checked, violations, devs, mask2,
     )
 
     # 3: where the actual overlap has collapsed but a larger curve still
@@ -249,15 +209,13 @@ def check_conclusions(
         checked += int(mask3.sum())
         violations += int((grad[s][mask3] <= grad[actual][mask3]).sum())
         union |= mask3
-    c3 = ConclusionResult(
-        statement="larger auxiliary boxes keep a nonzero gradient after overlap is lost",
-        passed=checked > 0 and violations == 0,
-        vacuous=checked == 0,
-        checked=checked,
-        violations=violations,
-        regions=_mask_regions(devs, union),
+    c3 = _conclusion(
+        "larger auxiliary boxes keep a nonzero gradient after overlap is lost",
+        checked, violations, devs, union,
     )
 
-    return ConclusionsReport(
-        c1=c1, c2=c2, c3=c3, high_iou_threshold=high, low_iou_threshold=low
-    )
+    return {
+        "thresholds": {"high_iou": high, "low_iou": low},
+        "conclusions": {"c1": c1, "c2": c2, "c3": c3},
+        "all_passed": c1["passed"] and c2["passed"] and c3["passed"],
+    }

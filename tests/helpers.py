@@ -5,14 +5,18 @@ independent of the library's arithmetic. The smooth-pair generator
 rejects box pairs near any non-differentiable configuration (edge ties,
 overlap clamp boundaries, equal sides, diagonal center offsets) so that
 central finite differences are a valid reference for the analytic
-gradients.
+gradients. The finite-difference probe differences the forward
+evaluation numerically, so it is an independent check on every derived
+derivative expression.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ioulab import BASE_NAMES, Box, LossSpec
+from ioulab import BASE_NAMES, Box, LossSpec, eval_batch
+
+AXES = ("x", "y", "w", "h")
 
 # Ratios exercised by the auxiliary-box tests; 1.0 is the degeneration case.
 TEST_RATIOS = (0.5, 0.8, 1.2, 1.5)
@@ -136,3 +140,38 @@ def spec_matrix() -> list[LossSpec]:
         for r in TEST_RATIOS + (1.0,):
             specs.append(LossSpec(base, inner=r))
     return specs
+
+
+def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradients over (..., 4) box arrays.
+
+    Because the ciou aspect weight is defined as a constant of the
+    evaluation point, the probe holds it there: it differences
+    ``loss + (alpha0 - alpha) * v``, which swaps each perturbed point's
+    weight ``alpha`` for the centre point's ``alpha0``.
+    """
+    step = float(step)
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    anchors = np.asarray(anchors, dtype=np.float64)
+    gts = np.asarray(gts, dtype=np.float64)
+    alpha0 = None
+    if spec.base == "ciou":
+        alpha0 = eval_batch(spec, anchors, gts, with_grad=False).terms["alpha"]
+
+    def loss(boxes):
+        ev = eval_batch(spec, boxes, gts, with_grad=False)
+        if alpha0 is None:
+            return ev.loss
+        return ev.loss + (alpha0 - ev.terms["alpha"]) * ev.terms["v"]
+
+    out = np.empty(np.broadcast_shapes(anchors.shape, gts.shape))
+    for k in range(4):
+        hi = anchors.copy()
+        lo = anchors.copy()
+        hi[..., k] += step
+        lo[..., k] -= step
+        if k >= 2 and np.any(lo[..., k] <= 0.0):
+            raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
+        out[..., k] = (loss(hi) - loss(lo)) / (2.0 * step)
+    return out

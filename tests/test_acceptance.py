@@ -21,19 +21,16 @@ from ioulab import (
     SCENARIOS,
     LossSpec,
     SimConfig,
-    SweepConfig,
-    check_conclusions,
     eval_batch,
     generate_case_arrays,
-    grad_fd_batch,
     iou_batch,
     run_simulation,
-    run_sweep,
     scenario_specs,
 )
 from ioulab.cli import main as cli_main
+from ioulab.sweep import SweepConfig, check_conclusions, run_sweep
 
-from helpers import random_integer_box, random_smooth_pairs, raster_iou
+from helpers import grad_fd_batch, random_integer_box, random_smooth_pairs, raster_iou
 
 pytestmark = pytest.mark.acceptance
 
@@ -117,11 +114,11 @@ def test_criterion_4_overlap_matches_cell_counting_oracle():
 
 
 def test_criterion_5_deviation_sweep_conclusions(capsys):
-    report = check_conclusions(*run_sweep(SweepConfig()), actual_side=10.0)
-    assert report.c1.passed, "overlap trends are not consistent across scales"
-    assert report.c2.passed and not report.c2.vacuous, "no high-overlap region where the smaller auxiliary is steeper"
-    assert report.c3.passed and not report.c3.vacuous, "no zero-overlap region where the larger auxiliary is steeper"
-    assert len(report.c2.regions) > 0 and len(report.c3.regions) > 0
+    c1, c2, c3 = check_conclusions(*run_sweep(SweepConfig()), actual_side=10.0)["conclusions"].values()
+    assert c1["passed"], "overlap trends are not consistent across scales"
+    assert c2["passed"] and not c2["vacuous"], "no high-overlap region where the smaller auxiliary is steeper"
+    assert c3["passed"] and not c3["vacuous"], "no zero-overlap region where the larger auxiliary is steeper"
+    assert len(c2["regions"]) > 0 and len(c3["regions"]) > 0
 
     exit_code = cli_main(["sweep"])
     capsys.readouterr()

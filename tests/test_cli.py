@@ -185,12 +185,15 @@ class TestSim:
     def test_scenario_bases_flag(self, tmp_path):
         out = tmp_path / "run"
         code = run_cli(
-            "sim", "--scenario", "high", "--bases", "giou,iou", "--points", "1",
+            "sim", "--scenario", "high", "--bases", "giou,iou,giou", "--points", "1",
             "--iterations", "2", "--threads", "1", "--out", str(out),
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        # a repeated name runs once, in first-seen order
         assert manifest["spec_list"] == ["giou", "inner-giou(0.8)", "iou", "inner-iou(0.8)"]
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 * 3  # 4 specs x (iterations + 1)
 
     def test_per_case_rows(self, tmp_path):
         out = tmp_path / "run"
@@ -275,6 +278,15 @@ class TestSim:
         cfg_path.write_text(f'{{"specs": [{{"base": "iou"}}], "{field}": 1{"0" * 400}}}')
         assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
         assert f"{field} is out of range" in capsys.readouterr().err
+
+    def test_config_radius_overflow_exits_two(self, tmp_path, capsys):
+        # case generation squares the radius; 1e200 ** 2 is not a float
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"specs": [{"base": "iou"}], "radius": [0, 1e200]}))
+        assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: radius")
+        assert "Traceback" not in err
 
     def test_config_json_syntax_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

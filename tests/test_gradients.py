@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import BASE_NAMES, Box, LossSpec, evaluate, grad_fd_batch
+from ioulab import BASE_NAMES, Box, LossSpec, evaluate
 from ioulab.batch import eval_batch
 
-from helpers import random_smooth_pairs, spec_matrix
+from helpers import grad_fd_batch, random_smooth_pairs, spec_matrix
 
 # Acceptance bound for the finite-difference cross-check: relative 1e-4
 # with an absolute floor of 1e-7 for components near zero.

@@ -13,19 +13,50 @@ def _pairs(seed, n):
     return [(random_box(rng), random_box(rng)) for _ in range(n)]
 
 
+class TestBoxValidation:
+    def test_fields_coerced_to_float(self):
+        b = Box(1, 2, 3, 4)
+        assert b.as_tuple() == (1.0, 2.0, 3.0, 4.0)
+        assert all(isinstance(v, float) for v in b.as_tuple())
+
+    @pytest.mark.parametrize("w,h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_nonpositive_sides_rejected(self, w, h):
+        with pytest.raises(ValueError, match="positive"):
+            Box(0.0, 0.0, w, h)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Box(bad, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            Box(0.0, 0.0, bad, 1.0)
+
+    def test_side_below_center_resolution_rejected(self):
+        # 1e-20 is far below the float spacing at x = 1e3.
+        with pytest.raises(ValueError, match="resolution"):
+            Box(1e3, 0.0, 1e-20, 1.0)
+
+    def test_corner_accessors(self):
+        b = Box(10.0, 20.0, 4.0, 6.0)
+        assert (b.left, b.right, b.top, b.bottom) == (8.0, 12.0, 17.0, 23.0)
+
+
 class TestLossSpec:
-    def test_base_accepts_names_and_enum(self):
-        assert LossSpec("giou").base.value == "giou"
+    def test_base_is_the_name(self):
+        assert LossSpec("giou").base == "giou"
+        assert type(LossSpec("giou").base) is str
         assert LossSpec("giou") == LossSpec(LossSpec("giou").base)
 
     def test_base_names_cover_all_variants(self):
         assert BASE_NAMES == ("iou", "giou", "diou", "ciou", "eiou", "siou")
 
     def test_unknown_base_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("focal")
+        for bad in ("focal", "IOU", None, 1):
+            with pytest.raises(ValueError, match=r"unknown base loss .* \(choose from iou, giou"):
+                LossSpec(bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.8, math.nan, math.inf])
+    # a JSON config's true or "0.8" is not silently read as a number
+    @pytest.mark.parametrize("bad", [0.0, -0.8, math.nan, math.inf, True, "0.8"])
     def test_bad_inner_ratio_rejected(self, bad):
         with pytest.raises(ValueError, match="inner ratio"):
             LossSpec("iou", inner=bad)

@@ -72,6 +72,13 @@ class TestSimConfig:
             (dict(n_points=10**400), "n_points"),
             (dict(iterations=10**400), "iterations"),
             (dict(seed=10**400), "seed"),
+            # hi * hi overflows where case generation squares the radius
+            (dict(radius=(0.0, 1e200)), "radius"),
+            # a JSON config's strings and bools are not read as numbers
+            (dict(radius="03"), "radius"),
+            (dict(radius=(0.0, True)), "radius"),
+            (dict(step_size="0.1"), "step_size"),
+            (dict(step_size=True), "step_size"),
         ],
     )
     def test_validation(self, overrides, match):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import SweepConfig, check_conclusions, iou_batch, run_sweep
-from ioulab.sweep import _mask_regions
+from ioulab import iou_batch
+from ioulab.sweep import SweepConfig, _mask_regions, check_conclusions, run_sweep
 
 
 def square_iou(side: float, dev: float) -> float:
@@ -153,25 +153,25 @@ def _regions_by_loop(devs, mask):
 class TestCheckConclusions:
     def test_default_sweep_passes_everything(self, sweep):
         rep = check_conclusions(*sweep, actual_side=10.0)
-        assert rep.all_passed
-        for c in (rep.c1, rep.c2, rep.c3):
-            assert c.passed and not c.vacuous and c.violations == 0
+        assert rep["all_passed"] is True
+        for c in rep["conclusions"].values():
+            assert c["passed"] and not c["vacuous"] and c["violations"] == 0
 
     def test_checked_counts(self, sweep):
-        rep = check_conclusions(*sweep, actual_side=10.0)
+        c = check_conclusions(*sweep, actual_side=10.0)["conclusions"]
         # 600 displaced samples per curve -> 599 consecutive comparisons
-        assert rep.c1.checked == 3 * 599
+        assert c["c1"]["checked"] == 3 * 599
         # overlap >= 0.7 for side 10: |dev| <= 30/17, 35 grid points per sign
-        assert rep.c2.checked == 70
+        assert c["c2"]["checked"] == 70
         # side 10 flat, side 12 alive: 10.0 <= |dev| <= 11.95, 40 per sign
-        assert rep.c3.checked == 80
+        assert c["c3"]["checked"] == 80
 
     def test_region_endpoints(self, sweep):
-        rep = check_conclusions(*sweep, actual_side=10.0)
-        (neg, pos) = rep.c2.regions
+        c = check_conclusions(*sweep, actual_side=10.0)["conclusions"]
+        (neg, pos) = c["c2"]["regions"]
         assert neg[0] == pytest.approx(-1.75, abs=1e-9)
         assert pos[1] == pytest.approx(1.75, abs=1e-9)
-        (neg3, pos3) = rep.c3.regions
+        (neg3, pos3) = c["c3"]["regions"]
         assert neg3 == pytest.approx((-11.95, -10.0), abs=1e-9)
         assert pos3 == pytest.approx((10.0, 11.95), abs=1e-9)
 
@@ -189,18 +189,21 @@ class TestCheckConclusions:
             assert _mask_regions(devs, mask) == _regions_by_loop(devs, mask)
 
     def test_report_dict_shape(self, sweep):
-        d = check_conclusions(*sweep, actual_side=10.0).to_dict()
+        # the CLI prints this dict in insertion order, so the order is pinned too
+        d = check_conclusions(*sweep, actual_side=10.0)
+        assert list(d) == ["thresholds", "conclusions", "all_passed"]
         assert d["all_passed"] is True
         assert d["thresholds"] == {"high_iou": 0.7, "low_iou": 0.0}
-        assert set(d["conclusions"]) == {"c1", "c2", "c3"}
+        assert list(d["conclusions"]) == ["c1", "c2", "c3"]
         for c in d["conclusions"].values():
-            assert set(c) == {"statement", "passed", "vacuous", "checked", "violations", "regions"}
+            assert list(c) == ["statement", "passed", "vacuous", "checked", "violations", "regions"]
 
     def test_three_sample_sweep_is_vacuous_not_passed(self):
         rep = check_conclusions(*run_sweep(SweepConfig(samples=3)), actual_side=10.0)
-        assert rep.c2.vacuous and not rep.c2.passed
-        assert rep.c3.vacuous and not rep.c3.passed
-        assert not rep.all_passed
+        c = rep["conclusions"]
+        assert c["c2"]["vacuous"] and not c["c2"]["passed"]
+        assert c["c3"]["vacuous"] and not c["c3"]["passed"]
+        assert rep["all_passed"] is False
 
     def test_requires_smaller_and_larger_aux(self):
         only_small = run_sweep(SweepConfig(aux_sides=(8.0,)))
@@ -228,7 +231,7 @@ class TestCheckConclusions:
         # with the cutoff raised into the overlapping band, the larger
         # auxiliary no longer dominates everywhere, which is exactly why
         # the default cutoff is the zero-overlap boundary
-        rep = check_conclusions(*sweep, actual_side=10.0, low_iou_threshold=0.3)
-        assert rep.c3.checked > 80
-        assert not rep.c3.vacuous
-        assert not rep.c3.passed
+        c3 = check_conclusions(*sweep, actual_side=10.0, low_iou_threshold=0.3)["conclusions"]["c3"]
+        assert c3["checked"] > 80
+        assert not c3["vacuous"]
+        assert not c3["passed"]
