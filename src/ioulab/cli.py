@@ -1,20 +1,23 @@
 """Command-line front end: single evaluations, regression runs, sweeps.
 
 Exit codes are a stable contract: 0 on success, 1 when a checked property
-fails (a sweep conclusion does not hold), 2 on usage or config errors.
-All CSV output has a header row, LF line endings, and floats serialized
-with 17 significant digits so values round-trip exactly.
+fails (a sweep conclusion does not hold), 2 on usage or config errors, an
+output path that cannot be written, or a result that is not finite.
+Every CSV has a header row, LF line endings, integers as ``%d`` and
+floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
+no field holds a comma, quote or newline, so none is ever quoted.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .losses import BASE_NAMES, Box, LossSpec, evaluate
@@ -23,9 +26,47 @@ from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 
+CSV_ROWS_PER_WRITE = 8192  # rows that exist as Python values at a time
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+
+def _write(path: Path, chunks) -> None:
+    """Write the strings ``chunks`` to ``path``; an OSError is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_csv(path: Path, header: list[str], blocks: list) -> None:
+    """Write ``header``, then the rows of each ``(lead, columns)`` block, to ``path``.
+
+    A row is the fields ``lead`` (a spec label, or none), then one value
+    from each column. A block formats all its rows with one %-format:
+    ``%d`` per integer column and ``%.17g`` per float one, the routine
+    behind ``format(x, ".17g")``. A non-finite value raises ValueError
+    before the file is opened.
+    """
+    line = 2
+    for lead, columns in blocks:
+        for name, col in zip(header[len(lead) :], columns):
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise ValueError(
+                    f"not writing {path}: {name} is {col[bad[0]]} on line {line + bad[0]}"
+                )
+        line += len(columns[0])
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for lead, columns in blocks:
+            kinds = ["%.17g" if col.dtype.kind == "f" else "%d" for col in columns]
+            fmt = ",".join([*lead, *kinds]) + "\n"
+            for a in range(0, len(columns[0]), CSV_ROWS_PER_WRITE):
+                part = [col[a : a + CSV_ROWS_PER_WRITE].tolist() for col in columns]
+                yield from (fmt % row for row in zip(*part))
+
+    _write(path, lines())
 
 
 def _box_arg(text: str) -> Box:
@@ -134,31 +175,23 @@ def cmd_sim(args: argparse.Namespace) -> int:
     summaries = run_simulation(cfg, threads=args.threads, per_case=args.per_case)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["spec", "iteration", "total_error"])
-        for s in summaries:
-            for it, err in enumerate(s.total_error_curve):
-                w.writerow([s.label, str(it), _fmt(err)])
-
+    curves = [
+        ((s.label,), [np.arange(len(s.total_error_curve)), s.total_error_curve]) for s in summaries
+    ]
+    _write_csv(out / "summary.csv", ["spec", "iteration", "total_error"], curves)
     if args.per_case:
-        with open(out / "cases.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["spec", "case_id", "initial_error", "final_error", "final_iou", "clamps"])
-            for s in summaries:
-                for i in range(len(s.case_final_error)):
-                    w.writerow(
-                        [
-                            s.label,
-                            str(i),
-                            _fmt(s.case_initial_error[i]),
-                            _fmt(s.case_final_error[i]),
-                            _fmt(s.case_final_iou[i]),
-                            str(int(s.case_clamps[i])),
-                        ]
-                    )
+        header = ["spec", "case_id", "initial_error", "final_error", "final_iou", "clamps"]
+        cases = [
+            ((s.label,), [np.arange(len(s.case_clamps)), s.case_initial_error,
+                          s.case_final_error, s.case_final_iou, s.case_clamps])
+            for s in summaries
+        ]
+        _write_csv(out / "cases.csv", header, cases)
 
     manifest = {
         "config_digest": _config_digest(cfg),
@@ -169,9 +202,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "n_cases": cfg.case_count,
         "error_metric": "corner_l1",
     }
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write(out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
     for s in summaries:
         print(
@@ -202,20 +233,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.out is not None:
         header = ["deviation"]
-        columns = [devs.tolist()]
+        columns = [devs]
         for s in cfg.sides():
             header += [f"iou_{s:g}", f"absgrad_{s:g}"]
-            columns += [iou[s].tolist(), absgrad[s].tolist()]
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            for row in zip(*columns):
-                w.writerow([_fmt(v) for v in row])
-
+            columns += [iou[s], absgrad[s]]
+        _write_csv(Path(args.out), header, [((), columns)])
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8", newline="") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write(Path(args.report), [json.dumps(doc, indent=2, sort_keys=True), "\n"])
     print(json.dumps(doc, indent=2))
     return 0 if doc["all_passed"] else 1
 

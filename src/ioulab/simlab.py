@@ -85,13 +85,13 @@ class SimConfig:
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 1))
         # numpy seeds must be non-negative
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        if not isinstance(self.radius, (list, tuple)) or len(self.radius) != 2:
+            raise ValueError(f"radius must be a [lo, hi] pair, got {self.radius!r}")
         radius = tuple(real_number("radius", v) for v in self.radius)
         # Case generation draws the squared radius from [lo * lo, hi * hi].
-        if len(radius) != 2 or not (
-            0.0 <= radius[0] <= radius[1] and math.isfinite(radius[1] * radius[1])
-        ):
+        if not (0.0 <= radius[0] <= radius[1] and math.isfinite(radius[1] * radius[1])):
             raise ValueError(
-                f"radius must be a pair with 0 <= lo <= hi and hi * hi finite, got {self.radius}"
+                f"radius must have 0 <= lo <= hi and hi * hi finite, got {self.radius}"
             )
         object.__setattr__(self, "radius", radius)
         step = real_number("step_size", self.step_size)

@@ -7,10 +7,15 @@ overlap clamp boundaries, equal sides, diagonal center offsets) so that
 central finite differences are a valid reference for the analytic
 gradients. The finite-difference probe differences the forward
 evaluation numerically, so it is an independent check on every derived
-derivative expression.
+derivative expression. The CSV reference formats each value on its own
+with ``format`` and lets ``csv.writer`` join and quote the fields, the
+way the CLI wrote its CSV files before it built one format per row.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 
@@ -175,3 +180,18 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
             raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
         out[..., k] = (loss(hi) - loss(lo)) / (2.0 * step)
     return out
+
+
+def csv_reference(header, blocks) -> bytes:
+    """The CLI's CSV bytes for ``header`` and ``(lead, columns)`` blocks, one value at a time."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for lead, columns in blocks:
+        for i in range(len(columns[0])):
+            values = [
+                format(float(col[i]), ".17g") if col.dtype.kind == "f" else str(int(col[i]))
+                for col in columns
+            ]
+            w.writerow([*lead, *values])
+    return buf.getvalue().encode("utf-8")

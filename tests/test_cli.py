@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from helpers import csv_reference
 from ioulab import SCENARIOS, SimConfig, __version__, scenario_specs
-from ioulab.cli import main
+from ioulab.cli import CSV_ROWS_PER_WRITE, _write_csv, main
 
 
 def run_cli(*argv):
@@ -37,6 +39,64 @@ EVAL_STDOUT_SHA256 = {
     "siou": "1c512370a4553a50542e6caa828933794e61d166446651c34fb2bd044517628d",
     "inner-siou": "5480622fd0713f9392e95dcc6476d34a4b59bb6af2333cdb89099cf71c4466ba",
 }
+
+
+# sha256 of `ioulab sim --scenario <scenario> --bases iou,giou,diou,ciou,eiou,siou
+# --points 2 --iterations 20 --per-case --threads 1` outputs.
+SIM_CSV_SHA256 = {
+    ("high", "summary.csv"): "518f75851c0e6e97caaa82d2328a17b52ef8981246a9c5c665d8aad5271fa274",
+    ("high", "cases.csv"): "a6750c8c07559b345730c0b1a614347adf07d425e6111216144e3b2421c7fe0f",
+    ("low", "summary.csv"): "1365e88cd51897fd0005889372eb73b52d418203e2d0e786c0ee180f44f8ed69",
+    ("low", "cases.csv"): "ccfd0c83cbf84fb8a9127c36b7b85db42492e2fd069279b4a78e377440f1de3b",
+}
+
+# sha256 of the default `ioulab sweep --out` CSV, the same for either axis.
+SWEEP_CSV_SHA256 = "5967641594abb870132b218aed06251eac233e20ee3d0cfe985b9fff9d7b3e0a"
+
+
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCsvWriter:
+    def test_matches_per_value_reference(self, tmp_path):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, 1e-5, 1.0, -2.5, 1.7976931348623157e308]
+        bits = np.random.default_rng(0).integers(0, 2**64, size=10_000, dtype=np.uint64).view(np.float64)
+        floats = np.concatenate([edge, bits[np.isfinite(bits)]])
+        n = len(floats)
+        assert n > CSV_ROWS_PER_WRITE  # rows span more than one write
+        ints = np.arange(n) * 7 - 3
+        header = ["spec", "id", "a", "b", "count"]
+        blocks = [
+            (("inner-ciou(0.8)",), [ints, floats, floats[::-1].copy(), ints * 0 + 2**40]),
+            (("iou",), [ints[:3], floats[:3], floats[3:6], ints[:3]]),
+        ]
+        path = tmp_path / "out.csv"
+        _write_csv(path, header, blocks)
+        assert path.read_bytes() == csv_reference(header, blocks)
+
+    def test_no_leading_fields(self, tmp_path):
+        columns = [np.array([-0.0, 1e16, 0.1]), np.array([5e-324, 1e22, 1e-5])]
+        path = tmp_path / "out.csv"
+        _write_csv(path, ["a", "b"], [((), columns)])
+        assert path.read_bytes() == csv_reference(["a", "b"], [((), columns)])
+        assert path.read_text().splitlines() == [
+            "a,b",
+            "-0,4.9406564584124654e-324",
+            "10000000000000000,1e+22",
+            "0.10000000000000001,1.0000000000000001e-05",
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_file_column_and_line(self, tmp_path, bad):
+        path = tmp_path / "out.csv"
+        blocks = [
+            (("x",), [np.arange(2), np.array([1.0, 2.0])]),
+            (("y",), [np.arange(3), np.array([1.0, 2.0, bad])]),
+        ]
+        with pytest.raises(ValueError, match=rf"out\.csv: total is {bad} on line 6$"):
+            _write_csv(path, ["spec", "i", "total"], blocks)
+        assert not path.exists()
 
 
 class TestEval:
@@ -314,6 +374,42 @@ class TestSim:
     def test_out_required(self):
         assert run_cli("sim", "--scenario", "high") == 2
 
+    @pytest.mark.parametrize("scenario", ["high", "low"])
+    def test_csv_bytes_pinned(self, tmp_path, scenario):
+        out = tmp_path / "run"
+        code = run_cli(
+            "sim", "--scenario", scenario, "--bases", "iou,giou,diou,ciou,eiou,siou",
+            "--points", "2", "--iterations", "20", "--per-case", "--threads", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        for name in ("summary.csv", "cases.csv"):
+            assert sha256_file(out / name) == SIM_CSV_SHA256[scenario, name], name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_descent_exits_two(self, tmp_path, capsys):
+        # hi * hi is finite, but the descent's squared distances overflow
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"specs": [{"base": "ciou"}], "radius": [0, 1e150], "n_points": 1, "iterations": 2}
+        ))
+        out = tmp_path / "o"
+        assert run_cli("sim", "--config", str(cfg_path), "--threads", "1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "summary.csv: total_error is nan on line 3" in captured.err
+        assert list(out.iterdir()) == []
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli(
+            "sim", "--scenario", "high", "--points", "1", "--iterations", "1",
+            "--threads", "1", "--out", str(blocker / "out"),
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_default_run_passes(self, capsys, tmp_path):
@@ -365,6 +461,33 @@ class TestSweep:
 
     def test_bad_aux_sides_value(self):
         assert run_cli("sweep", "--aux-sides", "8,abc") == 2
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_csv_bytes_pinned(self, tmp_path, axis):
+        csv_path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--axis", axis, "--out", str(csv_path)) == 0
+        assert sha256_file(csv_path) == SWEEP_CSV_SHA256
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_exits_two(self, tmp_path, capsys):
+        # the box areas underflow to 0, so every overlap is 0/0
+        csv_path = tmp_path / "f.csv"
+        code = run_cli(
+            "sweep", "--box-side", "1e-300", "--aux-sides", "8e-301,1.2e-300",
+            "--samples", "11", "--out", str(csv_path),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "f.csv: iou_1e-300 is nan on line 2" in captured.err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_path_exits_two(self, tmp_path, capsys, flag):
+        code = run_cli("sweep", "--samples", "11", flag, str(tmp_path / "missing" / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
     def test_csv_deterministic(self, tmp_path):
         paths = []

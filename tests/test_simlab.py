@@ -59,7 +59,7 @@ class TestSimConfig:
             (dict(iterations=0), "iterations"),
             (dict(radius=(3.0, 1.0)), "radius"),
             (dict(radius=(-1.0, 2.0)), "radius"),
-            (dict(radius=(1.0, 2.0, 3.0)), "radius"),
+            (dict(radius=(1.0, 2.0, 3.0)), r"radius must be a \[lo, hi\] pair"),
             (dict(radius=(0.0, math.inf)), "radius"),
             (dict(step_size=0.0), "step_size"),
             (dict(n_points=1.5), "n_points"),
@@ -75,7 +75,8 @@ class TestSimConfig:
             # hi * hi overflows where case generation squares the radius
             (dict(radius=(0.0, 1e200)), "radius"),
             # a JSON config's strings and bools are not read as numbers
-            (dict(radius="03"), "radius"),
+            (dict(radius="03"), r"radius must be a \[lo, hi\] pair"),
+            (dict(radius=3), r"radius must be a \[lo, hi\] pair"),
             (dict(radius=(0.0, True)), "radius"),
             (dict(step_size="0.1"), "step_size"),
             (dict(step_size=True), "step_size"),
