@@ -27,6 +27,11 @@ The aspect-weight ``alpha`` of the ciou loss is treated as a constant at the
 evaluation point, so gradients do not differentiate through it; a
 finite-difference check must hold it fixed the same way, as the test
 suite's probe ``grad_fd_batch`` in ``tests/helpers.py`` does.
+
+Supported inputs: boxes in the domain :func:`check_boxes` enforces and inner
+ratios in ``RATIO_LIMITS``. There every loss and gradient is finite and
+``0 <= iou <= 1``. ``eval_batch`` and ``iou_batch`` do not check it, since
+the descent loop calls them every iteration.
 """
 
 from __future__ import annotations
@@ -46,6 +51,43 @@ EPSILON = 1e-7
 SIOU_THETA = 4.0
 
 _K_ASPECT = 4.0 / np.pi**2
+
+# The supported box domain: every |x|, |y|, w, h is at most BOX_LIMIT, and
+# each side is at least 1 / BOX_LIMIT and SIDE_REL times its centre's offset,
+# so it survives the corner round trip at every ratio in RATIO_LIMITS.
+BOX_LIMIT = 1e40
+SIDE_REL = 1e-9
+RATIO_LIMITS = (1e-3, 1e3)
+
+
+def check_boxes(boxes, name: str, *, first_row: int = 0) -> np.ndarray:
+    """``boxes`` as a float64 (..., 4) array; ValueError if one is outside the domain.
+
+    NaN fails every comparison. The message names ``name`` and, for more
+    than one box, the first bad one's flat index plus ``first_row``.
+    """
+    arr = np.asarray(boxes, dtype=np.float64)
+    flat = arr.reshape(-1, 4)
+    # Column by column: `.all(axis=1)` over rows of 4 costs about five times more.
+    x, y, w, h = flat.T
+    ax, ay = np.abs(x), np.abs(y)
+    big = ~(
+        (ax <= BOX_LIMIT) & (ay <= BOX_LIMIT) & (np.abs(w) <= BOX_LIMIT) & (np.abs(h) <= BOX_LIMIT)
+    )
+    least = 1.0 / BOX_LIMIT
+    small = ~((w >= np.maximum(SIDE_REL * ax, least)) & (h >= np.maximum(SIDE_REL * ay, least)))
+    bad = np.flatnonzero(big | small)
+    if bad.size:
+        i = bad[0]
+        why = (
+            f"every |x|, |y|, w, h must be finite and at most {BOX_LIMIT:g}" if big[i] else
+            f"sides must be positive, at least {least:g} and {SIDE_REL:g} times"
+            " their centre's offset, so they do not vanish at its float resolution"
+        )
+        at = f" {first_row + i}" if arr.ndim > 1 else ""
+        box = tuple(flat[i].tolist())
+        raise ValueError(f"{name}{at} is outside the supported box domain: {why}; got {box}")
+    return arr
 
 
 @dataclass
@@ -146,12 +188,12 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
-    """Plain IoU over broadcastable (..., 4) center-form arrays."""
+    """Plain IoU over broadcastable (..., 4) center-form arrays in the domain (unchecked)."""
     return _overlap(*_blocks(anchors, gts), 1.0, False).iou
 
 
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
-    """Evaluate ``spec`` over broadcastable box arrays."""
+    """Evaluate ``spec`` over broadcastable box arrays in the domain (unchecked)."""
     a, g = _blocks(anchors, gts)
     base = spec.base
 

@@ -2,9 +2,9 @@
 
 Every loss maps an (anchor, gt) pair of boxes to a scalar that is zero iff
 the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
-downward, so ``top`` is the smaller ordinate. A :class:`LossSpec` selects
-the base loss and an optional center-scaled auxiliary ("inner") ratio; it is
-the one place that validates the ratio. :func:`evaluate` runs the one
+downward. A :class:`LossSpec` selects the base loss and an optional
+center-scaled auxiliary ("inner") ratio; it is the one place that validates
+the ratio, against ``ioulab.batch.RATIO_LIMITS``. :func:`evaluate` runs the one
 evaluation kernel, :func:`ioulab.batch.eval_batch`, on a single pair: the
 loss comes with its analytic gradient with respect to the anchor parameters
 (x, y, w, h); the gt box is treated as constant.
@@ -12,12 +12,11 @@ loss comes with its analytic gradient with respect to the anchor parameters
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
 
-from .batch import BatchEval, eval_batch
+from .batch import RATIO_LIMITS, BatchEval, check_boxes, eval_batch
 
 # Inner ratios outside this interval are legal but unusual enough to flag.
 RATIO_RANGE = (0.5, 1.5)
@@ -52,9 +51,24 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
+def check_fields(cls, data, what: str, required: str) -> None:
+    """Reject ``data`` unless it is a dict of ``cls`` fields that includes ``required``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown {what} field '{key}'")
+    if required not in data:
+        raise ValueError(f"{what} is missing required field '{required}'")
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in center form with strictly positive sides."""
+    """Axis-aligned rectangle in center form, inside the supported box domain.
+
+    The domain is the one :func:`ioulab.batch.check_boxes` enforces.
+    """
 
     x: float
     y: float
@@ -62,34 +76,8 @@ class Box:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
-            raise ValueError(f"box fields must be finite, got {self!r}")
-        if self.w <= 0.0 or self.h <= 0.0:
-            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-        # Side lengths must survive the corner round trip; overlap math
-        # divides by corner-derived areas.
-        if not (self.left < self.right and self.top < self.bottom):
-            raise ValueError(
-                f"box sides vanish at the center's float resolution, got {self!r}"
-            )
-
-    @property
-    def left(self) -> float:
-        return self.x - self.w / 2.0
-
-    @property
-    def right(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def top(self) -> float:
-        return self.y - self.h / 2.0
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h / 2.0
+        for name, value in zip("xywh", check_boxes(self.as_tuple(), "box").tolist()):
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -115,8 +103,9 @@ class LossSpec:
             )
         if self.inner is not None:
             ratio = real_number("inner ratio", self.inner)
-            if not math.isfinite(ratio) or ratio <= 0.0:
-                raise ValueError(f"inner ratio must be a positive finite number, got {self.inner}")
+            lo, hi = RATIO_LIMITS
+            if not (lo <= ratio <= hi):  # NaN fails it too
+                raise ValueError(f"inner ratio must lie in [{lo:g}, {hi:g}], got {self.inner}")
             lo, hi = RATIO_RANGE
             if not (lo <= ratio <= hi):
                 warnings.warn(
@@ -136,14 +125,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LossSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"loss spec must be an object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"unknown loss spec field '{key}'")
-        if "base" not in data:
-            raise ValueError("loss spec is missing required field 'base'")
+        check_fields(cls, data, "loss spec", "base")
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import eval_batch, iou_batch
-from .losses import BASE_NAMES, LossSpec, real_number, whole_number
+from .batch import check_boxes, eval_batch, iou_batch
+from .losses import BASE_NAMES, LossSpec, check_fields, real_number, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
@@ -88,12 +88,15 @@ class SimConfig:
         if not isinstance(self.radius, (list, tuple)) or len(self.radius) != 2:
             raise ValueError(f"radius must be a [lo, hi] pair, got {self.radius!r}")
         radius = tuple(real_number("radius", v) for v in self.radius)
-        # Case generation draws the squared radius from [lo * lo, hi * hi].
-        if not (0.0 <= radius[0] <= radius[1] and math.isfinite(radius[1] * radius[1])):
-            raise ValueError(
-                f"radius must have 0 <= lo <= hi and hi * hi finite, got {self.radius}"
-            )
+        if not 0.0 <= radius[0] <= radius[1]:
+            raise ValueError(f"radius must have 0 <= lo <= hi, got {self.radius}")
+        # The farthest anchor the annulus can start, clamped to the least size.
+        far = (CENTER[0] + radius[1], CENTER[1] + radius[1], MIN_SIZE, MIN_SIZE)
+        check_boxes(far, "radius: the farthest anchor")
         object.__setattr__(self, "radius", radius)
+        labels = [s.label() for s in self.specs]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"specs must have distinct labels, got {labels}")
         step = real_number("step_size", self.step_size)
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
@@ -115,14 +118,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be an object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"unknown config field '{key}'")
-        if "specs" not in data:
-            raise ValueError("config is missing required field 'specs'")
+        check_fields(cls, data, "config", "specs")
         if not isinstance(data["specs"], (list, tuple)):
             raise ValueError("config field 'specs' must be a list of loss spec objects")
         kwargs = dict(data)
@@ -197,12 +193,14 @@ def _simulate_chunk(
     anchors: np.ndarray,
     targets: np.ndarray,
     cfg: SimConfig,
+    first_case: int = 0,
 ):
     """Descend one chunk of cases under ``spec``.
 
     Returns the per-iteration total error (the case's own error curve for a
     one-row chunk), then the per-case initial error, final error, final IoU
-    and clamp count.
+    and clamp count. A final state outside the box domain raises ValueError
+    naming the spec and the case id, ``first_case`` plus its row.
     """
     state = anchors.copy()
     steps = cfg.iterations
@@ -227,6 +225,7 @@ def _simulate_chunk(
         np.maximum(state[:, 3], MIN_SIZE, out=state[:, 3])
         err = _corner_l1(state, targets)
         totals[t] = err.sum()
+    check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     final_iou = iou_batch(state, targets)
     return totals, initial, err, final_iou, clamps
 
@@ -242,9 +241,7 @@ def run_simulation(
     """
     if not cfg.specs:
         raise ValueError("config needs at least one loss spec")
-    threads = int(threads)
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    threads = whole_number("threads", threads, 0)
     if threads == 0:
         if hasattr(os, "sched_getaffinity"):
             threads = len(os.sched_getaffinity(0))
@@ -260,7 +257,7 @@ def run_simulation(
 
         def job(span: tuple[int, int]):
             a, b = span
-            return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg)
+            return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a)
 
         if threads > 1 and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import eval_batch
+from .batch import check_boxes, eval_batch
 from .losses import LossSpec, whole_number
 
 AXES = ("x", "y")
@@ -56,18 +56,13 @@ class SweepConfig:
     axis: str = "x"
 
     def __post_init__(self) -> None:
-        side = float(self.box_side)
-        if not math.isfinite(side) or side <= 0.0:
-            raise ValueError(f"box_side must be positive and finite, got {self.box_side}")
-        object.__setattr__(self, "box_side", side)
+        object.__setattr__(self, "box_side", float(self.box_side))
         aux = tuple(float(s) for s in self.aux_sides)
         if not aux:
             raise ValueError("aux_sides must not be empty")
-        if any(not math.isfinite(s) or s <= 0.0 for s in aux):
-            raise ValueError(f"aux_sides must be positive finite numbers, got {self.aux_sides}")
         object.__setattr__(self, "aux_sides", aux)
         rng = tuple(float(v) for v in self.deviation_range)
-        if len(rng) != 2 or any(not math.isfinite(v) for v in rng) or rng[0] >= rng[1]:
+        if len(rng) != 2 or not rng[0] < rng[1]:
             raise ValueError(
                 f"deviation_range must be an increasing pair, got {self.deviation_range}"
             )
@@ -75,6 +70,16 @@ class SweepConfig:
         object.__setattr__(self, "samples", whole_number("samples", self.samples, 2))
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        # The domain is symmetric in sign, so each curve's square at the
+        # deviation farther from 0 stands for both ends of the range.
+        at = [0.0, 0.0]
+        at[AXES.index(self.axis)] = max(abs(v) for v in rng)
+        for side in self.sides():
+            kind = "box_side" if side == self.box_side else "aux_sides"
+            check_boxes((*at, side, side), f"{kind} square at the deviation range's end")
+        names = [f"{s:g}" for s in self.sides()]  # the CSV's column names
+        if len(set(names)) < len(names):
+            raise ValueError(f"aux_sides must give distinct column names, got {names}")
 
     def sides(self) -> tuple[float, ...]:
         """All curve sides, each once: the actual one first, then the auxiliaries."""

@@ -44,8 +44,8 @@ def raster_iou(a: Box, b: Box, grid: int = 64) -> float:
     hi = lo + 1.0
 
     def covered(box: Box) -> np.ndarray:
-        cols = (box.left <= lo) & (hi <= box.right)
-        rows = (box.top <= lo.T) & (hi.T <= box.bottom)
+        cols = (box.x - box.w / 2.0 <= lo) & (hi <= box.x + box.w / 2.0)
+        rows = (box.y - box.h / 2.0 <= lo.T) & (hi.T <= box.y + box.h / 2.0)
         return cols & rows
 
     ca, cb = covered(a), covered(b)

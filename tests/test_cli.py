@@ -6,7 +6,7 @@ import pytest
 
 from helpers import csv_reference
 from ioulab import SCENARIOS, SimConfig, __version__, scenario_specs
-from ioulab.cli import CSV_ROWS_PER_WRITE, _write_csv, main
+from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
 
 def run_cli(*argv):
@@ -72,13 +72,13 @@ class TestCsvWriter:
             (("iou",), [ints[:3], floats[:3], floats[3:6], ints[:3]]),
         ]
         path = tmp_path / "out.csv"
-        _write_csv(path, header, blocks)
+        _write(_csv(path, header, blocks))
         assert path.read_bytes() == csv_reference(header, blocks)
 
     def test_no_leading_fields(self, tmp_path):
         columns = [np.array([-0.0, 1e16, 0.1]), np.array([5e-324, 1e22, 1e-5])]
         path = tmp_path / "out.csv"
-        _write_csv(path, ["a", "b"], [((), columns)])
+        _write(_csv(path, ["a", "b"], [((), columns)]))
         assert path.read_bytes() == csv_reference(["a", "b"], [((), columns)])
         assert path.read_text().splitlines() == [
             "a,b",
@@ -95,7 +95,7 @@ class TestCsvWriter:
             (("y",), [np.arange(3), np.array([1.0, 2.0, bad])]),
         ]
         with pytest.raises(ValueError, match=rf"out\.csv: total is {bad} on line 6$"):
-            _write_csv(path, ["spec", "i", "total"], blocks)
+            _write(_csv(path, ["spec", "i", "total"], blocks))
         assert not path.exists()
 
 
@@ -175,16 +175,16 @@ class TestEval:
     def test_degenerate_box(self, capsys):
         assert run_cli("eval", "--anchor", "0,0,-1,1", "--gt", "0,0,1,1", "--loss", "iou") == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_two(self, capsys):
-        # the box areas underflow to 0, so the overlap is 0/0; NaN is not JSON
+        # the box areas would underflow to 0 and the overlap be 0/0; the
+        # sides are below the domain's least side, so nothing is evaluated
         code = run_cli(
             "eval", "--anchor", "0,0,1e-200,1e-200", "--gt", "0,0,1e-200,1e-200", "--loss", "iou"
         )
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "not finite" in captured.err
+        assert "argument --anchor: box is outside the supported box domain" in captured.err
 
 
 class TestSim:
@@ -340,7 +340,7 @@ class TestSim:
         assert f"{field} is out of range" in capsys.readouterr().err
 
     def test_config_radius_overflow_exits_two(self, tmp_path, capsys):
-        # case generation squares the radius; 1e200 ** 2 is not a float
+        # the farthest anchor's offset is beyond the box domain
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"specs": [{"base": "iou"}], "radius": [0, 1e200]}))
         assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
@@ -388,17 +388,31 @@ class TestSim:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_descent_exits_two(self, tmp_path, capsys):
-        # hi * hi is finite, but the descent's squared distances overflow
+        # the first step throws the anchors out to about 1e300, and the
+        # next one overflows; the final-state check names the first case
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
-            {"specs": [{"base": "ciou"}], "radius": [0, 1e150], "n_points": 1, "iterations": 2}
+            {"specs": [{"base": "ciou"}], "step_size": 1e300, "n_points": 1, "iterations": 2}
         ))
         out = tmp_path / "o"
         assert run_cli("sim", "--config", str(cfg_path), "--threads", "1", "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "summary.csv: total_error is nan on line 3" in captured.err
-        assert list(out.iterdir()) == []
+        assert "error: ciou: the descent's final state of case 0 is outside" in captured.err
+        assert "finite" in captured.err
+        assert not out.exists()
+
+    def test_repeated_labels_exit_two(self, tmp_path, capsys):
+        # both specs would be labelled inner-iou(0.8) in summary.csv
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "specs": [{"base": "iou", "inner": 0.8}, {"base": "iou", "inner": 0.80000001}],
+            "n_points": 1, "iterations": 2,
+        }))
+        out = tmp_path / "o"
+        assert run_cli("sim", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert "distinct labels, got ['inner-iou(0.8)', 'inner-iou(0.8)']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -459,6 +473,12 @@ class TestSweep:
         header = csv_path.read_text().splitlines()[0]
         assert header == "deviation,iou_10,absgrad_10,iou_8,absgrad_8,iou_12,absgrad_12"
 
+    def test_colliding_column_names_exit_two(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--aux-sides", "8,8.0000001,12", "--out", str(csv_path)) == 2
+        assert "distinct column names, got ['10', '8', '8', '12']" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_bad_aux_sides_value(self):
         assert run_cli("sweep", "--aux-sides", "8,abc") == 2
 
@@ -468,9 +488,9 @@ class TestSweep:
         assert run_cli("sweep", "--axis", axis, "--out", str(csv_path)) == 0
         assert sha256_file(csv_path) == SWEEP_CSV_SHA256
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_exits_two(self, tmp_path, capsys):
-        # the box areas underflow to 0, so every overlap is 0/0
+        # the box areas would underflow to 0 and every overlap be 0/0; the
+        # sides are below the domain's least side, so nothing is evaluated
         csv_path = tmp_path / "f.csv"
         code = run_cli(
             "sweep", "--box-side", "1e-300", "--aux-sides", "8e-301,1.2e-300",
@@ -479,7 +499,7 @@ class TestSweep:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "f.csv: iou_1e-300 is nan on line 2" in captured.err
+        assert "error: box_side square at the deviation range's end is outside" in captured.err
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
@@ -489,6 +509,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
 
+    def test_failed_output_leaves_no_other_output(self, tmp_path, capsys):
+        csv_path = tmp_path / "ok.csv"
+        code = run_cli(
+            "sweep", "--samples", "11", "--out", str(csv_path),
+            "--report", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_deterministic(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -496,6 +526,40 @@ class TestSweep:
             run_cli("sweep", "--samples", "51", "--out", str(p))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+
+class TestDomainExits:
+    """Inputs outside the supported box domain exit 2 before any output."""
+
+    @pytest.mark.parametrize(
+        "argv,config,match",
+        [
+            (["eval", "--anchor", "0,0,1e-200,1e-200", "--gt", "0,0,1e-200,1e-200",
+              "--loss", "iou"], None, "box is outside the supported box domain"),
+            (["eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou",
+              "--ratio", "1e-200"], None, "inner ratio must lie in"),
+            (["sweep", "--box-side", "1e-300", "--aux-sides", "8e-301,1.2e-300",
+              "--samples", "11"], None, "box_side square"),
+            (["sim", "--config", "cfg.json", "--out", "o"],
+             {"specs": [{"base": "ciou"}], "radius": [1e20, 1e20], "n_points": 1,
+              "iterations": 2}, "radius: the farthest anchor is outside"),
+            (["sim", "--config", "cfg.json", "--out", "o"],
+             {"specs": [{"base": "ciou"}], "step_size": 1e20, "n_points": 1, "iterations": 2},
+             "ciou: the descent's final state of case 3 is outside"),
+        ],
+        ids=["eval-tiny-boxes", "eval-tiny-ratio", "sweep-tiny-sides", "sim-far-radius",
+             "sim-huge-step"],
+    )
+    def test_exits_two_with_nothing_written(self, tmp_path, monkeypatch, capsys, argv, config, match):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        before = sorted(tmp_path.iterdir())
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert match in captured.err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestParser:

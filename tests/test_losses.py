@@ -36,10 +36,6 @@ class TestBoxValidation:
         with pytest.raises(ValueError, match="resolution"):
             Box(1e3, 0.0, 1e-20, 1.0)
 
-    def test_corner_accessors(self):
-        b = Box(10.0, 20.0, 4.0, 6.0)
-        assert (b.left, b.right, b.top, b.bottom) == (8.0, 12.0, 17.0, 23.0)
-
 
 class TestLossSpec:
     def test_base_is_the_name(self):
@@ -202,7 +198,10 @@ def _siou_reference(a, g, *, eps=1e-7, theta=4.0):
     z = min(dx, dy) / (dist + eps)
     angle = 2.0 * z * math.sqrt(max(0.0, 1.0 - z * z))
     gamma = 2.0 - angle
-    e = (min(a.left, g.left), max(a.right, g.right), min(a.top, g.top), max(a.bottom, g.bottom))
+    # (left, right, top, bottom) corners
+    ac = (a.x - a.w / 2.0, a.x + a.w / 2.0, a.y - a.h / 2.0, a.y + a.h / 2.0)
+    gc = (g.x - g.w / 2.0, g.x + g.w / 2.0, g.y - g.h / 2.0, g.y + g.h / 2.0)
+    e = (min(ac[0], gc[0]), max(ac[1], gc[1]), min(ac[2], gc[2]), max(ac[3], gc[3]))
     cw, ch = e[1] - e[0], e[3] - e[2]
     rho_x = ((g.x - a.x) / cw) ** 2
     rho_y = ((g.y - a.y) / ch) ** 2
@@ -210,8 +209,8 @@ def _siou_reference(a, g, *, eps=1e-7, theta=4.0):
     omega_h = abs(a.h - g.h) / max(a.h, g.h)
     delta = 0.5 * sum(1.0 - math.exp(-gamma * r) for r in (rho_x, rho_y))
     omega = 0.5 * sum((1.0 - math.exp(-w)) ** theta for w in (omega_w, omega_h))
-    iw = max(0.0, min(a.right, g.right) - max(a.left, g.left))
-    ih = max(0.0, min(a.bottom, g.bottom) - max(a.top, g.top))
+    iw = max(0.0, min(ac[1], gc[1]) - max(ac[0], gc[0]))
+    ih = max(0.0, min(ac[3], gc[3]) - max(ac[2], gc[2]))
     iou = iw * ih / (a.w * a.h + g.w * g.h - iw * ih)
     return 1.0 - iou + (delta + omega) / 2.0, angle, gamma, delta, omega
 

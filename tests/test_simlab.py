@@ -72,8 +72,14 @@ class TestSimConfig:
             (dict(n_points=10**400), "n_points"),
             (dict(iterations=10**400), "iterations"),
             (dict(seed=10**400), "seed"),
-            # hi * hi overflows where case generation squares the radius
+            # the farthest anchor's offset is beyond BOX_LIMIT
             (dict(radius=(0.0, 1e200)), "radius"),
+            # 1e-4 sides vanish at the float resolution of a 1e20 offset
+            (dict(radius=(1e20, 1e20)), "radius: the farthest anchor is outside"),
+            (dict(radius=(0.0, math.nan)), "radius"),
+            (dict(specs=(LossSpec("iou", inner=0.8), LossSpec("iou", inner=0.80000001))),
+             r"distinct labels, got \['inner-iou\(0.8\)', 'inner-iou\(0.8\)'\]"),
+            (dict(specs=(LossSpec("ciou"), LossSpec("ciou"))), "distinct labels"),
             # a JSON config's strings and bools are not read as numbers
             (dict(radius="03"), r"radius must be a \[lo, hi\] pair"),
             (dict(radius=3), r"radius must be a \[lo, hi\] pair"),
@@ -87,6 +93,12 @@ class TestSimConfig:
         base.update(overrides)
         with pytest.raises(ValueError, match=match):
             SimConfig(**base)
+
+    def test_radius_bound_is_the_farthest_anchor(self):
+        # a 1e-4 side stays in the domain up to an offset of 1e5
+        assert SimConfig(specs=(LossSpec("iou"),), radius=(0.0, 9e4)).radius == (0.0, 9e4)
+        with pytest.raises(ValueError, match="radius"):
+            SimConfig(specs=(LossSpec("iou"),), radius=(0.0, 2e5))
 
     def test_specs_must_be_loss_specs(self):
         with pytest.raises(ValueError, match="LossSpec"):
@@ -276,6 +288,16 @@ class TestRunSimulation:
         assert np.array_equal(serial.total_error_curve, pooled.total_error_curve)
         assert serial.mean_final_error == pooled.mean_final_error
         assert serial.auc == pooled.auc
+
+    def test_final_state_outside_domain_names_spec_and_case(self):
+        # a 1e20 step throws case 3 out to about 1e19 with 0.12-wide sides
+        cfg = tiny_cfg(specs=(LossSpec("ciou"),), step_size=1e20, iterations=2)
+        with pytest.raises(ValueError, match=r"^ciou: the descent's final state of case 3 is"):
+            run_simulation(cfg, threads=1)
+        # the case id counts from the chunk's first case
+        anchors, targets = generate_case_arrays(cfg)
+        with pytest.raises(ValueError, match="final state of case 8195 is outside"):
+            _simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES)
 
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):

@@ -54,6 +54,15 @@ class TestSweepConfig:
             (dict(samples=True), "samples"),
             (dict(samples="5"), "samples"),
             (dict(axis="z"), "axis"),
+            # the domain: each curve's square at the deviation range's end
+            (dict(box_side=1e-300, aux_sides=(8e-301, 1.2e-300)), "box_side square"),
+            (dict(aux_sides=(8.0, 1e-9)), "aux_sides square"),
+            (dict(aux_sides=(8.0, 12.0), deviation_range=(-1e15, 15.0)), "resolution"),
+            (dict(deviation_range=(0.0, math.inf)), "finite"),
+            (dict(deviation_range=(math.nan, 1.0)), "deviation_range"),
+            # the CSV names columns by each side's %g form
+            (dict(aux_sides=(8.0, 8.0000001, 12.0)), r"column names, got \['10', '8', '8', '12'\]"),
+            (dict(aux_sides=(8.0, 10.0000001, 12.0)), r"column names, got \['10', '8', '10', '12'\]"),
         ],
     )
     def test_validation(self, kwargs, match):
