@@ -129,7 +129,12 @@ class _Overlap(NamedTuple):
 def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Derivative weight of min(u, v) w.r.t. u; ties get the averaged value.
     # The same expression with swapped arguments serves max(u, v) w.r.t. v.
-    return 0.5 * (np.sign(v - u) + 1.0)
+    # In place, 0.5 * (np.sign(v - u) + 1.0).
+    w = v - u
+    np.sign(w, out=w)
+    w += 1.0
+    w *= 0.5
+    return w
 
 
 def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
@@ -153,14 +158,20 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
     This is the one overlap computation: the plain overlap is ``r == 1``,
     and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
     bit.
+
+    The in-place operations below are the same float operations in the
+    same order as the plain expressions in their comments, so they give the
+    same bits with fewer temporaries.
     """
     def edges(box):
-        half = (box[2:] * r) / 2.0
+        half = box[2:] * r
+        half /= 2.0  # (w * r) / 2
         return box[:2] - half, box[:2] + half
 
     a_lo, a_hi = edges(a)
     g_lo, g_hi = edges(g)
-    raw = np.minimum(a_hi, g_hi) - np.maximum(a_lo, g_lo)
+    raw = np.minimum(a_hi, g_hi)
+    raw -= np.maximum(a_lo, g_lo)
     ov = np.maximum(raw, 0.0)
     inter = ov[0] * ov[1]
     # Corner-derived side lengths; using them for the areas keeps
@@ -169,7 +180,9 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
     # stationary points of every loss.
     a_side = a_hi - a_lo
     g_side = g_hi - g_lo
-    union = a_side[0] * a_side[1] + g_side[0] * g_side[1] - inter
+    union = a_side[0] * a_side[1]
+    union += g_side[0] * g_side[1]
+    union -= inter  # a_area + g_area - inter
     iou = inter / union
     edges4 = (a_lo, a_hi, g_lo, g_hi)
     if not with_grad:
@@ -177,14 +190,28 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
 
     w_hi = _pick(a_hi, g_hi)  # min(a_hi, g_hi) picks the anchor edge
     w_lo = _pick(g_lo, a_lo)  # max(a_lo, g_lo) picks the anchor edge
-    is_open = np.where(raw > 0.0, 1.0, 0.0)
-    d_ov = (is_open * (w_hi - w_lo), is_open * (w_hi + w_lo) * (r / 2.0))
-    d_inter = [d * ov[::-1] for d in d_ov]
-    d_union = (-d_inter[0], a_side[::-1] * r - d_inter[1])
-    d_iou = tuple(
-        (di * union - inter * du) / (union * union) for di, du in zip(d_inter, d_union)
-    )
-    return _Overlap(edges4, union, iou, d_union, d_iou)
+    # np.where is several times slower than a cast on arrays this size.
+    is_open = (raw > 0.0).astype(np.float64)
+    # d_inter = (is_open * (w_hi - w_lo) * ov[::-1],
+    #            is_open * (w_hi + w_lo) * (r / 2) * ov[::-1])
+    d_inter_c = w_hi - w_lo
+    d_inter_c *= is_open
+    d_inter_c *= ov[::-1]
+    d_inter_s = w_hi
+    d_inter_s += w_lo
+    d_inter_s *= is_open
+    d_inter_s *= r / 2.0
+    d_inter_s *= ov[::-1]
+    d_union_s = a_side[::-1] * r
+    d_union_s -= d_inter_s
+    d_union = (-d_inter_c, d_union_s)
+    # d_iou = (d_inter * union - inter * d_union) / (union * union)
+    union2 = union * union
+    for di, du in zip((d_inter_c, d_inter_s), d_union):
+        di *= union
+        di -= inter * du
+        di /= union2
+    return _Overlap(edges4, union, iou, d_union, (d_inter_c, d_inter_s))
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
@@ -290,13 +317,16 @@ def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> Bat
         )
         if with_grad:
             # m, dist and so gamma depend on the centers only.
+            # A ufunc's where= leaves the zeros of out where the condition
+            # fails, as np.where(cond, value, 0.0) would, and is faster.
             use_x = absx <= absy
-            d_m = np.where(np.stack((use_x, ~use_x)), np.sign(off), 0.0)
+            d_m = np.sign(off, out=np.zeros_like(off), where=np.stack((use_x, ~use_x)))
             pos = dist > 0.0
-            safe = np.where(pos, dist, 1.0)
-            d_dist = np.where(pos, off / safe, 0.0)
+            d_dist = np.divide(off, dist, out=np.zeros_like(off), where=pos)
             den = dist + EPSILON
-            d_z = np.where(pos, (d_m * den - m * d_dist) / (den * den), 0.0)
+            d_z = np.divide(
+                d_m * den - m * d_dist, den * den, out=np.zeros_like(d_m), where=pos
+            )
             d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / np.sqrt(1.0 - z * z)) * d_z)
             k = 2.0 * rho / ext
             d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]

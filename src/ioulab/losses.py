@@ -3,11 +3,12 @@
 Every loss maps an (anchor, gt) pair of boxes to a scalar that is zero iff
 the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
 downward. A :class:`LossSpec` selects the base loss and an optional
-center-scaled auxiliary ("inner") ratio; it is the one place that validates
-the ratio, against ``ioulab.batch.RATIO_LIMITS``. :func:`evaluate` runs the one
-evaluation kernel, :func:`ioulab.batch.eval_batch`, on a single pair: the
-loss comes with its analytic gradient with respect to the anchor parameters
-(x, y, w, h); the gt box is treated as constant.
+center-scaled auxiliary ("inner") ratio; :func:`inner_ratio` is the one
+place that validates a ratio, against ``ioulab.batch.RATIO_LIMITS``.
+:func:`evaluate` runs the one evaluation kernel,
+:func:`ioulab.batch.eval_batch`, on a single pair: the loss comes with its
+analytic gradient with respect to the anchor parameters (x, y, w, h); the
+gt box is treated as constant.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def real_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def inner_ratio(value, name: str = "inner ratio") -> float:
+    """``value`` as a float in ``RATIO_LIMITS``; ValueError naming ``name`` otherwise."""
+    ratio = real_number(name, value)
+    lo, hi = RATIO_LIMITS
+    if not (lo <= ratio <= hi):  # NaN fails it too
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+    return ratio
 
 
 def check_fields(cls, data, what: str, required: str) -> None:
@@ -102,10 +112,7 @@ class LossSpec:
                 f"unknown base loss {self.base!r} (choose from {', '.join(BASE_NAMES)})"
             )
         if self.inner is not None:
-            ratio = real_number("inner ratio", self.inner)
-            lo, hi = RATIO_LIMITS
-            if not (lo <= ratio <= hi):  # NaN fails it too
-                raise ValueError(f"inner ratio must lie in [{lo:g}, {hi:g}], got {self.inner}")
+            ratio = inner_ratio(self.inner)
             lo, hi = RATIO_RANGE
             if not (lo <= ratio <= hi):
                 warnings.warn(

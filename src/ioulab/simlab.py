@@ -12,6 +12,16 @@ Everything is deterministic: case generation is seeded, cases are laid out
 in a fixed nested order (target aspect, point, anchor scale, anchor
 aspect), and reductions always run in case order over fixed-size chunks,
 so results are identical no matter how many worker threads run the chunks.
+
+A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
+which ``eval_batch`` takes as its (n, 4) transpose without a copy. A case
+whose step is exactly zero and whose sides need no clamp has the same
+state at the next iteration, and since every output of the kernel is
+computed case by case from that case's boxes alone, it stays frozen for
+good. Such cases retire: later iterations evaluate, step and measure only
+the cases still moving, and skip the kernel once none are. A retired case
+keeps its last error in the chunk's full per-case error array, so every
+total sums the same values in the same order as an every-case loop.
 """
 
 from __future__ import annotations
@@ -177,15 +187,12 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return anchors, targets
 
 
-def _corner_l1(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    sx, sy, sw, sh = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
-    tx, ty, tw, th = targets[:, 0], targets[:, 1], targets[:, 2], targets[:, 3]
-    return (
-        np.abs((sx - sw / 2.0) - (tx - tw / 2.0))
-        + np.abs((sx + sw / 2.0) - (tx + tw / 2.0))
-        + np.abs((sy - sh / 2.0) - (ty - th / 2.0))
-        + np.abs((sy + sh / 2.0) - (ty + th / 2.0))
-    )
+def _corner_l1(state: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-case L1 distance from a (4, n) state's corners to the (2, n) corners ``lo``/``hi``."""
+    half = state[2:] / 2.0
+    d_lo = np.abs((state[:2] - half) - lo)
+    d_hi = np.abs((state[:2] + half) - hi)
+    return d_lo[0] + d_hi[0] + d_lo[1] + d_hi[1]
 
 
 def _simulate_chunk(
@@ -195,38 +202,55 @@ def _simulate_chunk(
     cfg: SimConfig,
     first_case: int = 0,
 ):
-    """Descend one chunk of cases under ``spec``.
+    """Descend one chunk of (n, 4) cases under ``spec``.
 
     Returns the per-iteration total error (the case's own error curve for a
     one-row chunk), then the per-case initial error, final error, final IoU
     and clamp count. A final state outside the box domain raises ValueError
     naming the spec and the case id, ``first_case`` plus its row.
     """
-    state = anchors.copy()
+    state = anchors.T.copy()
+    goal = np.ascontiguousarray(targets.T)
+    half = goal[2:] / 2.0
+    goal_lo, goal_hi = goal[:2] - half, goal[:2] + half
+    n = state.shape[1]
     steps = cfg.iterations
     totals = np.empty(steps + 1)
-    clamps = np.zeros(state.shape[0], dtype=np.int64)
+    clamps = np.zeros(n, dtype=np.int64)
 
-    err = _corner_l1(state, targets)
+    err = _corner_l1(state, goal_lo, goal_hi)
     initial = err.copy()
     totals[0] = err.sum()
+    # The cases that can still move (chunk rows), and their columns of
+    # state, goal, goal_lo, goal_hi and clamps.
+    rows = slice(None)
+    live = (state, goal, goal_lo, goal_hi, clamps)
     for t in range(1, steps + 1):
-        ev = eval_batch(spec, state, targets, with_grad=True)
+        x, g, lo, hi, c = live
+        if not x.shape[1]:
+            totals[t:] = totals[t - 1]
+            break
+        ev = eval_batch(spec, x.T, g.T, with_grad=True)
         # Larger steps while the pair barely overlaps, annealing to
         # step_size as the overlap approaches 1.
-        eta = cfg.step_size * (2.0 - ev.iou)
-        state -= eta[:, None] * ev.grad
-        low_w = state[:, 2] < MIN_SIZE
-        low_h = state[:, 3] < MIN_SIZE
+        move = cfg.step_size * (2.0 - ev.iou) * ev.grad.T
+        x -= move
+        low = x[2:] < MIN_SIZE
         # one event per clamped coordinate (bool + bool would OR, not add)
-        clamps += low_w
-        clamps += low_h
-        np.maximum(state[:, 2], MIN_SIZE, out=state[:, 2])
-        np.maximum(state[:, 3], MIN_SIZE, out=state[:, 3])
-        err = _corner_l1(state, targets)
+        c += low[0]
+        c += low[1]
+        np.maximum(x[2:], MIN_SIZE, out=x[2:])
+        err[rows] = _corner_l1(x, lo, hi)
         totals[t] = err.sum()
-    check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_batch(state, targets)
+        # Retire the cases the step left in place and the clamp did not touch.
+        keep = np.flatnonzero(move.any(axis=0) | low[0] | low[1])
+        if keep.size < x.shape[1]:
+            state[:, rows], clamps[rows] = x, c
+            rows = np.arange(n)[rows][keep]
+            live = tuple(np.take(a, keep, axis=-1) for a in live)
+    state[:, rows], clamps[rows] = live[0], live[4]
+    check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
+    final_iou = iou_batch(state.T, goal.T)
     return totals, initial, err, final_iou, clamps
 
 

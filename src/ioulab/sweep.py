@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import check_boxes, eval_batch
-from .losses import LossSpec, whole_number
+from .losses import LossSpec, inner_ratio, whole_number
 
 AXES = ("x", "y")
 
@@ -77,6 +77,8 @@ class SweepConfig:
         for side in self.sides():
             kind = "box_side" if side == self.box_side else "aux_sides"
             check_boxes((*at, side, side), f"{kind} square at the deviation range's end")
+            # each curve is the pair rescaled by this ratio
+            inner_ratio(side / self.box_side, f"aux_sides {side:g} over box_side {self.box_side:g}")
         names = [f"{s:g}" for s in self.sides()]  # the CSV's column names
         if len(set(names)) < len(names):
             raise ValueError(f"aux_sides must give distinct column names, got {names}")

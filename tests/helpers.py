@@ -10,6 +10,10 @@ evaluation numerically, so it is an independent check on every derived
 derivative expression. The CSV reference formats each value on its own
 with ``format`` and lets ``csv.writer`` join and quote the fields, the
 way the CLI wrote its CSV files before it built one format per row.
+The every-row descent is the simulation's chunk loop as it was before
+cases retired: it evaluates and steps every case of an (n, 4) chunk on
+every iteration, so it is the reference the retiring loop must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import io
 
 import numpy as np
 
-from ioulab import BASE_NAMES, Box, LossSpec, eval_batch
+from ioulab import BASE_NAMES, Box, LossSpec, SimConfig, eval_batch, iou_batch
+from ioulab.batch import check_boxes
+from ioulab.simlab import MIN_SIZE
 
 AXES = ("x", "y", "w", "h")
 
@@ -195,3 +201,55 @@ def csv_reference(header, blocks) -> bytes:
             ]
             w.writerow([*lead, *values])
     return buf.getvalue().encode("utf-8")
+
+
+def _corner_l1_rows(state: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    sx, sy, sw, sh = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
+    tx, ty, tw, th = targets[:, 0], targets[:, 1], targets[:, 2], targets[:, 3]
+    return (
+        np.abs((sx - sw / 2.0) - (tx - tw / 2.0))
+        + np.abs((sx + sw / 2.0) - (tx + tw / 2.0))
+        + np.abs((sy - sh / 2.0) - (ty - th / 2.0))
+        + np.abs((sy + sh / 2.0) - (ty + th / 2.0))
+    )
+
+
+def descend_every_row(
+    spec: LossSpec,
+    anchors: np.ndarray,
+    targets: np.ndarray,
+    cfg: SimConfig,
+    first_case: int = 0,
+):
+    """Descend one chunk of cases under ``spec``, evaluating every case every iteration.
+
+    Returns what ``simlab._simulate_chunk`` returns: the per-iteration total
+    error, then the per-case initial error, final error, final IoU and
+    clamp count.
+    """
+    state = anchors.copy()
+    steps = cfg.iterations
+    totals = np.empty(steps + 1)
+    clamps = np.zeros(state.shape[0], dtype=np.int64)
+
+    err = _corner_l1_rows(state, targets)
+    initial = err.copy()
+    totals[0] = err.sum()
+    for t in range(1, steps + 1):
+        ev = eval_batch(spec, state, targets, with_grad=True)
+        # Larger steps while the pair barely overlaps, annealing to
+        # step_size as the overlap approaches 1.
+        eta = cfg.step_size * (2.0 - ev.iou)
+        state -= eta[:, None] * ev.grad
+        low_w = state[:, 2] < MIN_SIZE
+        low_h = state[:, 3] < MIN_SIZE
+        # one event per clamped coordinate (bool + bool would OR, not add)
+        clamps += low_w
+        clamps += low_h
+        np.maximum(state[:, 2], MIN_SIZE, out=state[:, 2])
+        np.maximum(state[:, 3], MIN_SIZE, out=state[:, 3])
+        err = _corner_l1_rows(state, targets)
+        totals[t] = err.sum()
+    check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
+    final_iou = iou_batch(state, targets)
+    return totals, initial, err, final_iou, clamps

@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ioulab import BASE_NAMES, Box, LossSpec, eval_batch, evaluate, iou_batch
+from ioulab import (
+    BASE_NAMES,
+    SCENARIOS,
+    Box,
+    LossSpec,
+    SimConfig,
+    eval_batch,
+    evaluate,
+    generate_case_arrays,
+    iou_batch,
+    scenario_specs,
+)
+from ioulab.simlab import CHUNK_CASES
 from ioulab.batch import _blocks, _overlap
 
 from helpers import TEST_RATIOS, random_box, random_integer_box, raster_iou, spec_matrix
@@ -158,6 +170,30 @@ class TestEvalBatch:
         if res.inner_iou is not None:
             assert np.all(res.inner_iou == 1.0)
         assert np.all(res.grad == 0.0)
+
+
+class TestRowSubsets:
+    """The descent retires frozen cases because the kernel is row-wise bit for bit."""
+
+    @pytest.mark.parametrize(
+        "scenario,spec",
+        [(name, spec) for name, p in sorted(SCENARIOS.items()) for spec in scenario_specs(p["ratio"])],
+        ids=str,
+    )
+    def test_gathered_rows_match_the_full_chunk(self, scenario, spec):
+        cfg = SimConfig(specs=(spec,), n_points=24, radius=SCENARIOS[scenario]["radius"])
+        anchors, targets = generate_case_arrays(cfg)
+        # (4, n) blocks, passed as (n, 4) transposes the way the descent does
+        a, g = anchors[:CHUNK_CASES].T.copy(), targets[:CHUNK_CASES].T.copy()
+        rows = np.flatnonzero(np.random.default_rng(7).random(CHUNK_CASES) < 0.15)
+        full = eval_batch(spec, a.T, g.T)
+        part = eval_batch(spec, a[:, rows].T, g[:, rows].T)
+        for name in ("loss", "iou", "inner_iou", "grad"):
+            want, got = getattr(full, name), getattr(part, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert got.tobytes() == want[rows].tobytes(), name
 
 
 # Coordinates bounded so a 1e-2 side never vanishes at the corner round trip.

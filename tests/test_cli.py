@@ -540,6 +540,8 @@ class TestDomainExits:
               "--ratio", "1e-200"], None, "inner ratio must lie in"),
             (["sweep", "--box-side", "1e-300", "--aux-sides", "8e-301,1.2e-300",
               "--samples", "11"], None, "box_side square"),
+            (["sweep", "--box-side", "1", "--aux-sides", "1e-4,2", "--samples", "11"], None,
+             "error: aux_sides 0.0001 over box_side 1 must lie in [0.001, 1000]"),
             (["sim", "--config", "cfg.json", "--out", "o"],
              {"specs": [{"base": "ciou"}], "radius": [1e20, 1e20], "n_points": 1,
               "iterations": 2}, "radius: the farthest anchor is outside"),
@@ -547,7 +549,7 @@ class TestDomainExits:
              {"specs": [{"base": "ciou"}], "step_size": 1e20, "n_points": 1, "iterations": 2},
              "ciou: the descent's final state of case 3 is outside"),
         ],
-        ids=["eval-tiny-boxes", "eval-tiny-ratio", "sweep-tiny-sides", "sim-far-radius",
+        ids=["eval-tiny-boxes", "eval-tiny-ratio", "sweep-tiny-sides", "sweep-tiny-ratio", "sim-far-radius",
              "sim-huge-step"],
     )
     def test_exits_two_with_nothing_written(self, tmp_path, monkeypatch, capsys, argv, config, match):

@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import BASE_NAMES, Box, LossSpec, evaluate
+from ioulab import (
+    BASE_NAMES,
+    SCENARIOS,
+    Box,
+    LossSpec,
+    SimConfig,
+    evaluate,
+    run_simulation,
+    scenario_specs,
+)
+from ioulab import simlab
 from ioulab.batch import eval_batch
 
-from helpers import grad_fd_batch, random_smooth_pairs, spec_matrix
+from helpers import grad_fd_batch, random_smooth_pairs, smooth_mask, spec_matrix
 
 # Acceptance bound for the finite-difference cross-check: relative 1e-4
 # with an absolute floor of 1e-7 for components near zero.
@@ -72,6 +82,40 @@ class TestFiniteDifferenceAgreement:
             f"{spec.label()}: {np.count_nonzero(~ok)} components disagree, "
             f"worst abs diff {np.abs(analytic - fd).max():.3e}"
         )
+
+    def test_descent_states(self, monkeypatch):
+        # The states a high-preset descent visits after its first steps,
+        # kept where they are smooth as for random pairs.
+        preset = SCENARIOS["high"]
+        cfg = SimConfig(
+            specs=scenario_specs(preset["ratio"]),
+            n_points=4,
+            radius=preset["radius"],
+            iterations=4,
+            step_size=preset["step_size"],
+        )
+        visited = {}
+
+        def recording(spec, anchors, gts, **kwargs):
+            visited.setdefault(spec, []).append((np.array(anchors), np.array(gts)))
+            return eval_batch(spec, anchors, gts, **kwargs)
+
+        monkeypatch.setattr(simlab, "eval_batch", recording)
+        run_simulation(cfg)
+        assert list(visited) == list(cfg.specs)
+        for spec, calls in visited.items():
+            anchors = np.concatenate([a for a, _ in calls[1:]])
+            gts = np.concatenate([g for _, g in calls[1:]])
+            smooth = smooth_mask(anchors, gts)
+            assert np.count_nonzero(smooth) >= 1000, spec.label()
+            anchors, gts = anchors[smooth], gts[smooth]
+            analytic = eval_batch(spec, anchors, gts, with_grad=True).grad
+            fd = grad_fd_batch(spec, anchors, gts)
+            ok = fd_agrees(analytic, fd)
+            assert ok.all(), (
+                f"{spec.label()}: {np.count_nonzero(~ok)} components disagree, "
+                f"worst abs diff {np.abs(analytic - fd).max():.3e}"
+            )
 
     def test_step_sweep_converges(self):
         spec = LossSpec("diou")

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import Box, LossSpec, SimConfig, generate_case_arrays, run_simulation
+import helpers
+from helpers import descend_every_row
+from ioulab import (
+    SCENARIOS,
+    Box,
+    LossSpec,
+    SimConfig,
+    generate_case_arrays,
+    run_simulation,
+    scenario_specs,
+)
 from ioulab import simlab
 from ioulab.simlab import ASPECTS, CENTER, CHUNK_CASES, MIN_SIZE, SCALES, _simulate_chunk
 
@@ -323,3 +333,135 @@ class TestRunSimulation:
             monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
         run_simulation(tiny_cfg(), threads=0)
         assert workers == [3 if affinity else 5]
+
+
+def preset_cfg(scenario: str, **overrides) -> SimConfig:
+    """A small population of a preset, with all 12 of its specs."""
+    preset = SCENARIOS[scenario]
+    base = dict(
+        specs=scenario_specs(preset["ratio"]),
+        n_points=2,
+        radius=preset["radius"],
+        iterations=40,
+        step_size=preset["step_size"],
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def assert_same_chunk(got, want):
+    """Both chunk descents returned the same five arrays, byte for byte."""
+    names = ("totals", "initial error", "final error", "final iou", "clamps")
+    assert len(got) == len(want) == len(names)
+    for name, g, w in zip(names, got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+
+
+def rows_per_call(monkeypatch) -> list[int]:
+    """Route simlab's kernel calls through a wrapper that records each call's row count."""
+    rows = []
+    kernel = simlab.eval_batch
+
+    def counting(spec, anchors, gts, **kwargs):
+        rows.append(anchors.shape[0])
+        return kernel(spec, anchors, gts, **kwargs)
+
+    monkeypatch.setattr(simlab, "eval_batch", counting)
+    return rows
+
+
+class TestRetirement:
+    """The retiring chunk loop against the every-row loop in ``helpers``."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_spec_matches_every_row_descent(self, scenario):
+        cfg = preset_cfg(scenario)
+        anchors, targets = generate_case_arrays(cfg)
+        for spec in cfg.specs:
+            assert_same_chunk(
+                _simulate_chunk(spec, anchors, targets, cfg),
+                descend_every_row(spec, anchors, targets, cfg),
+            )
+
+    def test_chunk_where_every_case_retires(self, monkeypatch):
+        # no low-preset start overlaps its target, so plain iou moves nothing
+        cfg = preset_cfg("low", specs=(LossSpec("iou"),))
+        anchors, targets = generate_case_arrays(cfg)
+        want = descend_every_row(cfg.specs[0], anchors, targets, cfg)
+        rows = rows_per_call(monkeypatch)
+        assert_same_chunk(_simulate_chunk(cfg.specs[0], anchors, targets, cfg), want)
+        # one evaluation finds every case frozen; the kernel is not called again
+        assert rows == [cfg.case_count]
+        assert np.all(want[0] == want[0][0])
+
+    @pytest.mark.parametrize(
+        "anchor,target",
+        [
+            # equilibrium sides below MIN_SIZE: both sides clamp every step
+            (Box(0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), Box(0, 0, MIN_SIZE / 2, MIN_SIZE / 2)),
+            # disjoint until the clamp widens it into the target: its first
+            # step is zero, yet it moves after the clamp
+            (Box(-0.5 - 0.3 * MIN_SIZE, 0, 0.2 * MIN_SIZE, 0.2 * MIN_SIZE), Box(0, 0, 1, 1)),
+        ],
+        ids=["clamped-every-step", "clamp-starts-overlap"],
+    )
+    def test_clamped_cases(self, anchor, target):
+        cfg = tiny_cfg(iterations=7)
+        anchors, targets = np.array([anchor.as_tuple()]), np.array([target.as_tuple()])
+        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg)
+        assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
+        # both clamp on the first step and end overlapping their targets
+        assert got[4][0] >= 2
+        assert got[3][0] > 0.0
+
+    @pytest.mark.parametrize(
+        "spec,step_size,case",
+        # A huge step throws the moving cases out of the domain. Plain iou's
+        # first 42 cases do not overlap, so they retire in place and the
+        # first bad case comes after them.
+        [(LossSpec("ciou"), 1e20, 3), (LossSpec("iou"), 1e41, 42)],
+        ids=str,
+    )
+    def test_final_domain_error_names_the_same_case(self, spec, step_size, case):
+        cfg = tiny_cfg(specs=(spec,), step_size=step_size, iterations=2)
+        anchors, targets = generate_case_arrays(cfg)
+        with pytest.raises(ValueError) as want:
+            descend_every_row(spec, anchors, targets, cfg, CHUNK_CASES)
+        with pytest.raises(ValueError) as got:
+            _simulate_chunk(spec, anchors, targets, cfg, CHUNK_CASES)
+        assert str(got.value) == str(want.value)
+        assert f"final state of case {CHUNK_CASES + case} is outside" in str(got.value)
+
+    def test_kernel_sees_only_the_moving_cases(self, monkeypatch):
+        # The tracer of the benchmark wraps simlab.eval_batch, so the loop
+        # must call the kernel through that module attribute.
+        cfg = preset_cfg("high", specs=(LossSpec("iou"), LossSpec("giou")), iterations=6)
+        anchors, targets = generate_case_arrays(cfg)
+        # the every-row loop's own moves say which cases are still moving
+        expected, frozen = [], []
+        kernel = helpers.eval_batch
+
+        def frozen_after(spec, state, gts, **kwargs):
+            ev = kernel(spec, state, gts, **kwargs)
+            move = (cfg.step_size * (2.0 - ev.iou))[:, None] * ev.grad
+            clamped = ((state - move)[:, 2:] < MIN_SIZE).any(axis=1)
+            frozen.append(~(move.any(axis=1) | clamped))
+            return ev
+
+        monkeypatch.setattr(helpers, "eval_batch", frozen_after)
+        for spec in cfg.specs:
+            frozen.clear()
+            descend_every_row(spec, anchors, targets, cfg)
+            moving = np.ones(cfg.case_count, dtype=bool)
+            for f in frozen:
+                if moving.any():
+                    expected.append(int(moving.sum()))
+                moving &= ~f
+
+        rows = rows_per_call(monkeypatch)
+        run_simulation(cfg)
+        assert rows == expected
+        # iou retires most cases after its first step; giou retires none
+        assert rows[1] < cfg.case_count / 2
+        assert rows[-cfg.iterations:] == [cfg.case_count] * cfg.iterations

@@ -60,6 +60,10 @@ class TestSweepConfig:
             (dict(aux_sides=(8.0, 12.0), deviation_range=(-1e15, 15.0)), "resolution"),
             (dict(deviation_range=(0.0, math.inf)), "finite"),
             (dict(deviation_range=(math.nan, 1.0)), "deviation_range"),
+            # each curve's ratio side / box_side is a ratio LossSpec accepts
+            (dict(box_side=1.0, aux_sides=(1e-4, 2.0)),
+             r"aux_sides 0.0001 over box_side 1 must lie in \[0.001, 1000\], got 0.0001"),
+            (dict(box_side=1e-3, aux_sides=(1e-4, 2.0)), "aux_sides 2 over box_side 0.001 must lie"),
             # the CSV names columns by each side's %g form
             (dict(aux_sides=(8.0, 8.0000001, 12.0)), r"column names, got \['10', '8', '8', '12'\]"),
             (dict(aux_sides=(8.0, 10.0000001, 12.0)), r"column names, got \['10', '8', '10', '12'\]"),
