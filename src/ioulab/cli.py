@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 on success, 1 when a checked property
 fails (a sweep conclusion does not hold), 2 on usage or config errors, an
-output path that cannot be written, or a result that is not finite.
+output path that cannot be written, a result that is not finite, or a run
+too large for the memory it can get.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
 no field holds a comma, quote or newline, so none is ever quoted.
@@ -28,14 +29,15 @@ from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 
-CSV_ROWS_PER_WRITE = 8192  # rows that exist as Python values at a time
+CSV_ROWS_PER_WRITE = 1024  # rows that exist as Python values at a time
 
 
 def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
     """Write each ``(path, chunks)`` output; an OSError is a usage error.
 
-    Every path is opened before any is written, and a failure removes the
-    files that did not exist before, so a run leaves all its outputs or none.
+    Every path is opened before any is written, and any failure, such as
+    running out of memory while formatting, removes the files that did not
+    exist before, so a run leaves all its outputs or none.
     """
     new = [path for path, _ in outputs if not path.exists()]
     try:
@@ -45,10 +47,12 @@ def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
                 files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
             for f, (path, chunks) in zip(files, outputs):
                 f.writelines(chunks)
-    except OSError as exc:
+    except BaseException as exc:
         for created in new:
             created.unlink(missing_ok=True)
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[str]]:
@@ -316,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the run is too large for the memory it can get", file=sys.stderr)
         return 2
 
 

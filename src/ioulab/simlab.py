@@ -33,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import check_boxes, eval_batch, iou_batch
+from .batch import BLOCK_ROWS, check_boxes, eval_batch, iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
-CHUNK_CASES = 8192
+CHUNK_CASES = BLOCK_ROWS
 
 # The fixed population: every target has unit area and sits at CENTER;
 # the targets take each of ASPECTS, and the anchors each area in SCALES

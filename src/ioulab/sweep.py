@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import check_boxes, eval_batch
+from .batch import BLOCK_ROWS, check_boxes, eval_batch
 from .losses import LossSpec, inner_ratio, whole_number
 
 AXES = ("x", "y")
@@ -95,23 +95,32 @@ def run_sweep(
 
     Returns the increasing deviations and, keyed by side in ``cfg.sides()``
     order, the overlap and the |gradient| columns along those deviations.
-    """
-    devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], cfg.samples)
-    targets = np.zeros((cfg.samples, 4))
-    targets[:, 2] = cfg.box_side
-    targets[:, 3] = cfg.box_side
-    anchors = targets.copy()
-    col = 0 if cfg.axis == "x" else 1
-    anchors[:, col] = devs
 
-    iou: dict[float, np.ndarray] = {}
-    absgrad: dict[float, np.ndarray] = {}
-    for side in cfg.sides():
-        # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
-        # and ratio 1 reproduces the plain overlap bit for bit.
-        ev = eval_batch(LossSpec("iou", inner=side / cfg.box_side), anchors, targets)
-        iou[side] = ev.inner_iou
-        absgrad[side] = np.abs(ev.grad[:, col])
+    The kernel sees at most ``BLOCK_ROWS`` anchors per call, each against
+    the one target box. Every output row depends on its own anchor alone,
+    so the block size changes no bit of the result, only the size of the
+    kernel's temporaries.
+    """
+    n = cfg.samples
+    devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], n)
+    target = np.array([0.0, 0.0, cfg.box_side, cfg.box_side])
+    col = AXES.index(cfg.axis)
+    # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
+    # and ratio 1 reproduces the plain overlap bit for bit.
+    specs = {side: LossSpec("iou", inner=side / cfg.box_side) for side in cfg.sides()}
+    iou = {side: np.empty(n) for side in specs}
+    absgrad = {side: np.empty(n) for side in specs}
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        # One anchor per column, which eval_batch takes as its (rows, 4)
+        # transpose without a copy.
+        anchors = np.empty((4, hi - lo))
+        anchors[:] = target[:, None]
+        anchors[col] = devs[lo:hi]
+        for side, spec in specs.items():
+            ev = eval_batch(spec, anchors.T, target)
+            iou[side][lo:hi] = ev.inner_iou
+            np.abs(ev.grad[:, col], out=absgrad[side][lo:hi])
     return devs, iou, absgrad
 
 

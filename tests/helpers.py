@@ -13,7 +13,10 @@ way the CLI wrote its CSV files before it built one format per row.
 The every-row descent is the simulation's chunk loop as it was before
 cases retired: it evaluates and steps every case of an (n, 4) chunk on
 every iteration, so it is the reference the retiring loop must match bit
-for bit.
+for bit. The whole-array sweep is the deviation sweep as it was before it
+ran in blocks: one kernel call per curve over every sample, against a full
+array of copies of the target, so it is the reference the block loop must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from ioulab import BASE_NAMES, Box, LossSpec, SimConfig, eval_batch, iou_batch
 from ioulab.batch import check_boxes
 from ioulab.simlab import MIN_SIZE
+from ioulab.sweep import SweepConfig
 
 AXES = ("x", "y", "w", "h")
 
@@ -253,3 +257,22 @@ def descend_every_row(
     check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     final_iou = iou_batch(state, targets)
     return totals, initial, err, final_iou, clamps
+
+
+def sweep_whole_array(cfg: SweepConfig):
+    """What ``sweep.run_sweep`` returns, from one kernel call per curve over every sample."""
+    devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], cfg.samples)
+    targets = np.zeros((cfg.samples, 4))
+    targets[:, 2] = cfg.box_side
+    targets[:, 3] = cfg.box_side
+    anchors = targets.copy()
+    col = 0 if cfg.axis == "x" else 1
+    anchors[:, col] = devs
+
+    iou = {}
+    absgrad = {}
+    for side in cfg.sides():
+        ev = eval_batch(LossSpec("iou", inner=side / cfg.box_side), anchors, targets)
+        iou[side] = ev.inner_iou
+        absgrad[side] = np.abs(ev.grad[:, col])
+    return devs, iou, absgrad

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import csv_reference
-from ioulab import SCENARIOS, SimConfig, __version__, scenario_specs
+from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_specs
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
 
@@ -562,6 +562,53 @@ class TestDomainExits:
         assert captured.out == ""
         assert match in captured.err
         assert sorted(tmp_path.iterdir()) == before
+
+
+SIM_ARGV = ["sim", "--scenario", "high", "--points", "1", "--iterations", "2", "--out", "o"]
+SWEEP_ARGV = ["sweep", "--samples", "11", "--out", "s.csv", "--report", "r.json"]
+
+
+class TestOutOfMemory:
+    """A run too large for memory exits 2 with one error line and no outputs.
+
+    The tests raise MemoryError from a stand-in instead of allocating: a
+    real oversized request could exhaust the memory of a host that
+    overcommits.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,target", [(SIM_ARGV, "run_simulation"), (SWEEP_ARGV, "run_sweep")], ids=["sim", "sweep"]
+    )
+    def test_while_computing(self, tmp_path, monkeypatch, capsys, argv, target):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, target, too_large)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [SIM_ARGV + ["--per-case"], SWEEP_ARGV], ids=["sim", "sweep"])
+    def test_while_writing(self, tmp_path, monkeypatch, capsys, argv):
+        # the first CSV runs out of memory after its header, with every
+        # output of the run already open
+        def failing_csv(path, header, blocks):
+            def lines():
+                yield ",".join(header) + "\n"
+                raise MemoryError
+
+            return path, lines()
+
+        monkeypatch.setattr(cli, "_csv", failing_csv)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert written == []
 
 
 class TestParser:

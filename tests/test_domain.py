@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import smooth_mask, spec_matrix
 from ioulab import BASE_NAMES, Box, LossSpec, eval_batch
-from ioulab.batch import BOX_LIMIT, RATIO_LIMITS, SIDE_REL, check_boxes
+from ioulab.batch import BOX_LIMIT, EPSILON, RATIO_LIMITS, SIDE_REL, check_boxes
 
 LEAST_SIDE = 1.0 / BOX_LIMIT
 
@@ -135,3 +136,60 @@ class TestLossesOnTheDomainEdges:
             assert np.all((0.0 <= ev.iou) & (ev.iou <= 1.0)), spec.label()
             if ev.inner_iou is not None:
                 assert np.all((0.0 <= ev.inner_iou) & (ev.inner_iou <= 1.0)), spec.label()
+
+
+# Boxes inside the domain whose centres stay within 50 of the origin and
+# whose sides lie in [0.5, 50]: at that spread the rounding of a shift by
+# up to 1e3 or a rescale moves a loss by well under LOSS_TOL.
+moderate_boxes = st.tuples(
+    st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.5, 50.0), st.floats(0.5, 50.0)
+).map(np.array)
+scales = st.floats(min_value=0.125, max_value=8.0)
+LOSS_TOL = 1e-10
+GRAD_REL = 1e-9
+# siou's angle term divides by the centre distance plus EPSILON, which does
+# not rescale with the boxes; on moderate boxes that moves a loss or a
+# partial by a few EPSILON at most.
+SIOU_TOL = 100 * EPSILON
+
+
+def tolerance(spec: LossSpec) -> float:
+    return SIOU_TOL if spec.base == "siou" else LOSS_TOL
+
+
+class TestSimilarityInvariance:
+    """Every loss sees a pair's shape, not where it sits or how large it is.
+
+    Each check evaluates the drawn pair (row 0) and its image (row 1) in
+    one call.
+    """
+
+    @given(moderate_boxes, moderate_boxes, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_translation_keeps_every_loss(self, a, g, tx, ty):
+        shift = np.array([tx, ty, 0.0, 0.0])
+        pair = check_boxes([[a, g], [a + shift, g + shift]], "drawn boxes")
+        for spec in spec_matrix():
+            loss = eval_batch(spec, pair[:, 0], pair[:, 1], with_grad=False).loss
+            assert loss[1] == pytest.approx(loss[0], abs=tolerance(spec)), spec.label()
+
+    @given(moderate_boxes, moderate_boxes, scales)
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_keeps_every_loss(self, a, g, k):
+        pair = check_boxes([[a, g], [a * k, g * k]], "drawn boxes")
+        for spec in spec_matrix():
+            loss = eval_batch(spec, pair[:, 0], pair[:, 1], with_grad=False).loss
+            assert loss[1] == pytest.approx(loss[0], abs=tolerance(spec)), spec.label()
+
+    @given(moderate_boxes, moderate_boxes, scales)
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_divides_every_gradient(self, a, g, k):
+        # Away from the kinks, where a rescale's rounding could change which
+        # side of a tie an edge lands on.
+        assume(smooth_mask(a[None], g[None])[0])
+        pair = check_boxes([[a, g], [a * k, g * k]], "drawn boxes")
+        for spec in spec_matrix():
+            grad = eval_batch(spec, pair[:, 0], pair[:, 1]).grad
+            np.testing.assert_allclose(
+                k * grad[1], grad[0], rtol=GRAD_REL, atol=tolerance(spec), err_msg=spec.label()
+            )

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ioulab import iou_batch
+from helpers import sweep_whole_array
+from ioulab import iou_batch, sweep as sweep_module
+from ioulab.batch import BLOCK_ROWS
 from ioulab.sweep import SweepConfig, _mask_regions, check_conclusions, run_sweep
 
 
@@ -147,6 +150,54 @@ class TestRunSweep:
         for side in ix:
             assert np.array_equal(ix[side], iy[side])
             assert np.array_equal(gx[side], gy[side])
+
+
+class TestBlocks:
+    """The sweep calls the kernel on blocks of at most BLOCK_ROWS samples."""
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("block", [BLOCK_ROWS, 5])
+    def test_same_bits_as_whole_array(self, monkeypatch, axis, block):
+        monkeypatch.setattr(sweep_module, "BLOCK_ROWS", block)
+        rows = []
+        kernel = sweep_module.eval_batch
+
+        def counting(spec, anchors, gts, **kwargs):
+            rows.append(len(anchors))
+            return kernel(spec, anchors, gts, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "eval_batch", counting)
+        # two full blocks and a short one, over a range that crosses every
+        # curve's zero-overlap point
+        cfg = SweepConfig(
+            aux_sides=(6.0, 8.0, 12.0, 14.0), deviation_range=(-15.5, 16.25),
+            samples=2 * block + 3, axis=axis,
+        )
+        devs, iou, absgrad = run_sweep(cfg)
+        ref_devs, ref_iou, ref_absgrad = sweep_whole_array(cfg)
+        assert devs.tobytes() == ref_devs.tobytes()
+        assert tuple(iou) == tuple(absgrad) == tuple(ref_iou) == cfg.sides()
+        for side in cfg.sides():
+            assert iou[side].tobytes() == ref_iou[side].tobytes()
+            assert absgrad[side].tobytes() == ref_absgrad[side].tobytes()
+        # each curve in two full blocks and the rest, never more rows in one call
+        assert sorted(rows) == sorted([block, block, 3] * len(cfg.sides()))
+
+    def test_peak_memory_stays_near_the_outputs(self):
+        # The sweep-dense benchmark's shape. numpy reports every buffer it
+        # allocates to tracemalloc, so the traced peak does not depend on
+        # timing. A whole-array sweep peaks at about 6.2 times its outputs,
+        # almost all of it kernel temporaries.
+        cfg = SweepConfig(samples=50_001, aux_sides=(6.0, 8.0, 12.0, 14.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            devs, iou, absgrad = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        out = devs.nbytes + sum(c.nbytes for c in (*iou.values(), *absgrad.values()))
+        assert peak <= 2 * out, f"peak {peak / out:.2f}x the {out} output bytes"
 
 
 def _regions_by_loop(devs, mask):
