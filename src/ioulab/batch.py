@@ -1,15 +1,16 @@
 """Vectorized loss evaluation with hand-derived analytic gradients.
 
-Inputs are float64 arrays of shape (..., 4) holding boxes in center form
-(x, y, w, h); outputs broadcast over the leading dimensions. This module is
-the single implementation behind both the scalar API in :mod:`ioulab.losses`
-and the bulk simulation loop, so the two can never drift apart.
+Boxes are in center form (x, y, w, h). The public entries :func:`eval_batch`
+and :func:`iou_batch` take broadcastable (..., 4) arrays, check every box
+with :func:`check_boxes` and copy each array once into a contiguous (4, ...)
+block for the unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`.
+The descent loop and the sweep hold their boxes as such blocks and call the
+kernels directly: a descent state may leave the domain mid-run.
 
-Per-axis layout: each input is copied once into a contiguous (4, ...)
-block, so ``block[:2]`` holds the centers (x, y) and ``block[2:]`` the sides
-(w, h). Every overlap, enclosure and offset quantity splits into an x and a
-y factor that depends only on that axis's center and side, so it is one
-(2, ...) array over both axes. A derivative is a pair ``(dc, ds)`` of
+Per-axis layout: ``block[:2]`` holds the centers (x, y) and ``block[2:]``
+the sides (w, h). Every overlap, enclosure and offset quantity splits into
+an x and a y factor that depends only on that axis's center and side, so it
+is one (2, ...) array over both axes. A derivative is a pair ``(dc, ds)`` of
 (2, ...) arrays: the partials with respect to the anchor's center (x, y)
 and to its sides (w, h). The partial of an x factor with respect to y or h
 is zero and is never stored; products of the two axes (areas, the squared
@@ -30,8 +31,7 @@ suite's probe ``grad_fd_batch`` in ``tests/helpers.py`` does.
 
 Supported inputs: boxes in the domain :func:`check_boxes` enforces and inner
 ratios in ``RATIO_LIMITS``. There every loss and gradient is finite and
-``0 <= iou <= 1``. ``eval_batch`` and ``iou_batch`` do not check it, since
-the descent loop calls them every iteration.
+``0 <= iou <= 1``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def check_boxes(boxes, name: str, *, first_row: int = 0) -> np.ndarray:
 
 @dataclass
 class BatchEval:
-    """Arrays produced by :func:`eval_batch`; gradient axes are (..., 4).
+    """Arrays produced by :func:`eval_blocks`; gradient axes are (..., 4).
 
     ``terms`` holds the ciou aspect term and weight (``v``, ``alpha``) or the
     siou decomposition, and is empty for the other bases. Of the siou terms,
@@ -143,11 +143,13 @@ def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
-    """Both box arrays as contiguous (4, ...) blocks of equal rank."""
-    arrs = [np.asarray(boxes, dtype=np.float64) for boxes in (anchors, gts)]
-    for arr in arrs:
-        if arr.shape[-1] != 4:
-            raise ValueError(f"boxes must have a trailing axis of size 4, got shape {arr.shape}")
+    """Both box arrays, checked by :func:`check_boxes`, as contiguous (4, ...) blocks of equal rank."""
+    arrs = []
+    for name, boxes in (("anchors", anchors), ("gts", gts)):
+        arr = np.asarray(boxes, dtype=np.float64)
+        if arr.shape[-1:] != (4,):
+            raise ValueError(f"{name} must have a trailing axis of size 4, got shape {arr.shape}")
+        arrs.append(check_boxes(arr, name))
     # Pad the leading dimensions first: with the box axis in front, a
     # (3, 4) gt would otherwise not broadcast against (2, 3, 4) anchors.
     nd = max(arr.ndim for arr in arrs)
@@ -220,13 +222,22 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
-    """Plain IoU over broadcastable (..., 4) center-form arrays in the domain (unchecked)."""
-    return _overlap(*_blocks(anchors, gts), 1.0, False).iou
+    """Plain IoU over broadcastable (..., 4) center-form arrays; ValueError outside the domain."""
+    return iou_blocks(*_blocks(anchors, gts))
 
 
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
-    """Evaluate ``spec`` over broadcastable box arrays in the domain (unchecked)."""
-    a, g = _blocks(anchors, gts)
+    """Evaluate ``spec`` over broadcastable (..., 4) box arrays; ValueError outside the domain."""
+    return eval_blocks(spec, *_blocks(anchors, gts), with_grad=with_grad)
+
+
+def iou_blocks(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Plain IoU of the (4, ...) anchor and gt blocks ``a``/``g`` (unchecked)."""
+    return _overlap(a, g, 1.0, False).iou
+
+
+def eval_blocks(spec: "LossSpec", a: np.ndarray, g: np.ndarray, *, with_grad: bool = True) -> BatchEval:
+    """Evaluate ``spec`` on the broadcastable (4, ...) blocks ``a``/``g`` of equal rank (unchecked)."""
     base = spec.base
 
     # --- overlap -----------------------------------------------------------

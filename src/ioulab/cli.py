@@ -16,14 +16,15 @@ import hashlib
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .losses import BASE_NAMES, Box, LossSpec, evaluate
+from .batch import check_boxes, eval_batch
+from .losses import BASE_NAMES, LossSpec
 from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_specs
 from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
@@ -86,12 +87,12 @@ def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[st
     return path, lines()
 
 
-def _box_arg(text: str) -> Box:
+def _box_arg(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected X,Y,W,H, got {text!r}")
     try:
-        return Box(*(float(p) for p in parts))
+        return check_boxes([float(p) for p in parts], "box")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -129,7 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.ratio is not None:
             raise ValueError("--ratio only applies to inner-* losses")
         spec = LossSpec(name)
-    res = evaluate(spec, args.anchor, args.gt)
+    res = eval_batch(spec, args.anchor, args.gt)
     payload = {
         "loss": res.loss,
         "iou": res.iou,
@@ -207,11 +208,17 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "error_metric": "corner_l1",
     }
     outputs.append((out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"]))
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
-    _write(*outputs)
+        _write(*outputs)  # raises ValueError for the OSErrors of its files
+    except BaseException as exc:
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise
 
     for s in summaries:
         print(

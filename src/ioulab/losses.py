@@ -5,10 +5,9 @@ the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
 downward. A :class:`LossSpec` selects the base loss and an optional
 center-scaled auxiliary ("inner") ratio; :func:`inner_ratio` is the one
 place that validates a ratio, against ``ioulab.batch.RATIO_LIMITS``.
-:func:`evaluate` runs the one evaluation kernel,
-:func:`ioulab.batch.eval_batch`, on a single pair: the loss comes with its
-analytic gradient with respect to the anchor parameters (x, y, w, h); the
-gt box is treated as constant.
+:func:`ioulab.batch.eval_batch` evaluates a spec on boxes, one pair or
+many: the loss comes with its analytic gradient with respect to the anchor
+parameters (x, y, w, h); the gt box is treated as constant.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, fields
 
-from .batch import RATIO_LIMITS, BatchEval, check_boxes, eval_batch
+from .batch import RATIO_LIMITS
 
 # Inner ratios outside this interval are legal but unusual enough to flag.
 RATIO_RANGE = (0.5, 1.5)
@@ -74,26 +73,6 @@ def check_fields(cls, data, what: str, required: str) -> None:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle in center form, inside the supported box domain.
-
-    The domain is the one :func:`ioulab.batch.check_boxes` enforces.
-    """
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip("xywh", check_boxes(self.as_tuple(), "box").tolist()):
-            object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.w, self.h)
-
-
-@dataclass(frozen=True)
 class LossSpec:
     """Fully resolved description of one loss variant.
 
@@ -138,12 +117,3 @@ class LossSpec:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid loss spec: {exc}") from exc
 
-
-def evaluate(spec: LossSpec, anchor: Box, gt: Box) -> BatchEval:
-    """Evaluate ``spec`` on a box pair, including the analytic gradient.
-
-    The result is the kernel's :class:`~ioulab.batch.BatchEval` for one
-    pair: ``loss``, ``iou``, ``inner_iou`` and every ``terms`` value are
-    scalars, and ``grad`` holds (dx, dy, dw, dh).
-    """
-    return eval_batch(spec, anchor.as_tuple(), gt.as_tuple())

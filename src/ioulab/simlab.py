@@ -14,11 +14,11 @@ aspect), and reductions always run in case order over fixed-size chunks,
 so results are identical no matter how many worker threads run the chunks.
 
 A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
-which ``eval_batch`` takes as its (n, 4) transpose without a copy. A case
-whose step is exactly zero and whose sides need no clamp has the same
-state at the next iteration, and since every output of the kernel is
-computed case by case from that case's boxes alone, it stays frozen for
-good. Such cases retire: later iterations evaluate, step and measure only
+which the unchecked kernel ``batch.eval_blocks`` takes as it is; only the
+final state is checked against the box domain. A case whose step is
+exactly zero and whose sides need no clamp has the same state at the next
+iteration, and since every output of the kernel is computed case by case
+from that case's boxes alone, it stays frozen for good. Such cases retire: later iterations evaluate, step and measure only
 the cases still moving, and skip the kernel once none are. A retired case
 keeps its last error in the chunk's full per-case error array, so every
 total sums the same values in the same order as an every-case loop.
@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, check_boxes, eval_batch, iou_batch
+from .batch import BLOCK_ROWS, check_boxes
+# perfbench/tracing.py wraps the kernels under these module attribute names.
+from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
@@ -230,7 +232,7 @@ def _simulate_chunk(
         if not x.shape[1]:
             totals[t:] = totals[t - 1]
             break
-        ev = eval_batch(spec, x.T, g.T, with_grad=True)
+        ev = eval_batch(spec, x, g, with_grad=True)
         # Larger steps while the pair barely overlaps, annealing to
         # step_size as the overlap approaches 1.
         move = cfg.step_size * (2.0 - ev.iou) * ev.grad.T
@@ -250,7 +252,7 @@ def _simulate_chunk(
             live = tuple(np.take(a, keep, axis=-1) for a in live)
     state[:, rows], clamps[rows] = live[0], live[4]
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_batch(state.T, goal.T)
+    final_iou = iou_batch(state, goal)
     return totals, initial, err, final_iou, clamps
 
 

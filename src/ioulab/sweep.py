@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, check_boxes, eval_batch
-from .losses import LossSpec, inner_ratio, whole_number
+from .batch import BLOCK_ROWS, check_boxes
+# perfbench/tracing.py wraps the kernel under this module attribute name.
+from .batch import eval_blocks as eval_batch
+from .losses import LossSpec, inner_ratio, real_number, whole_number
 
 AXES = ("x", "y")
 
@@ -56,12 +58,12 @@ class SweepConfig:
     axis: str = "x"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "box_side", float(self.box_side))
-        aux = tuple(float(s) for s in self.aux_sides)
+        object.__setattr__(self, "box_side", real_number("box_side", self.box_side))
+        aux = tuple(real_number("aux_sides", s) for s in self.aux_sides)
         if not aux:
             raise ValueError("aux_sides must not be empty")
         object.__setattr__(self, "aux_sides", aux)
-        rng = tuple(float(v) for v in self.deviation_range)
+        rng = tuple(real_number("deviation_range", v) for v in self.deviation_range)
         if len(rng) != 2 or not rng[0] < rng[1]:
             raise ValueError(
                 f"deviation_range must be an increasing pair, got {self.deviation_range}"
@@ -103,7 +105,7 @@ def run_sweep(
     """
     n = cfg.samples
     devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], n)
-    target = np.array([0.0, 0.0, cfg.box_side, cfg.box_side])
+    target = np.array([[0.0], [0.0], [cfg.box_side], [cfg.box_side]])
     col = AXES.index(cfg.axis)
     # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
     # and ratio 1 reproduces the plain overlap bit for bit.
@@ -112,13 +114,12 @@ def run_sweep(
     absgrad = {side: np.empty(n) for side in specs}
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        # One anchor per column, which eval_batch takes as its (rows, 4)
-        # transpose without a copy.
+        # One anchor per column: the (4, n) block the kernel takes.
         anchors = np.empty((4, hi - lo))
-        anchors[:] = target[:, None]
+        anchors[:] = target
         anchors[col] = devs[lo:hi]
         for side, spec in specs.items():
-            ev = eval_batch(spec, anchors.T, target)
+            ev = eval_batch(spec, anchors, target)
             iou[side][lo:hi] = ev.inner_iou
             np.abs(ev.grad[:, col], out=absgrad[side][lo:hi])
     return devs, iou, absgrad

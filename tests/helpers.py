@@ -16,7 +16,9 @@ every iteration, so it is the reference the retiring loop must match bit
 for bit. The whole-array sweep is the deviation sweep as it was before it
 ran in blocks: one kernel call per curve over every sample, against a full
 array of copies of the target, so it is the reference the block loop must
-match bit for bit.
+match bit for bit. Both call the unchecked block kernels on transposes of
+their (n, 4) arrays, as the loops they stand for do: a descent state may
+leave the box domain before its final step.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import io
 
 import numpy as np
 
-from ioulab import BASE_NAMES, Box, LossSpec, SimConfig, eval_batch, iou_batch
-from ioulab.batch import check_boxes
+from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch
+from ioulab.batch import check_boxes, eval_blocks, iou_blocks
 from ioulab.simlab import MIN_SIZE
 from ioulab.sweep import SweepConfig
 
@@ -42,7 +44,7 @@ TEST_RATIOS = (0.5, 0.8, 1.2, 1.5)
 SMOOTH_MARGIN = 1e-3
 
 
-def raster_iou(a: Box, b: Box, grid: int = 64) -> float:
+def raster_iou(a, b, grid: int = 64) -> float:
     """IoU recomputed by counting covered unit cells on an integer grid.
 
     Valid only for boxes with integer corners inside [0, grid]^2. The
@@ -53,9 +55,10 @@ def raster_iou(a: Box, b: Box, grid: int = 64) -> float:
     lo = cells[:, None]  # cell [i, i+1) x [j, j+1)
     hi = lo + 1.0
 
-    def covered(box: Box) -> np.ndarray:
-        cols = (box.x - box.w / 2.0 <= lo) & (hi <= box.x + box.w / 2.0)
-        rows = (box.y - box.h / 2.0 <= lo.T) & (hi.T <= box.y + box.h / 2.0)
+    def covered(box) -> np.ndarray:
+        x, y, w, h = box
+        cols = (x - w / 2.0 <= lo) & (hi <= x + w / 2.0)
+        rows = (y - h / 2.0 <= lo.T) & (hi.T <= y + h / 2.0)
         return cols & rows
 
     ca, cb = covered(a), covered(b)
@@ -64,22 +67,23 @@ def raster_iou(a: Box, b: Box, grid: int = 64) -> float:
     return inter / union
 
 
-def random_box(rng: np.random.Generator, *, span: float = 40.0, side: tuple[float, float] = (1.0, 15.0)) -> Box:
-    return Box(
-        rng.uniform(-span, span),
-        rng.uniform(-span, span),
-        rng.uniform(*side),
-        rng.uniform(*side),
+def random_box(rng: np.random.Generator, *, span: float = 40.0, side: tuple[float, float] = (1.0, 15.0)) -> tuple:
+    """An (x, y, w, h) tuple of floats."""
+    return (
+        float(rng.uniform(-span, span)),
+        float(rng.uniform(-span, span)),
+        float(rng.uniform(*side)),
+        float(rng.uniform(*side)),
     )
 
 
-def random_integer_box(rng: np.random.Generator, grid: int = 64) -> Box:
+def random_integer_box(rng: np.random.Generator, grid: int = 64) -> tuple:
     left, top = rng.integers(0, grid - 1, size=2)
     right = rng.integers(left + 1, grid + 1)
     bottom = rng.integers(top + 1, grid + 1)
     w = float(right - left)
     h = float(bottom - top)
-    return Box(left + w / 2.0, top + h / 2.0, w, h)
+    return (left + w / 2.0, top + h / 2.0, w, h)
 
 
 def _edges(x, y, w, h, r):
@@ -240,7 +244,7 @@ def descend_every_row(
     initial = err.copy()
     totals[0] = err.sum()
     for t in range(1, steps + 1):
-        ev = eval_batch(spec, state, targets, with_grad=True)
+        ev = eval_blocks(spec, state.T, targets.T, with_grad=True)
         # Larger steps while the pair barely overlaps, annealing to
         # step_size as the overlap approaches 1.
         eta = cfg.step_size * (2.0 - ev.iou)
@@ -255,7 +259,7 @@ def descend_every_row(
         err = _corner_l1_rows(state, targets)
         totals[t] = err.sum()
     check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_batch(state, targets)
+    final_iou = iou_blocks(state.T, targets.T)
     return totals, initial, err, final_iou, clamps
 
 
@@ -272,7 +276,7 @@ def sweep_whole_array(cfg: SweepConfig):
     iou = {}
     absgrad = {}
     for side in cfg.sides():
-        ev = eval_batch(LossSpec("iou", inner=side / cfg.box_side), anchors, targets)
+        ev = eval_blocks(LossSpec("iou", inner=side / cfg.box_side), anchors.T, targets.T)
         iou[side] = ev.inner_iou
         absgrad[side] = np.abs(ev.grad[:, col])
     return devs, iou, absgrad

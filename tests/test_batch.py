@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from ioulab import (
     BASE_NAMES,
     SCENARIOS,
-    Box,
     LossSpec,
     SimConfig,
     eval_batch,
-    evaluate,
     generate_case_arrays,
     iou_batch,
     scenario_specs,
 )
 from ioulab.simlab import CHUNK_CASES
-from ioulab.batch import _blocks, _overlap
+from ioulab.batch import _blocks, _overlap, eval_blocks
 
 from helpers import TEST_RATIOS, random_box, random_integer_box, raster_iou, spec_matrix
 
@@ -81,15 +79,15 @@ class TestOverlapKernels:
 
 
 class TestEvalBatch:
-    def test_matches_scalar_evaluate_bitwise(self):
+    def test_matches_single_pair_calls_bitwise(self):
         rng = np.random.default_rng(54)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(40)]
-        anchors = np.array([a.as_tuple() for a, _ in pairs])
-        gts = np.array([g.as_tuple() for _, g in pairs])
+        anchors = np.array([a for a, _ in pairs])
+        gts = np.array([g for _, g in pairs])
         for spec in spec_matrix():
             res = eval_batch(spec, anchors, gts, with_grad=True)
             for i in (0, 7, 23, 39):
-                single = evaluate(spec, pairs[i][0], pairs[i][1])
+                single = eval_batch(spec, *pairs[i])
                 _assert_matches(res.loss[i], single.loss, spec)
                 assert res.iou[i] == single.iou
                 if spec.inner is None:
@@ -183,11 +181,11 @@ class TestRowSubsets:
     def test_gathered_rows_match_the_full_chunk(self, scenario, spec):
         cfg = SimConfig(specs=(spec,), n_points=24, radius=SCENARIOS[scenario]["radius"])
         anchors, targets = generate_case_arrays(cfg)
-        # (4, n) blocks, passed as (n, 4) transposes the way the descent does
+        # (4, n) blocks, passed to the kernel the way the descent does
         a, g = anchors[:CHUNK_CASES].T.copy(), targets[:CHUNK_CASES].T.copy()
         rows = np.flatnonzero(np.random.default_rng(7).random(CHUNK_CASES) < 0.15)
-        full = eval_batch(spec, a.T, g.T)
-        part = eval_batch(spec, a[:, rows].T, g[:, rows].T)
+        full = eval_blocks(spec, a, g)
+        part = eval_blocks(spec, a[:, rows], g[:, rows])
         for name in ("loss", "iou", "inner_iou", "grad"):
             want, got = getattr(full, name), getattr(part, name)
             if want is None:
@@ -204,48 +202,49 @@ ratios = st.floats(min_value=0.5, max_value=1.5, allow_nan=False)
 
 @st.composite
 def boxes(draw):
-    return Box(draw(coords), draw(coords), draw(sides), draw(sides))
+    return (draw(coords), draw(coords), draw(sides), draw(sides))
 
 
-def iou(a: Box, b: Box) -> float:
-    return float(iou_batch(a.as_tuple(), b.as_tuple()))
+def iou(a, b) -> float:
+    return float(iou_batch(a, b))
 
 
-def inner_iou(a: Box, b: Box, ratio: float) -> float:
+def inner_iou(a, b, ratio: float) -> float:
     spec = LossSpec("iou", inner=ratio)
-    return float(eval_batch(spec, a.as_tuple(), b.as_tuple(), with_grad=False).inner_iou)
+    return float(eval_batch(spec, a, b, with_grad=False).inner_iou)
 
 
-def scale_about_center(box: Box, ratio: float) -> Box:
-    return Box(box.x, box.y, box.w * ratio, box.h * ratio)
+def scale_about_center(box, ratio: float) -> tuple:
+    x, y, w, h = box
+    return (x, y, w * ratio, h * ratio)
 
 
-def kernel_corners(box: Box, ratio: float = 1.0) -> tuple[float, ...]:
-    """(left, right, top, bottom) of ``box`` as the overlap kernel scales it."""
-    block, _ = _blocks(box.as_tuple(), box.as_tuple())
+def kernel_corners(box, ratio: float = 1.0) -> tuple[float, ...]:
+    """(left, right, top, bottom) of the (x, y, w, h) ``box`` as the overlap kernel scales it."""
+    block, _ = _blocks(box, box)
     low, high = _overlap(block, block, ratio, False).edges[:2]
     return tuple(float(v) for v in (low[0], high[0], low[1], high[1]))
 
 
-def enclosing_losses(a: Box, b: Box) -> tuple[float, float, float]:
+def enclosing_losses(a, b) -> tuple[float, float, float]:
     """iou, giou and diou losses; the last two add enclosing-box terms to the first."""
     return tuple(
-        float(eval_batch(LossSpec(base), a.as_tuple(), b.as_tuple(), with_grad=False).loss)
+        float(eval_batch(LossSpec(base), a, b, with_grad=False).loss)
         for base in ("iou", "giou", "diou")
     )
 
 
 class TestCornersAndScaling:
     def test_to_corners_identity_ratio(self):
-        left, right, top, bottom = kernel_corners(Box(100.0, 100.0, 8.0, 4.0))
+        left, right, top, bottom = kernel_corners((100.0, 100.0, 8.0, 4.0))
         assert (left, right, top, bottom) == (96.0, 104.0, 98.0, 102.0)
         assert (right - left, bottom - top) == (8.0, 4.0)
 
     def test_to_corners_scaled(self):
-        assert kernel_corners(Box(100.0, 100.0, 8.0, 4.0), 1.5) == (94.0, 106.0, 97.0, 103.0)
+        assert kernel_corners((100.0, 100.0, 8.0, 4.0), 1.5) == (94.0, 106.0, 97.0, 103.0)
 
     def test_scale_about_center_keeps_center(self):
-        left, right, top, bottom = kernel_corners(Box(3.0, -7.0, 10.0, 2.0), 0.5)
+        left, right, top, bottom = kernel_corners((3.0, -7.0, 10.0, 2.0), 0.5)
         center = ((left + right) / 2.0, (top + bottom) / 2.0)
         assert center + (right - left, bottom - top) == (3.0, -7.0, 5.0, 1.0)
 
@@ -259,21 +258,21 @@ class TestCornersAndScaling:
 
 class TestIou:
     def test_identical_boxes(self):
-        b = Box(3.7, -1.2, 5.3, 2.9)
+        b = (3.7, -1.2, 5.3, 2.9)
         assert iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(Box(0, 0, 10, 10), Box(20, 0, 10, 10)) == 0.0
+        assert iou((0, 0, 10, 10), (20, 0, 10, 10)) == 0.0
 
     def test_touching_edges_count_as_disjoint(self):
-        assert iou(Box(0, 0, 10, 10), Box(10, 0, 10, 10)) == 0.0
+        assert iou((0, 0, 10, 10), (10, 0, 10, 10)) == 0.0
 
     def test_half_overlap_square(self):
-        v = iou(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = iou((0, 0, 10, 10), (5, 0, 10, 10))
         assert v == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_contained_box(self):
-        v = iou(Box(0, 0, 10, 10), Box(0, 0, 5, 5))
+        v = iou((0, 0, 10, 10), (0, 0, 5, 5))
         assert v == pytest.approx(0.25, abs=1e-15)
 
     @given(boxes(), boxes())
@@ -287,14 +286,15 @@ class TestIou:
     @settings(max_examples=200)
     def test_translation_invariance(self, a, b, dx, dy):
         v0 = iou(a, b)
-        v1 = iou(Box(a.x + dx, a.y + dy, a.w, a.h), Box(b.x + dx, b.y + dy, b.w, b.h))
+        shift = (dx, dy, 0.0, 0.0)
+        v1 = iou(np.add(a, shift), np.add(b, shift))
         assert v1 == pytest.approx(v0, abs=1e-9)
 
     @given(boxes(), boxes(), st.floats(min_value=0.125, max_value=8.0))
     @settings(max_examples=200)
     def test_scale_invariance(self, a, b, k):
         v0 = iou(a, b)
-        v1 = iou(Box(a.x * k, a.y * k, a.w * k, a.h * k), Box(b.x * k, b.y * k, b.w * k, b.h * k))
+        v1 = iou(np.multiply(a, k), np.multiply(b, k))
         assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-12)
 
     def test_matches_cell_counting_on_integer_grid(self):
@@ -308,7 +308,7 @@ class TestIou:
 class TestEnclosing:
     def test_disjoint_pair(self):
         # enclosing box 30 x 10: area 300, squared diagonal 1000; union 200
-        base, giou, diou = enclosing_losses(Box(0, 0, 10, 10), Box(20, 0, 10, 10))
+        base, giou, diou = enclosing_losses((0, 0, 10, 10), (20, 0, 10, 10))
         assert base == 1.0
         assert giou == 1.0 + (300.0 - 200.0) / 300.0
         assert diou == 1.0 + 400.0 / 1000.0
@@ -316,7 +316,7 @@ class TestEnclosing:
     def test_contained_pair(self):
         # the enclosing box is the outer box itself: area 100 (the union),
         # squared diagonal 200
-        base, giou, diou = enclosing_losses(Box(0, 0, 10, 10), Box(1, 1, 2, 2))
+        base, giou, diou = enclosing_losses((0, 0, 10, 10), (1, 1, 2, 2))
         assert giou == base
         assert diou == base + 2.0 / 200.0
 
@@ -331,21 +331,21 @@ class TestEnclosing:
 
 class TestInnerIou:
     def test_identical_boxes_any_ratio(self):
-        b = Box(12.25, -3.5, 7.0, 3.0)
+        b = (12.25, -3.5, 7.0, 3.0)
         for r in (0.5, 0.8, 1.0, 1.2, 1.5):
             assert inner_iou(b, b, r) == 1.0
 
     def test_ratio_one_is_plain_iou(self):
-        a, b = Box(0, 0, 10, 10), Box(5, 0.3, 9.0, 10.7)
+        a, b = (0, 0, 10, 10), (5, 0.3, 9.0, 10.7)
         assert inner_iou(a, b, 1.0) == iou(a, b)
 
     def test_shrinking_can_break_overlap(self):
-        a, b = Box(0, 0, 10, 10), Box(5, 0, 10, 10)
+        a, b = (0, 0, 10, 10), (5, 0, 10, 10)
         assert inner_iou(a, b, 0.5) == 0.0
         assert iou(a, b) > 0.0
 
     def test_growing_can_create_overlap(self):
-        a, b = Box(0, 0, 10, 10), Box(11, 0, 10, 10)
+        a, b = (0, 0, 10, 10), (11, 0, 10, 10)
         assert iou(a, b) == 0.0
         assert inner_iou(a, b, 1.5) > 0.0
 

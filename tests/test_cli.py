@@ -568,6 +568,18 @@ SIM_ARGV = ["sim", "--scenario", "high", "--points", "1", "--iterations", "2", "
 SWEEP_ARGV = ["sweep", "--samples", "11", "--out", "s.csv", "--report", "r.json"]
 
 
+def failing_csv(path, header, blocks):
+    """A stand-in for ``cli._csv`` whose CSV runs out of memory after its header.
+
+    The writer has opened every output of the run by then.
+    """
+    def lines():
+        yield ",".join(header) + "\n"
+        raise MemoryError
+
+    return path, lines()
+
+
 class TestOutOfMemory:
     """A run too large for memory exits 2 with one error line and no outputs.
 
@@ -594,21 +606,24 @@ class TestOutOfMemory:
 
     @pytest.mark.parametrize("argv", [SIM_ARGV + ["--per-case"], SWEEP_ARGV], ids=["sim", "sweep"])
     def test_while_writing(self, tmp_path, monkeypatch, capsys, argv):
-        # the first CSV runs out of memory after its header, with every
-        # output of the run already open
-        def failing_csv(path, header, blocks):
-            def lines():
-                yield ",".join(header) + "\n"
-                raise MemoryError
-
-            return path, lines()
-
         monkeypatch.setattr(cli, "_csv", failing_csv)
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("error: out of memory")
         written = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert written == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-parent", "existing-parent"])
+    def test_sim_removes_the_directories_it_made(self, tmp_path, monkeypatch, capsys, existing):
+        monkeypatch.setattr(cli, "_csv", failing_csv)
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "o").mkdir()
+        assert run_cli(*SIM_ARGV[:-1], "o/deep") == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        # a directory that was there before the run stays
+        assert list(tmp_path.iterdir()) == ([tmp_path / "o"] if existing else [])
+        assert not (tmp_path / "o" / "deep").exists()
 
 
 class TestParser:

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import smooth_mask, spec_matrix
-from ioulab import BASE_NAMES, Box, LossSpec, eval_batch
+from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch, iou_batch, run_simulation, scenario_specs
+from ioulab import batch
 from ioulab.batch import BOX_LIMIT, EPSILON, RATIO_LIMITS, SIDE_REL, check_boxes
+from ioulab.sweep import SweepConfig, run_sweep
 
 LEAST_SIDE = 1.0 / BOX_LIMIT
 
@@ -88,8 +90,13 @@ class TestCheckBoxes:
 
     @pytest.mark.parametrize("box", [(1e3, 0.0, 1e-20, 1.0), (0.0, 0.0, 1e-200, 1e-200)])
     def test_box_uses_it(self, box):
-        with pytest.raises(ValueError, match=r"^box is outside the supported box domain"):
-            Box(*box)
+        # the public entries check each argument under its own name
+        good = (0.0, 0.0, 1.0, 1.0)
+        for name, args in (("anchors", (box, good)), ("gts", (good, box))):
+            with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
+                eval_batch(LossSpec("iou"), *args)
+            with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
+                iou_batch(*args)
 
 
 class TestRatioLimits:
@@ -122,6 +129,87 @@ def domain_boxes(draw):
         ))
 
     return (x, y, side(x), side(y))
+
+
+@st.composite
+def outside_boxes(draw):
+    """A box just off the domain: a NaN, a negative or too small side, or a coordinate too large."""
+    box = list(draw(domain_boxes()))
+    kind = draw(st.sampled_from(["nan", "side", "far"]))
+    if kind == "nan":
+        box[draw(st.integers(0, 3))] = math.nan
+    elif kind == "side":
+        i = draw(st.sampled_from([2, 3]))
+        least = max(LEAST_SIDE, SIDE_REL * abs(box[i - 2]))
+        box[i] = draw(st.floats(min_value=-BOX_LIMIT, max_value=least, exclude_max=True))
+    else:
+        far = draw(st.floats(min_value=BOX_LIMIT, exclude_min=True))
+        box[draw(st.integers(0, 3))] = far if draw(st.booleans()) else -far
+    return tuple(box)
+
+
+class TestPublicEntries:
+    """``eval_batch`` and ``iou_batch`` refuse every box outside the domain."""
+
+    @pytest.mark.parametrize(
+        "anchor,gt,name",
+        [
+            ((0, 0, -1, 1), (0, 0, 1, 1), "anchors"),
+            ((0, 0, -2, -2), (0, 0, 1, 1), "anchors"),
+            ((0, 0, 1, 1), (0, 0, -1, 1), "gts"),
+        ],
+    )
+    def test_negative_sides_raise_instead_of_a_loss(self, anchor, gt, name):
+        # ciou gave nan for the first anchor and 1.0 for the second before
+        # the entries checked their boxes
+        bad = tuple(float(v) for v in (anchor if name == "anchors" else gt))
+        for entry in (lambda a, g: eval_batch(LossSpec("ciou"), a, g), iou_batch):
+            with pytest.raises(ValueError) as exc:
+                entry(anchor, gt)
+            assert str(exc.value).startswith(f"{name} is outside the supported box domain: ")
+            assert str(exc.value).endswith(f"; got {bad}")
+
+    @given(
+        st.lists(domain_boxes(), min_size=2, max_size=8),
+        outside_boxes(),
+        st.integers(0, 7),
+        st.sampled_from(["anchors", "gts"]),
+        st.sampled_from(spec_matrix() + [None]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_box_outside_the_domain_is_named(self, good, bad, row, name, spec):
+        row %= len(good)
+        boxes = list(good)
+        boxes[row] = bad
+        args = (boxes, good) if name == "anchors" else (good, boxes)
+        with pytest.raises(ValueError) as exc:
+            if spec is None:
+                iou_batch(*args)
+            else:
+                eval_batch(spec, *args)
+        message = str(exc.value)
+        assert message.startswith(f"{name} {row} is outside the supported box domain: "), message
+        assert message.endswith(f"; got {bad}"), message
+
+
+    def test_descent_and_sweep_skip_the_check(self, monkeypatch):
+        # Both loops call the unchecked kernels: a check on every iteration
+        # would cost a few percent of each kernel call.
+        sim = SimConfig(specs=scenario_specs(0.8), n_points=2, iterations=3)
+        sweep = SweepConfig(samples=51)
+        names = []
+
+        def counting(boxes, name, **kwargs):
+            names.append(name)
+            return check_boxes(boxes, name, **kwargs)
+
+        monkeypatch.setattr(batch, "check_boxes", counting)
+        run_simulation(sim)
+        run_sweep(sweep)
+        assert names == []
+        # the public entry does reach the counter
+        eval_batch(LossSpec("iou"), (0, 0, 1, 1), (0, 0, 1, 1))
+        assert names == ["anchors", "gts"]
 
 
 class TestLossesOnTheDomainEdges:

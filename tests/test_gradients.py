@@ -6,15 +6,13 @@ import pytest
 from ioulab import (
     BASE_NAMES,
     SCENARIOS,
-    Box,
     LossSpec,
     SimConfig,
-    evaluate,
+    eval_batch,
     run_simulation,
     scenario_specs,
 )
 from ioulab import simlab
-from ioulab.batch import eval_batch
 
 from helpers import grad_fd_batch, random_smooth_pairs, smooth_mask, spec_matrix
 
@@ -31,13 +29,13 @@ def fd_agrees(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 class TestFrozenValues:
     def test_iou_dx_half_overlap(self):
-        dx, dy, _, _ = evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10)).grad
+        dx, dy, _, _ = eval_batch(LossSpec("iou"), (0, 0, 10, 10), (5, 0, 10, 10)).grad
         assert dx == pytest.approx(-2000.0 / 22500.0, rel=1e-12)
         assert dy == 0.0
 
     def test_iou_dx_matches_fd(self):
-        a, gt = Box(0, 0, 10, 10), Box(5, 0, 10, 10)
-        dx = grad_fd_batch(LossSpec("iou"), a.as_tuple(), gt.as_tuple())[0]
+        a, gt = (0, 0, 10, 10), (5, 0, 10, 10)
+        dx = grad_fd_batch(LossSpec("iou"), a, gt)[0]
         assert dx == pytest.approx(-2000.0 / 22500.0, abs=1e-8)
 
 
@@ -47,26 +45,26 @@ class TestStationaryPoints:
         # Tied edges split their weight evenly, so the coincident
         # configuration is an exact zero of every gradient; dx = dy = 0
         # is also forced by symmetry.
-        b = Box(11.375, -2.625, 6.5, 3.25)
-        g = evaluate(spec, b, b).grad
+        b = (11.375, -2.625, 6.5, 3.25)
+        g = eval_batch(spec, b, b).grad
         assert g.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_disjoint_overlap_term_is_flat(self):
-        a, gt = Box(0, 0, 10, 10), Box(30, 0, 10, 10)
-        g = evaluate(LossSpec("iou"), a, gt).grad
+        a, gt = (0, 0, 10, 10), (30, 0, 10, 10)
+        g = eval_batch(LossSpec("iou"), a, gt).grad
         assert g.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_giou_pulls_disjoint_boxes_together(self):
-        a, gt = Box(0, 0, 10, 10), Box(30, 0, 10, 10)
-        dx = evaluate(LossSpec("giou"), a, gt).grad[0]
+        a, gt = (0, 0, 10, 10), (30, 0, 10, 10)
+        dx = eval_batch(LossSpec("giou"), a, gt).grad[0]
         # anchor sits left of the target: increasing x must decrease the loss
         assert dx < 0.0
 
     def test_diou_concentric_centers_stationary_in_xy(self):
-        a, gt = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        g = evaluate(LossSpec("diou"), a, gt).grad
+        a, gt = (0, 0, 10, 10), (0, 0, 4, 4)
+        g = eval_batch(LossSpec("diou"), a, gt).grad
         assert g[0] == 0.0 and g[1] == 0.0
-        f = grad_fd_batch(LossSpec("diou"), a.as_tuple(), gt.as_tuple())
+        f = grad_fd_batch(LossSpec("diou"), a, gt)
         assert abs(f[0]) < 1e-8 and abs(f[1]) < 1e-8
 
 
@@ -95,10 +93,12 @@ class TestFiniteDifferenceAgreement:
             step_size=preset["step_size"],
         )
         visited = {}
+        kernel = simlab.eval_batch
 
         def recording(spec, anchors, gts, **kwargs):
-            visited.setdefault(spec, []).append((np.array(anchors), np.array(gts)))
-            return eval_batch(spec, anchors, gts, **kwargs)
+            # the loop passes (4, n) blocks; keep them as (n, 4) rows
+            visited.setdefault(spec, []).append((np.array(anchors).T, np.array(gts).T))
+            return kernel(spec, anchors, gts, **kwargs)
 
         monkeypatch.setattr(simlab, "eval_batch", recording)
         run_simulation(cfg)
@@ -119,10 +119,10 @@ class TestFiniteDifferenceAgreement:
 
     def test_step_sweep_converges(self):
         spec = LossSpec("diou")
-        a, gt = Box(0.7, -1.3, 9.0, 6.0), Box(3.2, 1.9, 5.0, 8.0)
-        exact = evaluate(spec, a, gt).grad
+        a, gt = (0.7, -1.3, 9.0, 6.0), (3.2, 1.9, 5.0, 8.0)
+        exact = eval_batch(spec, a, gt).grad
         errs = [
-            np.abs(grad_fd_batch(spec, a.as_tuple(), gt.as_tuple(), step=s) - exact).max()
+            np.abs(grad_fd_batch(spec, a, gt, step=s) - exact).max()
             for s in (1e-3, 1e-4, 1e-5)
         ]
         assert errs[1] < errs[0]
@@ -130,11 +130,11 @@ class TestFiniteDifferenceAgreement:
         assert errs[2] < 1e-8
 
     def test_step_validation(self):
-        a, gt = Box(0, 0, 10, 10), Box(5, 0, 10, 10)
+        a, gt = (0, 0, 10, 10), (5, 0, 10, 10)
         with pytest.raises(ValueError, match="step"):
-            grad_fd_batch(LossSpec("iou"), a.as_tuple(), gt.as_tuple(), step=0.0)
+            grad_fd_batch(LossSpec("iou"), a, gt, step=0.0)
         with pytest.raises(ValueError, match="non-positive"):
-            grad_fd_batch(LossSpec("iou"), Box(0, 0, 1e-5, 1.0).as_tuple(), gt.as_tuple(), step=2e-5)
+            grad_fd_batch(LossSpec("iou"), (0, 0, 1e-5, 1.0), gt, step=2e-5)
 
 
 class TestConventions:
@@ -154,10 +154,10 @@ class TestConventions:
         rng = np.random.default_rng(34)
         spec = LossSpec(base)
         for _ in range(50):
-            a = Box(*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
-            g = Box(*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
-            ga = evaluate(spec, a, g).grad
-            gm = evaluate(spec, a, Box(2 * a.x - g.x, 2 * a.y - g.y, g.w, g.h)).grad
+            a = (*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
+            g = (*(np.round(rng.uniform(-16, 16, 2) * 8) / 8), *(np.round(rng.uniform(1, 12, 2) * 8) / 8))
+            ga = eval_batch(spec, a, g).grad
+            gm = eval_batch(spec, a, (2 * a[0] - g[0], 2 * a[1] - g[1], g[2], g[3])).grad
             assert gm[0] == pytest.approx(-ga[0], abs=1e-12)
             assert gm[1] == pytest.approx(-ga[1], abs=1e-12)
             assert gm[2] == pytest.approx(ga[2], abs=1e-12)
@@ -168,55 +168,55 @@ class TestConventions:
         # that re-resolves it at each perturbation measures a different
         # function and must visibly disagree on aspect-mismatched pairs.
         spec = LossSpec("ciou")
-        a, gt = Box(0, 0, 10, 5), Box(0, 0, 5, 10)
-        exact = evaluate(spec, a, gt).grad
-        frozen = grad_fd_batch(spec, a.as_tuple(), gt.as_tuple())
+        a, gt = (0, 0, 10, 5), (0, 0, 5, 10)
+        exact = eval_batch(spec, a, gt).grad
+        frozen = grad_fd_batch(spec, a, gt)
         assert np.abs(exact - frozen).max() < 1e-7
 
         step = 1e-5
         naive = []
-        for k, field in enumerate(("x", "y", "w", "h")):
-            hi = dict(x=a.x, y=a.y, w=a.w, h=a.h)
-            lo = dict(hi)
-            hi[field] += step
-            lo[field] -= step
-            f_hi = evaluate(spec, Box(**hi), gt).loss
-            f_lo = evaluate(spec, Box(**lo), gt).loss
+        for k in range(4):
+            hi = np.array(a, dtype=float)
+            lo = hi.copy()
+            hi[k] += step
+            lo[k] -= step
+            f_hi = eval_batch(spec, hi, gt).loss
+            f_lo = eval_batch(spec, lo, gt).loss
             naive.append((f_hi - f_lo) / (2 * step))
         assert np.abs(exact - np.array(naive)).max() > 1e-6
 
 
-def absgrad(spec: LossSpec, anchor: Box, gt: Box, axis: str = "x") -> float:
+def absgrad(spec: LossSpec, anchor, gt, axis: str = "x") -> float:
     """|d(overlap)/d(center deviation)| as the sweep reads it: 1 - overlap is the iou loss."""
-    dx, dy, _, _ = evaluate(spec, anchor, gt).grad
+    dx, dy, _, _ = eval_batch(spec, anchor, gt).grad
     return abs(dx if axis == "x" else dy)
 
 
 class TestGradMagnitude1d:
     def test_hand_differentiated_half_overlap(self):
         # d/dx of the overlap quotient for side-10 squares at deviation 5
-        v = absgrad(LossSpec("iou"), Box(5, 0, 10, 10), Box(0, 0, 10, 10))
+        v = absgrad(LossSpec("iou"), (5, 0, 10, 10), (0, 0, 10, 10))
         assert v == pytest.approx(2000.0 / 22500.0, rel=1e-12)
 
     def test_disjoint_plateau(self):
-        v = absgrad(LossSpec("iou"), Box(15, 0, 10, 10), Box(0, 0, 10, 10))
+        v = absgrad(LossSpec("iou"), (15, 0, 10, 10), (0, 0, 10, 10))
         assert v == 0.0
 
     def test_magnitude_continuous_across_zero_deviation(self):
-        gt = Box(0, 0, 10, 10)
-        left = absgrad(LossSpec("iou"), Box(-1e-6, 0, 10, 10), gt)
-        right = absgrad(LossSpec("iou"), Box(1e-6, 0, 10, 10), gt)
+        gt = (0, 0, 10, 10)
+        left = absgrad(LossSpec("iou"), (-1e-6, 0, 10, 10), gt)
+        right = absgrad(LossSpec("iou"), (1e-6, 0, 10, 10), gt)
         assert left == pytest.approx(right, rel=1e-4)
         # one-sided limit of |dIoU/d(deviation)|: 2*s*A/A^2 = 0.2 for side 10
         assert right == pytest.approx(0.2, rel=1e-4)
 
     def test_inner_spec_reads_auxiliary_overlap(self):
-        a, gt = Box(8, 0, 10, 10), Box(0, 0, 10, 10)
+        a, gt = (8, 0, 10, 10), (0, 0, 10, 10)
         plain = absgrad(LossSpec("iou"), a, gt)
         aux = absgrad(LossSpec("iou", inner=0.5), a, gt)
         assert plain > 0.0
         assert aux == 0.0  # the shrunken boxes are already disjoint
 
     def test_y_axis(self):
-        v = absgrad(LossSpec("iou"), Box(0, 5, 10, 10), Box(0, 0, 10, 10), axis="y")
+        v = absgrad(LossSpec("iou"), (0, 5, 10, 10), (0, 0, 10, 10), axis="y")
         assert v == pytest.approx(2000.0 / 22500.0, rel=1e-12)

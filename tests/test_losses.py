@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import BASE_NAMES, Box, LossSpec, evaluate, iou_batch
+from ioulab import BASE_NAMES, LossSpec, eval_batch, iou_batch
 
 from helpers import TEST_RATIOS, random_box
 
@@ -13,28 +13,36 @@ def _pairs(seed, n):
     return [(random_box(rng), random_box(rng)) for _ in range(n)]
 
 
+def assert_rejected(box, match=None):
+    """Both public entries reject ``box`` as either argument, naming that argument."""
+    good = (0.0, 0.0, 1.0, 1.0)
+    for entry in (iou_batch, lambda a, g: eval_batch(LossSpec("ciou"), a, g)):
+        for name, args in (("anchors", (box, good)), ("gts", (good, box))):
+            with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
+                entry(*args)
+            with pytest.raises(ValueError, match=match):
+                entry(*args)
+
+
 class TestBoxValidation:
     def test_fields_coerced_to_float(self):
-        b = Box(1, 2, 3, 4)
-        assert b.as_tuple() == (1.0, 2.0, 3.0, 4.0)
-        assert all(isinstance(v, float) for v in b.as_tuple())
+        ints = eval_batch(LossSpec("ciou"), (1, 2, 3, 4), (0, 0, 1, 1))
+        floats = eval_batch(LossSpec("ciou"), (1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 1.0, 1.0))
+        assert ints.loss.dtype == np.float64 and ints.loss == floats.loss
+        assert ints.grad.tolist() == floats.grad.tolist()
 
     @pytest.mark.parametrize("w,h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_nonpositive_sides_rejected(self, w, h):
-        with pytest.raises(ValueError, match="positive"):
-            Box(0.0, 0.0, w, h)
+        assert_rejected((0.0, 0.0, w, h), "positive")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Box(bad, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            Box(0.0, 0.0, bad, 1.0)
+        assert_rejected((bad, 0.0, 1.0, 1.0), "finite")
+        assert_rejected((0.0, 0.0, bad, 1.0))
 
     def test_side_below_center_resolution_rejected(self):
         # 1e-20 is far below the float spacing at x = 1e3.
-        with pytest.raises(ValueError, match="resolution"):
-            Box(1e3, 0.0, 1e-20, 1.0)
+        assert_rejected((1e3, 0.0, 1e-20, 1.0), "resolution")
 
 
 class TestLossSpec:
@@ -95,14 +103,14 @@ class TestLossSpec:
 
 class TestIouLoss:
     def test_coincident(self):
-        b = Box(3.1, -2.7, 6.3, 4.9)
-        assert evaluate(LossSpec("iou"), b, b).loss == 0.0
+        b = (3.1, -2.7, 6.3, 4.9)
+        assert eval_batch(LossSpec("iou"), b, b).loss == 0.0
 
     def test_disjoint(self):
-        assert evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(20, 0, 10, 10)).loss == 1.0
+        assert eval_batch(LossSpec("iou"), (0, 0, 10, 10), (20, 0, 10, 10)).loss == 1.0
 
     def test_half_overlap(self):
-        v = evaluate(LossSpec("iou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = eval_batch(LossSpec("iou"), (0, 0, 10, 10), (5, 0, 10, 10))
         assert v.loss == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert v.inner_iou is None
@@ -110,54 +118,54 @@ class TestIouLoss:
 
     def test_range(self):
         for a, g in _pairs(11, 200):
-            v = evaluate(LossSpec("iou"), a, g).loss
+            v = eval_batch(LossSpec("iou"), a, g).loss
             assert 0.0 <= v <= 1.0
 
 
 class TestGiouLoss:
     def test_disjoint_exceeds_one(self):
-        v = evaluate(LossSpec("giou"), Box(0, 0, 10, 10), Box(20, 0, 10, 10))
+        v = eval_batch(LossSpec("giou"), (0, 0, 10, 10), (20, 0, 10, 10))
         # union 200, enclosing 300
         assert v.loss == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_contained_pair_equals_iou_loss(self):
-        a, g = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        assert evaluate(LossSpec("giou"), a, g).loss == pytest.approx(1.0 - 16.0 / 100.0, abs=1e-15)
-        assert evaluate(LossSpec("giou"), a, g).loss == pytest.approx(
-            evaluate(LossSpec("iou"), a, g).loss, abs=1e-15
+        a, g = (0, 0, 10, 10), (0, 0, 4, 4)
+        assert eval_batch(LossSpec("giou"), a, g).loss == pytest.approx(1.0 - 16.0 / 100.0, abs=1e-15)
+        assert eval_batch(LossSpec("giou"), a, g).loss == pytest.approx(
+            eval_batch(LossSpec("iou"), a, g).loss, abs=1e-15
         )
 
     def test_dominates_iou_loss(self):
         for a, g in _pairs(12, 300):
-            assert evaluate(LossSpec("giou"), a, g).loss >= evaluate(LossSpec("iou"), a, g).loss
-            assert evaluate(LossSpec("giou"), a, g).loss < 2.0
+            assert eval_batch(LossSpec("giou"), a, g).loss >= eval_batch(LossSpec("iou"), a, g).loss
+            assert eval_batch(LossSpec("giou"), a, g).loss < 2.0
 
 
 class TestDiouLoss:
     def test_half_overlap(self):
-        v = evaluate(LossSpec("diou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = eval_batch(LossSpec("diou"), (0, 0, 10, 10), (5, 0, 10, 10))
         assert v.loss == pytest.approx(2.0 / 3.0 + 25.0 / 325.0, rel=1e-15)
 
     def test_concentric_equals_iou_loss(self):
-        a, g = Box(0, 0, 10, 10), Box(0, 0, 4, 4)
-        assert evaluate(LossSpec("diou"), a, g).loss == evaluate(LossSpec("iou"), a, g).loss
+        a, g = (0, 0, 10, 10), (0, 0, 4, 4)
+        assert eval_batch(LossSpec("diou"), a, g).loss == eval_batch(LossSpec("iou"), a, g).loss
 
     def test_dominates_iou_loss(self):
         for a, g in _pairs(13, 300):
-            assert evaluate(LossSpec("diou"), a, g).loss >= evaluate(LossSpec("iou"), a, g).loss
+            assert eval_batch(LossSpec("diou"), a, g).loss >= eval_batch(LossSpec("iou"), a, g).loss
 
 
 class TestCiouLoss:
     def test_same_aspect_degrades_to_diou(self):
-        a, g = Box(0, 0, 10, 10), Box(5, 3, 4, 4)
-        v = evaluate(LossSpec("ciou"), a, g)
-        assert v.loss == evaluate(LossSpec("diou"), a, g).loss
+        a, g = (0, 0, 10, 10), (5, 3, 4, 4)
+        v = eval_batch(LossSpec("ciou"), a, g)
+        assert v.loss == eval_batch(LossSpec("diou"), a, g).loss
         assert set(v.terms) == {"v", "alpha"}
         assert v.terms["v"] == 0.0 and v.terms["alpha"] == 0.0
 
     def test_swapped_aspect_pair(self):
-        a, g = Box(0, 0, 10, 5), Box(0, 0, 5, 10)
-        v = evaluate(LossSpec("ciou"), a, g)
+        a, g = (0, 0, 10, 5), (0, 0, 5, 10)
+        v = eval_batch(LossSpec("ciou"), a, g)
         vv = (4.0 / math.pi**2) * (math.atan(5.0 / 10.0) - math.atan(10.0 / 5.0)) ** 2
         alpha = vv / ((1.0 - 1.0 / 3.0) + vv)
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -167,57 +175,58 @@ class TestCiouLoss:
 
     def test_dominates_diou(self):
         for a, g in _pairs(14, 300):
-            assert evaluate(LossSpec("ciou"), a, g).loss >= evaluate(LossSpec("diou"), a, g).loss
+            assert eval_batch(LossSpec("ciou"), a, g).loss >= eval_batch(LossSpec("diou"), a, g).loss
 
     def test_coincident(self):
-        b = Box(1, 1, 2, 3)
-        assert evaluate(LossSpec("ciou"), b, b).loss == 0.0
+        b = (1, 1, 2, 3)
+        assert eval_batch(LossSpec("ciou"), b, b).loss == 0.0
 
 
 class TestEiouLoss:
     def test_concentric_width_mismatch(self):
-        v = evaluate(LossSpec("eiou"), Box(0, 0, 10, 10), Box(0, 0, 5, 10))
+        v = eval_batch(LossSpec("eiou"), (0, 0, 10, 10), (0, 0, 5, 10))
         # iou 0.5; width term (10-5)^2 / 10^2; all other penalties 0
         assert v.loss == pytest.approx(0.5 + 0.25, abs=1e-15)
 
     def test_same_shape_translated_equals_diou(self):
-        a, g = Box(0, 0, 10, 10), Box(5, 0, 10, 10)
-        assert evaluate(LossSpec("eiou"), a, g).loss == pytest.approx(
-            evaluate(LossSpec("diou"), a, g).loss, abs=1e-15
+        a, g = (0, 0, 10, 10), (5, 0, 10, 10)
+        assert eval_batch(LossSpec("eiou"), a, g).loss == pytest.approx(
+            eval_batch(LossSpec("diou"), a, g).loss, abs=1e-15
         )
 
     def test_coincident(self):
-        b = Box(-4, 9, 3, 8)
-        assert evaluate(LossSpec("eiou"), b, b).loss == 0.0
+        b = (-4, 9, 3, 8)
+        assert eval_batch(LossSpec("eiou"), b, b).loss == 0.0
 
 
 def _siou_reference(a, g, *, eps=1e-7, theta=4.0):
     """Direct scalar recomputation of the angle/distance/shape decomposition."""
-    dx, dy = abs(g.x - a.x), abs(g.y - a.y)
+    (ax, ay, aw, ah), (gx, gy, gw, gh) = a, g
+    dx, dy = abs(gx - ax), abs(gy - ay)
     dist = math.hypot(dx, dy)
     z = min(dx, dy) / (dist + eps)
     angle = 2.0 * z * math.sqrt(max(0.0, 1.0 - z * z))
     gamma = 2.0 - angle
     # (left, right, top, bottom) corners
-    ac = (a.x - a.w / 2.0, a.x + a.w / 2.0, a.y - a.h / 2.0, a.y + a.h / 2.0)
-    gc = (g.x - g.w / 2.0, g.x + g.w / 2.0, g.y - g.h / 2.0, g.y + g.h / 2.0)
+    ac = (ax - aw / 2.0, ax + aw / 2.0, ay - ah / 2.0, ay + ah / 2.0)
+    gc = (gx - gw / 2.0, gx + gw / 2.0, gy - gh / 2.0, gy + gh / 2.0)
     e = (min(ac[0], gc[0]), max(ac[1], gc[1]), min(ac[2], gc[2]), max(ac[3], gc[3]))
     cw, ch = e[1] - e[0], e[3] - e[2]
-    rho_x = ((g.x - a.x) / cw) ** 2
-    rho_y = ((g.y - a.y) / ch) ** 2
-    omega_w = abs(a.w - g.w) / max(a.w, g.w)
-    omega_h = abs(a.h - g.h) / max(a.h, g.h)
+    rho_x = ((gx - ax) / cw) ** 2
+    rho_y = ((gy - ay) / ch) ** 2
+    omega_w = abs(aw - gw) / max(aw, gw)
+    omega_h = abs(ah - gh) / max(ah, gh)
     delta = 0.5 * sum(1.0 - math.exp(-gamma * r) for r in (rho_x, rho_y))
     omega = 0.5 * sum((1.0 - math.exp(-w)) ** theta for w in (omega_w, omega_h))
     iw = max(0.0, min(ac[1], gc[1]) - max(ac[0], gc[0]))
     ih = max(0.0, min(ac[3], gc[3]) - max(ac[2], gc[2]))
-    iou = iw * ih / (a.w * a.h + g.w * g.h - iw * ih)
+    iou = iw * ih / (aw * ah + gw * gh - iw * ih)
     return 1.0 - iou + (delta + omega) / 2.0, angle, gamma, delta, omega
 
 
 class TestSiouLoss:
     def test_axis_aligned_centers_zero_angle_cost(self):
-        v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = eval_batch(LossSpec("siou"), (0, 0, 10, 10), (5, 0, 10, 10))
         assert list(v.terms) == [
             "angle_cost", "gamma", "distance_cost", "shape_cost",
             "rho_x", "rho_y", "omega_w", "omega_h", "theta",
@@ -226,18 +235,18 @@ class TestSiouLoss:
         assert v.terms["gamma"] == 2.0
 
     def test_diagonal_centers_unit_angle_cost(self):
-        v = evaluate(LossSpec("siou"), Box(0, 0, 10, 10), Box(3, 3, 10, 10))
+        v = eval_batch(LossSpec("siou"), (0, 0, 10, 10), (3, 3, 10, 10))
         assert v.terms["angle_cost"] == pytest.approx(1.0, abs=1e-6)
 
     def test_coincident(self):
-        b = Box(2, 2, 5, 7)
-        v = evaluate(LossSpec("siou"), b, b)
+        b = (2, 2, 5, 7)
+        v = eval_batch(LossSpec("siou"), b, b)
         assert v.loss == 0.0
         assert v.terms["distance_cost"] == 0.0 and v.terms["shape_cost"] == 0.0
 
     def test_matches_direct_recomputation(self):
         for a, g in _pairs(15, 60):
-            v = evaluate(LossSpec("siou"), a, g)
+            v = eval_batch(LossSpec("siou"), a, g)
             ref, angle, gamma, delta, omega = _siou_reference(a, g)
             assert v.loss == pytest.approx(ref, rel=1e-12, abs=1e-12)
             assert v.terms["angle_cost"] == pytest.approx(angle, rel=1e-12, abs=1e-12)
@@ -247,7 +256,7 @@ class TestSiouLoss:
 
     def test_term_ranges(self):
         for a, g in _pairs(16, 200):
-            t = evaluate(LossSpec("siou"), a, g).terms
+            t = eval_batch(LossSpec("siou"), a, g).terms
             assert 0.0 <= t["angle_cost"] <= 1.0
             assert 1.0 <= t["gamma"] <= 2.0
             assert 0.0 <= t["rho_x"] <= 1.0 and 0.0 <= t["rho_y"] <= 1.0
@@ -256,7 +265,7 @@ class TestSiouLoss:
 
 class TestInnerLoss:
     def test_iou_base_with_broken_overlap(self):
-        v = evaluate(LossSpec("iou", inner=0.5), Box(0, 0, 10, 10), Box(5, 0, 10, 10))
+        v = eval_batch(LossSpec("iou", inner=0.5), (0, 0, 10, 10), (5, 0, 10, 10))
         assert v.loss == 1.0
         assert v.inner_iou == 0.0
         assert v.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -264,15 +273,15 @@ class TestInnerLoss:
     @pytest.mark.parametrize("base", BASE_NAMES)
     def test_ratio_one_degenerates_to_base(self, base):
         for a, g in _pairs(17, 40):
-            plain = evaluate(LossSpec(base), a, g).loss
-            wrapped = evaluate(LossSpec(base, inner=1.0), a, g).loss
+            plain = eval_batch(LossSpec(base), a, g).loss
+            wrapped = eval_batch(LossSpec(base, inner=1.0), a, g).loss
             assert wrapped == pytest.approx(plain, abs=1e-12)
 
     @pytest.mark.parametrize("base", BASE_NAMES)
     @pytest.mark.parametrize("ratio", TEST_RATIOS)
     def test_coincident_zero(self, base, ratio):
-        b = Box(7.125, -0.375, 4.5, 9.25)
-        v = evaluate(LossSpec(base, inner=ratio), b, b)
+        b = (7.125, -0.375, 4.5, 9.25)
+        v = eval_batch(LossSpec(base, inner=ratio), b, b)
         assert v.loss == 0.0
         assert v.iou == 1.0 and v.inner_iou == 1.0
 
@@ -280,17 +289,17 @@ class TestInnerLoss:
     @pytest.mark.parametrize("ratio", TEST_RATIOS)
     def test_composition_identity(self, base, ratio):
         for a, g in _pairs(18, 40):
-            v = evaluate(LossSpec(base, inner=ratio), a, g)
-            base_loss = evaluate(LossSpec(base), a, g).loss
+            v = eval_batch(LossSpec(base, inner=ratio), a, g)
+            base_loss = eval_batch(LossSpec(base), a, g).loss
             assert v.loss - base_loss == pytest.approx(v.iou - v.inner_iou, abs=1e-12)
 
     @pytest.mark.parametrize("ratio", TEST_RATIOS)
     def test_iou_base_uses_auxiliary_overlap_only(self, ratio):
         for a, g in _pairs(19, 40):
-            v = evaluate(LossSpec("iou", inner=ratio), a, g)
+            v = eval_batch(LossSpec("iou", inner=ratio), a, g)
             assert v.loss == pytest.approx(1.0 - v.inner_iou, abs=1e-15)
             scale = np.array([1.0, 1.0, ratio, ratio])
-            scaled = iou_batch(np.array(a.as_tuple()) * scale, np.array(g.as_tuple()) * scale)
+            scaled = iou_batch(np.array(a) * scale, np.array(g) * scale)
             assert v.inner_iou == pytest.approx(float(scaled), abs=1e-15)
 
 
@@ -305,10 +314,9 @@ class TestInvariance:
         rng = np.random.default_rng(20)
         for a, g in _pairs(21, 60):
             dx, dy = rng.uniform(-500, 500, 2)
-            v0 = evaluate(LossSpec(base), a, g).loss
-            v1 = evaluate(
-                LossSpec(base), Box(a.x + dx, a.y + dy, a.w, a.h), Box(g.x + dx, g.y + dy, g.w, g.h)
-            ).loss
+            v0 = eval_batch(LossSpec(base), a, g).loss
+            shift = (dx, dy, 0.0, 0.0)
+            v1 = eval_batch(LossSpec(base), np.add(a, shift), np.add(g, shift)).loss
             assert v1 == pytest.approx(v0, rel=self.TOL[base], abs=1e-12)
 
     @pytest.mark.parametrize("base", BASE_NAMES)
@@ -316,19 +324,15 @@ class TestInvariance:
         rng = np.random.default_rng(22)
         for a, g in _pairs(23, 60):
             k = rng.uniform(0.125, 8.0)
-            v0 = evaluate(LossSpec(base), a, g).loss
-            v1 = evaluate(
-                LossSpec(base),
-                Box(a.x * k, a.y * k, a.w * k, a.h * k),
-                Box(g.x * k, g.y * k, g.w * k, g.h * k),
-            ).loss
+            v0 = eval_batch(LossSpec(base), a, g).loss
+            v1 = eval_batch(LossSpec(base), np.multiply(a, k), np.multiply(g, k)).loss
             assert v1 == pytest.approx(v0, rel=self.TOL[base], abs=1e-12)
 
     @pytest.mark.parametrize("base", BASE_NAMES)
     def test_positive_off_coincidence(self, base):
         for a, g in _pairs(24, 100):
-            v = evaluate(LossSpec(base), a, g)
+            v = eval_batch(LossSpec(base), a, g)
             if base == "iou" and v.iou == 1.0:
                 continue
-            if (a.x, a.y, a.w, a.h) != (g.x, g.y, g.w, g.h):
+            if a != g:
                 assert v.loss > 0.0

@@ -19,9 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = [
     "__version__",
     "BASE_NAMES",
-    "Box",
     "LossSpec",
-    "evaluate",
     "eval_batch",
     "iou_batch",
     "SCENARIOS",

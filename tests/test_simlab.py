@@ -7,7 +7,6 @@ import helpers
 from helpers import descend_every_row
 from ioulab import (
     SCENARIOS,
-    Box,
     LossSpec,
     SimConfig,
     generate_case_arrays,
@@ -37,13 +36,13 @@ def tiny_cfg(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
-def descend_one(spec: LossSpec, anchor: Box, target: Box, cfg: SimConfig):
-    """Descend one case: (error curve, final IoU, clamp events).
+def descend_one(spec: LossSpec, anchor, target, cfg: SimConfig):
+    """Descend one (x, y, w, h) case: (error curve, final IoU, clamp events).
 
     The total-error curve of a one-row chunk is that case's error curve.
     """
     totals, _, _, final_iou, clamps = _simulate_chunk(
-        spec, np.array([anchor.as_tuple()]), np.array([target.as_tuple()]), cfg
+        spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg
     )
     return totals, float(final_iou[0]), int(clamps[0])
 
@@ -199,7 +198,7 @@ class TestCaseGeneration:
 class TestRunCase:
     def test_coincident_start_stays_at_zero(self):
         cfg = tiny_cfg(iterations=20)
-        b = Box(100.0, 100.0, 2.0, 0.5)
+        b = (100.0, 100.0, 2.0, 0.5)
         for spec in (LossSpec("iou"), LossSpec("siou"), LossSpec("ciou", inner=0.8)):
             curve, final_iou, clamps = descend_one(spec, b, b, cfg)
             assert curve.shape == (21,)
@@ -209,24 +208,24 @@ class TestRunCase:
 
     def test_disjoint_overlap_loss_plateaus(self):
         cfg = tiny_cfg(iterations=10)
-        curve, final_iou, _ = descend_one(LossSpec("iou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        curve, final_iou, _ = descend_one(LossSpec("iou"), (120, 100, 1, 1), (100, 100, 1, 1), cfg)
         assert np.all(curve == curve[0])
         assert final_iou == 0.0
 
     def test_enclosure_penalty_moves_disjoint_boxes(self):
         cfg = tiny_cfg(iterations=100)
-        curve, _, _ = descend_one(LossSpec("giou"), Box(120, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        curve, _, _ = descend_one(LossSpec("giou"), (120, 100, 1, 1), (100, 100, 1, 1), cfg)
         assert curve[-1] < curve[0]
 
     def test_initial_error_is_spec_independent(self):
         cfg = tiny_cfg(iterations=2)
-        a, t = Box(101, 99, 2, 1), Box(100, 100, 1, 1)
+        a, t = (101, 99, 2, 1), (100, 100, 1, 1)
         errs = {descend_one(LossSpec(b), a, t, cfg)[0][0] for b in ("iou", "giou", "siou")}
         assert len(errs) == 1
 
     def test_single_iteration_curve_length(self):
         cfg = tiny_cfg(iterations=1)
-        curve, _, _ = descend_one(LossSpec("diou"), Box(101, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        curve, _, _ = descend_one(LossSpec("diou"), (101, 100, 1, 1), (100, 100, 1, 1), cfg)
         assert curve.shape == (2,)
 
     def test_size_clamp_counts_events(self):
@@ -234,7 +233,7 @@ class TestRunCase:
         cfg = tiny_cfg(iterations=7)
         t = MIN_SIZE / 2.0
         curve, final_iou, clamps = descend_one(
-            LossSpec("iou"), Box(0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), Box(0, 0, t, t), cfg
+            LossSpec("iou"), (0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), (0, 0, t, t), cfg
         )
         assert clamps == 2 * cfg.iterations
         # both sides end at MIN_SIZE: four corners, each off by MIN_SIZE / 4
@@ -243,7 +242,7 @@ class TestRunCase:
 
     def test_corner_error_metric(self):
         cfg = tiny_cfg(iterations=1)
-        curve, _, _ = descend_one(LossSpec("iou"), Box(103, 100, 1, 1), Box(100, 100, 1, 1), cfg)
+        curve, _, _ = descend_one(LossSpec("iou"), (103, 100, 1, 1), (100, 100, 1, 1), cfg)
         assert curve[0] == pytest.approx(6.0)  # |dx| on both x corners
 
 
@@ -364,7 +363,7 @@ def rows_per_call(monkeypatch) -> list[int]:
     kernel = simlab.eval_batch
 
     def counting(spec, anchors, gts, **kwargs):
-        rows.append(anchors.shape[0])
+        rows.append(anchors.shape[-1])  # (4, rows) blocks
         return kernel(spec, anchors, gts, **kwargs)
 
     monkeypatch.setattr(simlab, "eval_batch", counting)
@@ -399,16 +398,16 @@ class TestRetirement:
         "anchor,target",
         [
             # equilibrium sides below MIN_SIZE: both sides clamp every step
-            (Box(0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), Box(0, 0, MIN_SIZE / 2, MIN_SIZE / 2)),
+            ((0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), (0, 0, MIN_SIZE / 2, MIN_SIZE / 2)),
             # disjoint until the clamp widens it into the target: its first
             # step is zero, yet it moves after the clamp
-            (Box(-0.5 - 0.3 * MIN_SIZE, 0, 0.2 * MIN_SIZE, 0.2 * MIN_SIZE), Box(0, 0, 1, 1)),
+            ((-0.5 - 0.3 * MIN_SIZE, 0, 0.2 * MIN_SIZE, 0.2 * MIN_SIZE), (0, 0, 1, 1)),
         ],
         ids=["clamped-every-step", "clamp-starts-overlap"],
     )
     def test_clamped_cases(self, anchor, target):
         cfg = tiny_cfg(iterations=7)
-        anchors, targets = np.array([anchor.as_tuple()]), np.array([target.as_tuple()])
+        anchors, targets = np.array([anchor], dtype=float), np.array([target], dtype=float)
         got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg)
         assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
         # both clamp on the first step and end overlapping their targets
@@ -440,16 +439,17 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         # the every-row loop's own moves say which cases are still moving
         expected, frozen = [], []
-        kernel = helpers.eval_batch
+        kernel = helpers.eval_blocks
 
         def frozen_after(spec, state, gts, **kwargs):
+            # (4, n) blocks; the moves are (n, 4) like the kernel's grad
             ev = kernel(spec, state, gts, **kwargs)
             move = (cfg.step_size * (2.0 - ev.iou))[:, None] * ev.grad
-            clamped = ((state - move)[:, 2:] < MIN_SIZE).any(axis=1)
+            clamped = ((state.T - move)[:, 2:] < MIN_SIZE).any(axis=1)
             frozen.append(~(move.any(axis=1) | clamped))
             return ev
 
-        monkeypatch.setattr(helpers, "eval_batch", frozen_after)
+        monkeypatch.setattr(helpers, "eval_blocks", frozen_after)
         for spec in cfg.specs:
             frozen.clear()
             descend_every_row(spec, anchors, targets, cfg)

@@ -57,6 +57,13 @@ class TestSweepConfig:
             (dict(samples=True), "samples"),
             (dict(samples="5"), "samples"),
             (dict(axis="z"), "axis"),
+            # float() would parse a string and read true as 1.0
+            (dict(box_side="10"), "box_side must be a number, got '10'"),
+            (dict(box_side=True), "box_side must be a number, got True"),
+            (dict(aux_sides=("8", 12.0)), "aux_sides must be a number, got '8'"),
+            (dict(aux_sides=(8.0, True)), "aux_sides must be a number, got True"),
+            (dict(deviation_range=("-15", 15.0)), "deviation_range must be a number, got '-15'"),
+            (dict(deviation_range=(False, 15.0)), "deviation_range must be a number, got False"),
             # the domain: each curve's square at the deviation range's end
             (dict(box_side=1e-300, aux_sides=(8e-301, 1.2e-300)), "box_side square"),
             (dict(aux_sides=(8.0, 1e-9)), "aux_sides square"),
@@ -163,7 +170,7 @@ class TestBlocks:
         kernel = sweep_module.eval_batch
 
         def counting(spec, anchors, gts, **kwargs):
-            rows.append(len(anchors))
+            rows.append(anchors.shape[-1])  # (4, rows) blocks
             return kernel(spec, anchors, gts, **kwargs)
 
         monkeypatch.setattr(sweep_module, "eval_batch", counting)
