@@ -14,21 +14,16 @@ import argparse
 
 import numpy as np
 
-from ioulab import BASE_NAMES, SCENARIOS, SimConfig, run_simulation, scenario_specs
+from ioulab import BASE_NAMES, SCENARIOS, SimConfig, run_simulation, scenario_config
 
 
 def parse_steps(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def scan_one(name: str, preset: dict, step: float, args) -> None:
-    cfg = SimConfig(
-        specs=scenario_specs(preset["ratio"]),
-        radius=preset["radius"],
-        n_points=args.points,
-        iterations=args.iterations,
-        step_size=step,
-        seed=args.seed,
+def scan_one(name: str, step: float, args) -> None:
+    cfg = scenario_config(
+        name, n_points=args.points, iterations=args.iterations, step_size=step, seed=args.seed
     )
     summaries = run_simulation(cfg, threads=args.threads)
     finals = {s.label: float(s.total_error_curve[-1]) for s in summaries}
@@ -43,11 +38,11 @@ def scan_one(name: str, preset: dict, step: float, args) -> None:
     slower = [
         base
         for base in BASE_NAMES
-        if finals[f"inner-{base}({preset['ratio']:g})"] >= finals[base]
+        if finals[f"inner-{base}({SCENARIOS[name]['ratio']:g})"] >= finals[base]
     ]
     print(
         f"  step {step:4.2f}  {name:>4}  worst rise {max(worst_rise, 0.0):8.1e}  "
-        f"auxiliary faster for {6 - len(slower)}/6"
+        f"auxiliary faster for {len(BASE_NAMES) - len(slower)}/{len(BASE_NAMES)}"
         + (f" (not {','.join(slower)})" if slower else "")
         + (f"  DIVERGED: {','.join(diverged)}" if diverged else "")
     )
@@ -69,9 +64,9 @@ def main() -> int:
 
     cases = SimConfig(specs=(), n_points=args.points).case_count
     print(f"{cases} cases per run, {args.iterations} iterations")
-    for name, preset in SCENARIOS.items():
+    for name in SCENARIOS:
         for step in args.steps:
-            scan_one(name, preset, step, args)
+            scan_one(name, step, args)
     return 0
 
 

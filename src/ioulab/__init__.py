@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .batch import eval_batch, iou_batch
 from .losses import BASE_NAMES, LossSpec
-from .simlab import SCENARIOS, SimConfig, generate_case_arrays, run_simulation, scenario_specs
+from .simlab import SCENARIOS, SimConfig, generate_case_arrays, run_simulation, scenario_config
 
 __all__ = [
     "__version__",
@@ -22,7 +22,7 @@ __all__ = [
     "iou_batch",
     "SCENARIOS",
     "SimConfig",
-    "scenario_specs",
+    "scenario_config",
     "run_simulation",
     "generate_case_arrays",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .batch import check_boxes, eval_batch
 from .losses import BASE_NAMES, LossSpec
-from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_specs
+from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_config
 from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
@@ -115,11 +115,6 @@ def _bases_arg(text: str) -> tuple[str, ...]:
     return names
 
 
-def _config_digest(cfg: SimConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     name = args.loss
     if name.startswith("inner-"):
@@ -164,20 +159,9 @@ def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
             data = {**data, "seed": args.seed}
         return SimConfig.from_dict(data)
 
-    # The preset's tuned step is not applied here: --scenario runs keep
-    # the SimConfig default step.
-    preset = SCENARIOS[args.scenario]
-    kwargs: dict = {
-        "specs": scenario_specs(preset["ratio"], args.bases or ("ciou",)),
-        "radius": preset["radius"],
-    }
-    if args.points is not None:
-        kwargs["n_points"] = args.points
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return SimConfig(**kwargs)
+    given = {"n_points": args.points, "iterations": args.iterations, "seed": args.seed}
+    fields = {k: v for k, v in given.items() if v is not None}
+    return scenario_config(args.scenario, args.bases or ("ciou",), **fields)
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -198,8 +182,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         ]
         outputs.append(_csv(out / "cases.csv", header, cases))
 
+    config = cfg.to_dict()  # `sim --config` reruns it
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "config_digest": _config_digest(cfg),
+        "config": config,
+        "config_digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": cfg.seed,
         "spec_list": [s.label() for s in cfg.specs],
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -285,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         choices=tuple(SCENARIOS),
         help="preset: "
-        + ", ".join(
-            f"'{name}' = radius {p['radius'][0]:g}-{p['radius'][1]:g} with ratio {p['ratio']:g}"
+        + "; ".join(
+            f"'{name}' = radius {p['radius'][0]:g}-{p['radius'][1]:g}, ratio {p['ratio']:g}, "
+            f"step {p['step_size']:g}"
             for name, p in SCENARIOS.items()
         ),
     )

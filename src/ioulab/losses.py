@@ -51,6 +51,17 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
+def sequence(name: str, value, pair: bool = False) -> tuple:
+    """``value`` as a tuple, rejecting anything but a list or tuple (of two items if ``pair``).
+
+    ``tuple()`` alone would split a string into characters and fail on a
+    single number or loss spec with a bare TypeError.
+    """
+    if not isinstance(value, (list, tuple)) or (pair and len(value) != 2):
+        raise ValueError(f"{name} must be {'a [lo, hi] pair' if pair else 'a list'}, got {value!r}")
+    return tuple(value)
+
+
 def inner_ratio(value, name: str = "inner ratio") -> float:
     """``value`` as a float in ``RATIO_LIMITS``; ValueError naming ``name`` otherwise."""
     ratio = real_number(name, value)

@@ -36,7 +36,7 @@ import numpy as np
 from .batch import BLOCK_ROWS, check_boxes
 # perfbench/tracing.py wraps the kernels under these module attribute names.
 from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
-from .losses import BASE_NAMES, LossSpec, check_fields, real_number, whole_number
+from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the thread count.
@@ -56,16 +56,12 @@ MIN_SIZE = 1e-4
 # pair should help, versus anchors that mostly miss it, where an enlarged
 # one should. ``step_size`` is the largest grid step at which every loss
 # variant still descends stably from that start (scripts/scan_step_sizes.py);
-# the SimConfig default of 0.1 is the safe setting for arbitrary configs.
+# every preset run takes it, through ``scenario_config``. The SimConfig
+# default of 0.1 is the safe setting for arbitrary configs.
 SCENARIOS = {
     "high": {"radius": (0.0, 3.0), "ratio": 0.8, "step_size": 0.2},
     "low": {"radius": (6.0, 9.0), "ratio": 1.2, "step_size": 0.3},
 }
-
-
-def scenario_specs(ratio: float, bases=BASE_NAMES) -> tuple[LossSpec, ...]:
-    """Each base loss followed by its auxiliary variant at ``ratio``."""
-    return tuple(spec for b in bases for spec in (LossSpec(b), LossSpec(b, inner=ratio)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "specs", sequence("specs", self.specs))
         for s in self.specs:
             if not isinstance(s, LossSpec):
                 raise ValueError(f"specs must contain LossSpec values, got {type(s).__name__}")
@@ -97,9 +93,7 @@ class SimConfig:
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 1))
         # numpy seeds must be non-negative
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
-        if not isinstance(self.radius, (list, tuple)) or len(self.radius) != 2:
-            raise ValueError(f"radius must be a [lo, hi] pair, got {self.radius!r}")
-        radius = tuple(real_number("radius", v) for v in self.radius)
+        radius = tuple(real_number("radius", v) for v in sequence("radius", self.radius, pair=True))
         if not 0.0 <= radius[0] <= radius[1]:
             raise ValueError(f"radius must have 0 <= lo <= hi, got {self.radius}")
         # The farthest anchor the annulus can start, clamped to the least size.
@@ -139,6 +133,20 @@ class SimConfig:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid config: {exc}") from exc
+
+
+def scenario_config(name: str, bases=BASE_NAMES, **fields) -> SimConfig:
+    """The run of preset ``name``: its radius and tuned step, and each of
+    ``bases`` followed by its auxiliary variant at the preset's ratio.
+
+    Any keyword in ``fields`` overrides the SimConfig field of that name.
+    """
+    preset = SCENARIOS[name]
+    ratio = preset["ratio"]
+    specs = tuple(spec for b in bases for spec in (LossSpec(b), LossSpec(b, inner=ratio)))
+    return SimConfig(
+        **{"specs": specs, "radius": preset["radius"], "step_size": preset["step_size"], **fields}
+    )
 
 
 @dataclass

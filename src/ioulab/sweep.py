@@ -33,7 +33,7 @@ import numpy as np
 from .batch import BLOCK_ROWS, check_boxes
 # perfbench/tracing.py wraps the kernel under this module attribute name.
 from .batch import eval_blocks as eval_batch
-from .losses import LossSpec, inner_ratio, real_number, whole_number
+from .losses import LossSpec, inner_ratio, real_number, sequence, whole_number
 
 AXES = ("x", "y")
 
@@ -59,12 +59,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "box_side", real_number("box_side", self.box_side))
-        aux = tuple(real_number("aux_sides", s) for s in self.aux_sides)
+        aux = tuple(real_number("aux_sides", s) for s in sequence("aux_sides", self.aux_sides))
         if not aux:
             raise ValueError("aux_sides must not be empty")
         object.__setattr__(self, "aux_sides", aux)
-        rng = tuple(real_number("deviation_range", v) for v in self.deviation_range)
-        if len(rng) != 2 or not rng[0] < rng[1]:
+        pair = sequence("deviation_range", self.deviation_range, pair=True)
+        rng = tuple(real_number("deviation_range", v) for v in pair)
+        if not rng[0] < rng[1]:
             raise ValueError(
                 f"deviation_range must be an increasing pair, got {self.deviation_range}"
             )

@@ -25,7 +25,7 @@ from ioulab import (
     generate_case_arrays,
     iou_batch,
     run_simulation,
-    scenario_specs,
+    scenario_config,
 )
 from ioulab.cli import main as cli_main
 from ioulab.sweep import SweepConfig, check_conclusions, run_sweep
@@ -126,15 +126,7 @@ def test_criterion_5_deviation_sweep_conclusions(capsys):
 
 
 def _scenario_results(name):
-    preset = SCENARIOS[name]
-    cfg = SimConfig(
-        specs=scenario_specs(preset["ratio"]),
-        radius=preset["radius"],
-        n_points=100,
-        iterations=200,
-        step_size=preset["step_size"],
-        seed=0,
-    )
+    cfg = scenario_config(name, n_points=100, iterations=200, seed=0)
     start = time.perf_counter()
     summaries = run_simulation(cfg, threads=1)
     elapsed = time.perf_counter() - start

@@ -9,11 +9,10 @@ from ioulab import (
     BASE_NAMES,
     SCENARIOS,
     LossSpec,
-    SimConfig,
     eval_batch,
     generate_case_arrays,
     iou_batch,
-    scenario_specs,
+    scenario_config,
 )
 from ioulab.simlab import CHUNK_CASES
 from ioulab.batch import _blocks, _overlap, eval_blocks
@@ -175,12 +174,12 @@ class TestRowSubsets:
 
     @pytest.mark.parametrize(
         "scenario,spec",
-        [(name, spec) for name, p in sorted(SCENARIOS.items()) for spec in scenario_specs(p["ratio"])],
+        [(name, spec) for name in sorted(SCENARIOS) for spec in scenario_config(name).specs],
         ids=str,
     )
     def test_gathered_rows_match_the_full_chunk(self, scenario, spec):
-        cfg = SimConfig(specs=(spec,), n_points=24, radius=SCENARIOS[scenario]["radius"])
-        anchors, targets = generate_case_arrays(cfg)
+        # the population reads the preset's radius, n_points and seed, not its step
+        anchors, targets = generate_case_arrays(scenario_config(scenario, n_points=24))
         # (4, n) blocks, passed to the kernel the way the descent does
         a, g = anchors[:CHUNK_CASES].T.copy(), targets[:CHUNK_CASES].T.copy()
         rows = np.flatnonzero(np.random.default_rng(7).random(CHUNK_CASES) < 0.15)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import csv_reference
-from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_specs
+from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
 
@@ -42,12 +44,13 @@ EVAL_STDOUT_SHA256 = {
 
 
 # sha256 of `ioulab sim --scenario <scenario> --bases iou,giou,diou,ciou,eiou,siou
-# --points 2 --iterations 20 --per-case --threads 1` outputs.
+# --points 2 --iterations 20 --per-case --threads 1` outputs, at the preset's
+# tuned step.
 SIM_CSV_SHA256 = {
-    ("high", "summary.csv"): "518f75851c0e6e97caaa82d2328a17b52ef8981246a9c5c665d8aad5271fa274",
-    ("high", "cases.csv"): "a6750c8c07559b345730c0b1a614347adf07d425e6111216144e3b2421c7fe0f",
-    ("low", "summary.csv"): "1365e88cd51897fd0005889372eb73b52d418203e2d0e786c0ee180f44f8ed69",
-    ("low", "cases.csv"): "ccfd0c83cbf84fb8a9127c36b7b85db42492e2fd069279b4a78e377440f1de3b",
+    ("high", "summary.csv"): "49d560aa648c7868bf6773c1fa9f10d866cbfa51d6698cfb48b89cfcf9311c0b",
+    ("high", "cases.csv"): "860ce5359e07b56d97ef9647f6bf99489b5d6849c8842719e84a19197e862503",
+    ("low", "summary.csv"): "8a1ba04e4703190edc4e9466588daadafa45255f3210b9b2abbf16815ab93096",
+    ("low", "cases.csv"): "8a3af8ffed7142145d97fd5eae3f3338b9c375bc80e388a967ac0574150b6580",
 }
 
 # sha256 of the default `ioulab sweep --out` CSV, the same for either axis.
@@ -225,9 +228,8 @@ class TestSim:
         assert manifest["spec_list"] == ["ciou", "inner-ciou(1.2)"]
 
     def test_scenario_reads_preset_table(self, tmp_path, monkeypatch):
-        # radius and ratio come from SCENARIOS; the step stays at the
-        # SimConfig default rather than the preset's tuned one
-        monkeypatch.setitem(SCENARIOS, "low", {"radius": (1.0, 2.0), "ratio": 1.3, "step_size": 0.3})
+        # radius, ratio and step all come from SCENARIOS
+        monkeypatch.setitem(SCENARIOS, "low", {"radius": (1.0, 2.0), "ratio": 1.3, "step_size": 0.25})
         out = tmp_path / "run"
         code = run_cli(
             "sim", "--scenario", "low", "--points", "1", "--iterations", "2",
@@ -236,11 +238,35 @@ class TestSim:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec_list"] == ["ciou", "inner-ciou(1.3)"]
-        want = SimConfig(
-            specs=scenario_specs(1.3, ("ciou",)), radius=(1.0, 2.0), n_points=1, iterations=2
-        )
+        want = scenario_config("low", ("ciou",), n_points=1, iterations=2)
+        assert want.radius == (1.0, 2.0) and want.step_size == 0.25
+        assert manifest["config"] == want.to_dict()
         canonical = json.dumps(want.to_dict(), sort_keys=True, separators=(",", ":"))
         assert manifest["config_digest"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_manifest_config_reproduces_the_run(self, tmp_path):
+        first, again = tmp_path / "scenario", tmp_path / "config"
+        assert run_cli(
+            "sim", "--scenario", "low", "--bases", "iou,ciou", "--points", "1",
+            "--iterations", "3", "--seed", "3", "--threads", "1", "--out", str(first),
+        ) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(manifest["config"]))
+        assert run_cli("sim", "--config", str(cfg_path), "--threads", "1", "--out", str(again)) == 0
+        assert (again / "summary.csv").read_bytes() == (first / "summary.csv").read_bytes()
+        rerun = json.loads((again / "manifest.json").read_text())
+        assert rerun["config_digest"] == manifest["config_digest"]
+
+    def test_readme_demo_output(self, tmp_path, capsys):
+        # The README's `ioulab sim` demo prints what the README shows.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        [(command, shown)] = re.findall(r"^\$ ioulab (sim [^\n]*)\n(.*?)^```", readme, flags=re.M | re.S)
+        argv = command.split()
+        at = argv.index("--out") + 1
+        demo, argv[at] = argv[at], str(tmp_path / "demo")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.replace(argv[at], demo) == shown
 
     def test_scenario_bases_flag(self, tmp_path):
         out = tmp_path / "run"

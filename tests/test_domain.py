@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import smooth_mask, spec_matrix
-from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch, iou_batch, run_simulation, scenario_specs
+from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch, iou_batch, run_simulation, scenario_config
 from ioulab import batch
 from ioulab.batch import BOX_LIMIT, EPSILON, RATIO_LIMITS, SIDE_REL, check_boxes
 from ioulab.sweep import SweepConfig, run_sweep
@@ -195,7 +195,7 @@ class TestPublicEntries:
     def test_descent_and_sweep_skip_the_check(self, monkeypatch):
         # Both loops call the unchecked kernels: a check on every iteration
         # would cost a few percent of each kernel call.
-        sim = SimConfig(specs=scenario_specs(0.8), n_points=2, iterations=3)
+        sim = SimConfig(specs=scenario_config("high").specs, n_points=2, iterations=3)
         sweep = SweepConfig(samples=51)
         names = []
 

@@ -5,12 +5,10 @@ import pytest
 
 from ioulab import (
     BASE_NAMES,
-    SCENARIOS,
     LossSpec,
-    SimConfig,
     eval_batch,
     run_simulation,
-    scenario_specs,
+    scenario_config,
 )
 from ioulab import simlab
 
@@ -84,14 +82,7 @@ class TestFiniteDifferenceAgreement:
     def test_descent_states(self, monkeypatch):
         # The states a high-preset descent visits after its first steps,
         # kept where they are smooth as for random pairs.
-        preset = SCENARIOS["high"]
-        cfg = SimConfig(
-            specs=scenario_specs(preset["ratio"]),
-            n_points=4,
-            radius=preset["radius"],
-            iterations=4,
-            step_size=preset["step_size"],
-        )
+        cfg = scenario_config("high", n_points=4, iterations=4)
         visited = {}
         kernel = simlab.eval_batch
 

@@ -24,7 +24,7 @@ PUBLIC = [
     "iou_batch",
     "SCENARIOS",
     "SimConfig",
-    "scenario_specs",
+    "scenario_config",
     "run_simulation",
     "generate_case_arrays",
 ]

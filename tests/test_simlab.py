@@ -6,12 +6,13 @@ import pytest
 import helpers
 from helpers import descend_every_row
 from ioulab import (
+    BASE_NAMES,
     SCENARIOS,
     LossSpec,
     SimConfig,
     generate_case_arrays,
     run_simulation,
-    scenario_specs,
+    scenario_config,
 )
 from ioulab import simlab
 from ioulab.simlab import ASPECTS, CENTER, CHUNK_CASES, MIN_SIZE, SCALES, _simulate_chunk
@@ -95,6 +96,7 @@ class TestSimConfig:
             (dict(radius=(0.0, True)), "radius"),
             (dict(step_size="0.1"), "step_size"),
             (dict(step_size=True), "step_size"),
+            (dict(specs=LossSpec("ciou")), r"specs must be a list, got LossSpec\(base='ciou'"),
         ],
     )
     def test_validation(self, overrides, match):
@@ -102,6 +104,21 @@ class TestSimConfig:
         base.update(overrides)
         with pytest.raises(ValueError, match=match):
             SimConfig(**base)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_config_reads_the_preset(self, name):
+        preset = SCENARIOS[name]
+        cfg = scenario_config(name)
+        assert (cfg.radius, cfg.step_size) == (preset["radius"], preset["step_size"])
+        # every base in BASE_NAMES order, plain then inner
+        assert [s.label() for s in cfg.specs] == [
+            label for b in BASE_NAMES for label in (b, f"inner-{b}({preset['ratio']:g})")
+        ]
+        assert (cfg.n_points, cfg.iterations, cfg.seed) == (2000, 200, 0)
+        # a keyword overrides the field of that name; the rest stay the preset's
+        small = scenario_config(name, ("iou",), step_size=0.1, n_points=3)
+        assert (small.step_size, small.n_points, small.radius) == (0.1, 3, preset["radius"])
+        assert small.specs == (LossSpec("iou"), LossSpec("iou", inner=preset["ratio"]))
 
     def test_radius_bound_is_the_farthest_anchor(self):
         # a 1e-4 side stays in the domain up to an offset of 1e5
@@ -336,16 +353,7 @@ class TestRunSimulation:
 
 def preset_cfg(scenario: str, **overrides) -> SimConfig:
     """A small population of a preset, with all 12 of its specs."""
-    preset = SCENARIOS[scenario]
-    base = dict(
-        specs=scenario_specs(preset["ratio"]),
-        n_points=2,
-        radius=preset["radius"],
-        iterations=40,
-        step_size=preset["step_size"],
-    )
-    base.update(overrides)
-    return SimConfig(**base)
+    return scenario_config(scenario, **{"n_points": 2, "iterations": 40, **overrides})
 
 
 def assert_same_chunk(got, want):

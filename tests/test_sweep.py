@@ -64,6 +64,10 @@ class TestSweepConfig:
             (dict(aux_sides=(8.0, True)), "aux_sides must be a number, got True"),
             (dict(deviation_range=("-15", 15.0)), "deviation_range must be a number, got '-15'"),
             (dict(deviation_range=(False, 15.0)), "deviation_range must be a number, got False"),
+            # tuple() would split a string and fail on a number with a TypeError
+            (dict(deviation_range=5), r"deviation_range must be a \[lo, hi\] pair, got 5"),
+            (dict(deviation_range="ab"), r"deviation_range must be a \[lo, hi\] pair, got 'ab'"),
+            (dict(aux_sides=8.0), "aux_sides must be a list, got 8.0"),
             # the domain: each curve's square at the deviation range's end
             (dict(box_side=1e-300, aux_sides=(8e-301, 1.2e-300)), "box_side square"),
             (dict(aux_sides=(8.0, 1e-9)), "aux_sides square"),
