@@ -2,10 +2,10 @@
 
 Boxes are in center form (x, y, w, h). The public entries :func:`eval_batch`
 and :func:`iou_batch` take broadcastable (..., 4) arrays, check every box
-with :func:`check_boxes` and copy each array once into a contiguous (4, ...)
-block for the unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`.
-The descent loop and the sweep hold their boxes as such blocks and call the
-kernels directly: a descent state may leave the domain mid-run.
+with :func:`check_boxes` and copy each into a contiguous (4, ...) block for
+the unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`, which take
+the gt block's :class:`Target`. The descent and the sweep prepare each target
+once and call the kernels directly: a descent state may leave the domain.
 
 Per-axis layout: ``block[:2]`` holds the centers (x, y) and ``block[2:]``
 the sides (w, h). Every overlap, enclosure and offset quantity splits into
@@ -59,9 +59,9 @@ BOX_LIMIT = 1e40
 SIDE_REL = 1e-9
 RATIO_LIMITS = (1e-3, 1e3)
 
-# Rows per kernel call for the callers that split their work: a call costs
-# about 263 ns a pair at 8,192 rows and 580-660 ns at 32,768 rows or more,
-# once its temporaries outgrow the cache.
+# Rows per kernel call for the callers that split their work: timed in the
+# descent loop (high preset, 12 specs, 2 shared Xeon vCPUs), a gradient call
+# costs 95 ns a pair on 8,192-row chunks, 120 on 2,048, 110-130 on 32,768-65,536.
 BLOCK_ROWS = 8192
 
 
@@ -116,30 +116,35 @@ class BatchEval:
     grad: np.ndarray | None
 
 
-class _Overlap(NamedTuple):
-    """Overlap of both boxes scaled about their centers by one ratio.
+class Target(NamedTuple):
+    """What the kernels read of a (4, ...) gt block (:func:`prepare_target`).
 
-    ``edges`` are the scaled (anchor low, anchor high, gt low, gt high)
-    edges, each (2, ...) over the axes; ``d_union`` and ``d_iou`` are None
-    without the gradient.
+    ``plain`` and ``inner`` stack the (x, y) low and high edges and the area, (5, ...),
+    at ratio 1 and at the spec's inner ratio; ``aspect`` is ciou's arctan(w / h).
     """
 
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    union: np.ndarray
-    iou: np.ndarray
-    d_union: tuple[np.ndarray, np.ndarray] | None
-    d_iou: tuple[np.ndarray, np.ndarray] | None
+    box: np.ndarray
+    plain: np.ndarray
+    inner: np.ndarray | None
+    aspect: np.ndarray | None
+
+    def take(self, cols) -> "Target":
+        """The target of the columns ``cols`` of the gt block."""
+        return Target._make(None if f is None else np.take(f, cols, axis=-1) for f in self)
 
 
 def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Derivative weight of min(u, v) w.r.t. u; ties get the averaged value.
-    # The same expression with swapped arguments serves max(u, v) w.r.t. v.
-    # In place, 0.5 * (np.sign(v - u) + 1.0).
-    w = v - u
-    np.sign(w, out=w)
-    w += 1.0
+    # Derivative weight of min(u, v) w.r.t. u, and of max(v, u) w.r.t. v:
+    # 1, 1/2 or 0 as u <, == or > v, so ties get the averaged value.
+    w = np.add(u < v, u <= v, dtype=np.float64)
     w *= 0.5
     return w
+
+
+def _ext_weights(w_hi: np.ndarray, w_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The enclosing box's (center, side) weights: max(a_hi, g_hi) picks the
+    # anchor edge with weight 1 - w_hi, min(a_lo, g_lo) with 1 - w_lo, exactly.
+    return w_lo - w_hi, 1.0 - (w_hi + w_lo) * 0.5
 
 
 def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
@@ -159,24 +164,40 @@ def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overlap:
-    """IoU of the (4, ...) anchor and gt blocks ``a``/``g`` scaled by ``r``.
+def _edges(box: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    # c -+ (w * r) / 2 for a (4, ...) block; c -+ w / 2 at r == 1, as w * 1.0 == w
+    half = box[2:] / 2.0 if r == 1.0 else np.divide(t := box[2:] * r, 2.0, out=t)
+    return box[:2] - half, box[:2] + half
+
+
+def prepare_target(g: np.ndarray, spec: "LossSpec | None" = None) -> Target:
+    """The :class:`Target` of the (4, ...) gt block ``g`` under ``spec``, or for
+    :func:`iou_blocks` without one (unchecked). A target does not move: build it once."""
+    def scaled(r):
+        lo, hi = _edges(g, r)
+        side = hi - lo  # corner-derived, as the anchor's in _overlap
+        return np.concatenate((lo, hi, (side[0] * side[1])[None]))
+
+    inner = None if spec is None or spec.inner is None else scaled(spec.inner)
+    aspect = np.arctan(g[2] / g[3]) if spec is not None and spec.base == "ciou" else None
+    return Target(g, scaled(1.0), inner, aspect)
+
+
+def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, enclose: bool = False) -> tuple:
+    """IoU of the (4, ...) anchor block ``a`` and a target's (5, ...) edges and area ``gt`` at ratio ``r``.
 
     This is the one overlap computation: the plain overlap is ``r == 1``,
     and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
-    bit.
+    bit. Returns ``(union, iou, d_union, d_iou, edges, weights)``: the
+    derivatives with ``with_grad``, the anchor's (low, high) ``edges`` and the
+    tie ``weights`` (w_hi, w_lo) with ``enclose``, for the enclosing box.
 
     The in-place operations below are the same float operations in the
     same order as the plain expressions in their comments, so they give the
     same bits with fewer temporaries.
     """
-    def edges(box):
-        half = box[2:] * r
-        half /= 2.0  # (w * r) / 2
-        return box[:2] - half, box[:2] + half
-
-    a_lo, a_hi = edges(a)
-    g_lo, g_hi = edges(g)
+    g_lo, g_hi, g_area = gt[:2], gt[2:4], gt[4]
+    a_lo, a_hi = _edges(a, r)
     raw = np.minimum(a_hi, g_hi)
     raw -= np.maximum(a_lo, g_lo)
     ov = np.maximum(raw, 0.0)
@@ -186,14 +207,13 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
     # bitwise-identical boxes) and makes bitwise-coincident pairs exact
     # stationary points of every loss.
     a_side = a_hi - a_lo
-    g_side = g_hi - g_lo
     union = a_side[0] * a_side[1]
-    union += g_side[0] * g_side[1]
+    union += g_area
     union -= inter  # a_area + g_area - inter
     iou = inter / union
-    edges4 = (a_lo, a_hi, g_lo, g_hi)
+    edges = (a_lo, a_hi) if enclose else None
     if not with_grad:
-        return _Overlap(edges4, union, iou, None, None)
+        return union, iou, None, None, edges, None
 
     w_hi = _pick(a_hi, g_hi)  # min(a_hi, g_hi) picks the anchor edge
     w_lo = _pick(g_lo, a_lo)  # max(a_lo, g_lo) picks the anchor edge
@@ -204,13 +224,13 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
     d_inter_c = w_hi - w_lo
     d_inter_c *= is_open
     d_inter_c *= ov[::-1]
-    d_inter_s = w_hi
-    d_inter_s += w_lo
+    d_inter_s = w_hi + w_lo if enclose else np.add(w_hi, w_lo, out=w_hi)
     d_inter_s *= is_open
     d_inter_s *= r / 2.0
     d_inter_s *= ov[::-1]
-    d_union_s = a_side[::-1] * r
-    d_union_s -= d_inter_s
+    if r != 1.0:
+        a_side *= r  # d_union_s = a_side[::-1] * r - d_inter_s
+    d_union_s = a_side[::-1] - d_inter_s
     d_union = (-d_inter_c, d_union_s)
     # d_iou = (d_inter * union - inter * d_union) / (union * union)
     union2 = union * union
@@ -218,52 +238,57 @@ def _overlap(a: np.ndarray, g: np.ndarray, r: float, with_grad: bool) -> _Overla
         di *= union
         di -= inter * du
         di /= union2
-    return _Overlap(edges4, union, iou, d_union, (d_inter_c, d_inter_s))
+    weights = (w_hi, w_lo) if enclose else None
+    return union, iou, d_union, (d_inter_c, d_inter_s), edges, weights
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
     """Plain IoU over broadcastable (..., 4) center-form arrays; ValueError outside the domain."""
-    return iou_blocks(*_blocks(anchors, gts))
+    a, g = _blocks(anchors, gts)
+    return iou_blocks(a, prepare_target(g))
 
 
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
     """Evaluate ``spec`` over broadcastable (..., 4) box arrays; ValueError outside the domain."""
-    return eval_blocks(spec, *_blocks(anchors, gts), with_grad=with_grad)
+    a, g = _blocks(anchors, gts)
+    return eval_blocks(spec, a, prepare_target(g, spec), with_grad=with_grad)
 
 
-def iou_blocks(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Plain IoU of the (4, ...) anchor and gt blocks ``a``/``g`` (unchecked)."""
-    return _overlap(a, g, 1.0, False).iou
+def iou_blocks(a: np.ndarray, target: Target) -> np.ndarray:
+    """Plain IoU of the (4, ...) anchor block ``a`` and a prepared target (unchecked)."""
+    return _overlap(a, target.plain, 1.0, False)[1]
 
 
-def eval_blocks(spec: "LossSpec", a: np.ndarray, g: np.ndarray, *, with_grad: bool = True) -> BatchEval:
-    """Evaluate ``spec`` on the broadcastable (4, ...) blocks ``a``/``g`` of equal rank (unchecked)."""
-    base = spec.base
+def eval_blocks(spec: "LossSpec", a: np.ndarray, target: Target, *, with_grad: bool = True) -> BatchEval:
+    """Evaluate ``spec`` on the (4, ...) anchor block ``a`` and ``prepare_target(g, spec)`` (unchecked)."""
+    base, g, enclose = spec.base, target.box, spec.base != "iou"
 
     # --- overlap -----------------------------------------------------------
-    aux = None if spec.inner is None else _overlap(a, g, spec.inner, with_grad)
+    inner = d_inner = None
+    if spec.inner is not None:
+        _, inner, _, d_inner, _, _ = _overlap(a, target.inner, spec.inner, with_grad)
     # The iou base with a ratio is 1 - (auxiliary overlap), so its plain
     # overlap only reports ``iou`` and needs no gradient.
-    plain = _overlap(a, g, 1.0, with_grad and (base != "iou" or aux is None))
-    a_lo, a_hi, g_lo, g_hi = plain.edges
-    union, iou, d_union, d_iou = plain.union, plain.iou, plain.d_union, plain.d_iou
+    union, iou, d_union, d_iou, edges, weights = _overlap(
+        a, target.plain, 1.0, with_grad and (enclose or inner is None), enclose
+    )
 
     # --- enclosing box (every base but iou) ----------------------------------
-    if base != "iou":
-        ext = np.maximum(a_hi, g_hi) - np.minimum(a_lo, g_lo)  # (cw, ch)
+    if enclose:
+        ext = np.maximum(edges[1], target.plain[2:4]) - np.minimum(edges[0], target.plain[:2])
         if with_grad:
-            u_hi = _pick(g_hi, a_hi)  # max(a_hi, g_hi) picks the anchor edge
-            u_lo = _pick(a_lo, g_lo)  # min(a_lo, g_lo) picks the anchor edge
-            d_ext = (u_hi - u_lo, (u_hi + u_lo) * 0.5)
+            d_ext = _ext_weights(*weights)
+        # Not read again: freed before the loss builds its temporaries.
+        del edges, weights
 
     # --- base loss: partials dc (center) and ds (sides) ----------------------
     terms: dict[str, np.ndarray | float] = {}
 
     if base == "iou":
-        ov = plain if aux is None else aux
-        loss = 1.0 - ov.iou
+        ov_iou, ov_d = (iou, d_iou) if inner is None else (inner, d_inner)
+        loss = 1.0 - ov_iou
         if with_grad:
-            dc, ds = -ov.d_iou[0], -ov.d_iou[1]
+            dc, ds = -ov_d[0], -ov_d[1]
     elif base == "giou":
         c_area = ext[0] * ext[1]
         loss = 1.0 - iou + (c_area - union) / c_area
@@ -285,7 +310,7 @@ def eval_blocks(spec: "LossSpec", a: np.ndarray, g: np.ndarray, *, with_grad: bo
             ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
         if base == "ciou":
             aw, ah = a[2], a[3]
-            q = np.arctan(g[2] / g[3]) - np.arctan(aw / ah)
+            q = target.aspect - np.arctan(aw / ah)
             v = _K_ASPECT * q * q
             alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
             loss = loss + alpha * v
@@ -364,11 +389,10 @@ def eval_blocks(spec: "LossSpec", a: np.ndarray, g: np.ndarray, *, with_grad: bo
         raise ValueError(f"unknown base loss {base!r}")
 
     # --- auxiliary (inner) composition: every base but iou ---------------------
-    inner = None if aux is None else aux.iou
-    if aux is not None and base != "iou":
+    if inner is not None and base != "iou":
         loss = loss + iou - inner
         if with_grad:
-            dc, ds = dc + d_iou[0] - aux.d_iou[0], ds + d_iou[1] - aux.d_iou[1]
+            dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
 
     grad = np.moveaxis(np.concatenate((dc, ds)), 0, -1) if with_grad else None
     return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)

@@ -14,14 +14,16 @@ aspect), and reductions always run in case order over fixed-size chunks,
 so results are identical no matter how many worker threads run the chunks.
 
 A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
-which the unchecked kernel ``batch.eval_blocks`` takes as it is; only the
-final state is checked against the box domain. A case whose step is
-exactly zero and whose sides need no clamp has the same state at the next
-iteration, and since every output of the kernel is computed case by case
-from that case's boxes alone, it stays frozen for good. Such cases retire: later iterations evaluate, step and measure only
-the cases still moving, and skip the kernel once none are. A retired case
-keeps its last error in the chunk's full per-case error array, so every
-total sums the same values in the same order as an every-case loop.
+which the unchecked kernel ``batch.eval_blocks`` takes as it is, against
+the chunk's target prepared once; only the final state is checked against
+the box domain. A case whose step is exactly zero and whose sides need no
+clamp has the same state at the next iteration, and since every output of
+the kernel is computed case by case from that case's boxes alone, it stays
+frozen for good. Such cases retire: later iterations evaluate, step and
+measure only the cases still moving, with their columns of the target,
+and skip the kernel once none are. A retired case keeps its last error in
+the chunk's full per-case error array, so every total sums the same values
+in the same order as an every-case loop.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, check_boxes
+from .batch import BLOCK_ROWS, Target, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernels under these module attribute names.
 from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
@@ -197,11 +199,11 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return anchors, targets
 
 
-def _corner_l1(state: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-case L1 distance from a (4, n) state's corners to the (2, n) corners ``lo``/``hi``."""
+def _corner_l1(state: np.ndarray, goal: Target) -> np.ndarray:
+    """Per-case L1 distance from a (4, n) state's corners to the prepared target's."""
     half = state[2:] / 2.0
-    d_lo = np.abs((state[:2] - half) - lo)
-    d_hi = np.abs((state[:2] + half) - hi)
+    d_lo = np.abs((state[:2] - half) - goal.plain[:2])
+    d_hi = np.abs((state[:2] + half) - goal.plain[2:4])
     return d_lo[0] + d_hi[0] + d_lo[1] + d_hi[1]
 
 
@@ -220,23 +222,21 @@ def _simulate_chunk(
     naming the spec and the case id, ``first_case`` plus its row.
     """
     state = anchors.T.copy()
-    goal = np.ascontiguousarray(targets.T)
-    half = goal[2:] / 2.0
-    goal_lo, goal_hi = goal[:2] - half, goal[:2] + half
+    goal = prepare_target(np.ascontiguousarray(targets.T), spec)
     n = state.shape[1]
     steps = cfg.iterations
     totals = np.empty(steps + 1)
     clamps = np.zeros(n, dtype=np.int64)
 
-    err = _corner_l1(state, goal_lo, goal_hi)
+    err = _corner_l1(state, goal)
     initial = err.copy()
     totals[0] = err.sum()
     # The cases that can still move (chunk rows), and their columns of
-    # state, goal, goal_lo, goal_hi and clamps.
+    # state, goal and clamps.
     rows = slice(None)
-    live = (state, goal, goal_lo, goal_hi, clamps)
+    live = (state, goal, clamps)
     for t in range(1, steps + 1):
-        x, g, lo, hi, c = live
+        x, g, c = live
         if not x.shape[1]:
             totals[t:] = totals[t - 1]
             break
@@ -250,15 +250,15 @@ def _simulate_chunk(
         c += low[0]
         c += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
-        err[rows] = _corner_l1(x, lo, hi)
+        err[rows] = _corner_l1(x, g)
         totals[t] = err.sum()
         # Retire the cases the step left in place and the clamp did not touch.
         keep = np.flatnonzero(move.any(axis=0) | low[0] | low[1])
         if keep.size < x.shape[1]:
             state[:, rows], clamps[rows] = x, c
             rows = np.arange(n)[rows][keep]
-            live = tuple(np.take(a, keep, axis=-1) for a in live)
-    state[:, rows], clamps[rows] = live[0], live[4]
+            live = (np.take(x, keep, axis=-1), g.take(keep), np.take(c, keep))
+    state[:, rows], clamps[rows] = live[0], live[2]
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     final_iou = iou_batch(state, goal)
     return totals, initial, err, final_iou, clamps

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, check_boxes
+from .batch import BLOCK_ROWS, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernel under this module attribute name.
 from .batch import eval_blocks as eval_batch
 from .losses import LossSpec, inner_ratio, real_number, sequence, whole_number
@@ -111,6 +111,7 @@ def run_sweep(
     # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
     # and ratio 1 reproduces the plain overlap bit for bit.
     specs = {side: LossSpec("iou", inner=side / cfg.box_side) for side in cfg.sides()}
+    targets = {side: prepare_target(target, spec) for side, spec in specs.items()}
     iou = {side: np.empty(n) for side in specs}
     absgrad = {side: np.empty(n) for side in specs}
     for lo in range(0, n, BLOCK_ROWS):
@@ -120,7 +121,7 @@ def run_sweep(
         anchors[:] = target
         anchors[col] = devs[lo:hi]
         for side, spec in specs.items():
-            ev = eval_batch(spec, anchors, target)
+            ev = eval_batch(spec, anchors, targets[side])
             iou[side][lo:hi] = ev.inner_iou
             np.abs(ev.grad[:, col], out=absgrad[side][lo:hi])
     return devs, iou, absgrad

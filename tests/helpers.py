@@ -18,7 +18,11 @@ ran in blocks: one kernel call per curve over every sample, against a full
 array of copies of the target, so it is the reference the block loop must
 match bit for bit. Both call the unchecked block kernels on transposes of
 their (n, 4) arrays, as the loops they stand for do: a descent state may
-leave the box domain before its final step.
+leave the box domain before its final step. Both build the prepared target
+afresh for every call, so they also judge the loops that build it once and
+take its columns. The sign-based tie weight is the kernel's weight as it was
+before it became a comparison, so it is the reference that one must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import io
 import numpy as np
 
 from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch
-from ioulab.batch import check_boxes, eval_blocks, iou_blocks
+from ioulab.batch import check_boxes, eval_blocks, iou_blocks, prepare_target
 from ioulab.simlab import MIN_SIZE
 from ioulab.sweep import SweepConfig
 
@@ -196,6 +200,11 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
     return out
 
 
+def pick_reference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Derivative weight of min(u, v) w.r.t. u, 1/2 at ties: ``0.5 * (sign(v - u) + 1)``."""
+    return 0.5 * (np.sign(v - u) + 1.0)
+
+
 def csv_reference(header, blocks) -> bytes:
     """The CLI's CSV bytes for ``header`` and ``(lead, columns)`` blocks, one value at a time."""
     buf = io.StringIO(newline="")
@@ -244,7 +253,7 @@ def descend_every_row(
     initial = err.copy()
     totals[0] = err.sum()
     for t in range(1, steps + 1):
-        ev = eval_blocks(spec, state.T, targets.T, with_grad=True)
+        ev = eval_blocks(spec, state.T, prepare_target(targets.T, spec), with_grad=True)
         # Larger steps while the pair barely overlaps, annealing to
         # step_size as the overlap approaches 1.
         eta = cfg.step_size * (2.0 - ev.iou)
@@ -259,7 +268,7 @@ def descend_every_row(
         err = _corner_l1_rows(state, targets)
         totals[t] = err.sum()
     check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_blocks(state.T, targets.T)
+    final_iou = iou_blocks(state.T, prepare_target(targets.T))
     return totals, initial, err, final_iou, clamps
 
 
@@ -276,7 +285,8 @@ def sweep_whole_array(cfg: SweepConfig):
     iou = {}
     absgrad = {}
     for side in cfg.sides():
-        ev = eval_blocks(LossSpec("iou", inner=side / cfg.box_side), anchors.T, targets.T)
+        spec = LossSpec("iou", inner=side / cfg.box_side)
+        ev = eval_blocks(spec, anchors.T, prepare_target(targets.T, spec))
         iou[side] = ev.inner_iou
         absgrad[side] = np.abs(ev.grad[:, col])
     return devs, iou, absgrad

@@ -86,10 +86,11 @@ class TestFiniteDifferenceAgreement:
         visited = {}
         kernel = simlab.eval_batch
 
-        def recording(spec, anchors, gts, **kwargs):
-            # the loop passes (4, n) blocks; keep them as (n, 4) rows
-            visited.setdefault(spec, []).append((np.array(anchors).T, np.array(gts).T))
-            return kernel(spec, anchors, gts, **kwargs)
+        def recording(spec, anchors, target, **kwargs):
+            # the loop passes a (4, n) block and its prepared target; keep
+            # the anchors and the target's gt block as (n, 4) rows
+            visited.setdefault(spec, []).append((np.array(anchors).T, np.array(target.box).T))
+            return kernel(spec, anchors, target, **kwargs)
 
         monkeypatch.setattr(simlab, "eval_batch", recording)
         run_simulation(cfg)

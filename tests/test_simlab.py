@@ -370,9 +370,11 @@ def rows_per_call(monkeypatch) -> list[int]:
     rows = []
     kernel = simlab.eval_batch
 
-    def counting(spec, anchors, gts, **kwargs):
-        rows.append(anchors.shape[-1])  # (4, rows) blocks
-        return kernel(spec, anchors, gts, **kwargs)
+    def counting(spec, anchors, target, **kwargs):
+        # (4, rows) blocks, each against the prepared target of the same rows
+        rows.append(anchors.shape[-1])
+        assert target.box.shape == anchors.shape
+        return kernel(spec, anchors, target, **kwargs)
 
     monkeypatch.setattr(simlab, "eval_batch", counting)
     return rows
@@ -443,15 +445,17 @@ class TestRetirement:
     def test_kernel_sees_only_the_moving_cases(self, monkeypatch):
         # The tracer of the benchmark wraps simlab.eval_batch, so the loop
         # must call the kernel through that module attribute.
-        cfg = preset_cfg("high", specs=(LossSpec("iou"), LossSpec("giou")), iterations=6)
+        specs = (LossSpec("iou"), LossSpec("iou", inner=0.8), LossSpec("giou"))
+        cfg = preset_cfg("high", specs=specs, iterations=16)
         anchors, targets = generate_case_arrays(cfg)
         # the every-row loop's own moves say which cases are still moving
-        expected, frozen = [], []
+        expected, frozen = {}, []
         kernel = helpers.eval_blocks
 
-        def frozen_after(spec, state, gts, **kwargs):
-            # (4, n) blocks; the moves are (n, 4) like the kernel's grad
-            ev = kernel(spec, state, gts, **kwargs)
+        def frozen_after(spec, state, target, **kwargs):
+            # a (4, n) block and its prepared target; the moves are (n, 4)
+            # like the kernel's grad
+            ev = kernel(spec, state, target, **kwargs)
             move = (cfg.step_size * (2.0 - ev.iou))[:, None] * ev.grad
             clamped = ((state.T - move)[:, 2:] < MIN_SIZE).any(axis=1)
             frozen.append(~(move.any(axis=1) | clamped))
@@ -462,14 +466,21 @@ class TestRetirement:
             frozen.clear()
             descend_every_row(spec, anchors, targets, cfg)
             moving = np.ones(cfg.case_count, dtype=bool)
+            calls = expected[spec] = []
             for f in frozen:
                 if moving.any():
-                    expected.append(int(moving.sum()))
+                    calls.append(int(moving.sum()))
                 moving &= ~f
 
         rows = rows_per_call(monkeypatch)
         run_simulation(cfg)
-        assert rows == expected
+        assert rows == [n for calls in expected.values() for n in calls]
+        iou, inner, giou = expected.values()
         # iou retires most cases after its first step; giou retires none
-        assert rows[1] < cfg.case_count / 2
-        assert rows[-cfg.iterations:] == [cfg.case_count] * cfg.iterations
+        assert iou[1] < cfg.case_count / 2
+        assert giou == [cfg.case_count] * cfg.iterations
+        # inner-iou(0.8) retires cases after its first step and again later
+        # on, so the loop takes columns of the ratio-0.8 target it built
+        # once, and of an already taken one
+        assert len(inner) == cfg.iterations
+        assert len(set(inner)) >= 3 and inner[1] < cfg.case_count
