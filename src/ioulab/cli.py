@@ -12,7 +12,6 @@ no field holds a comma, quote or newline, so none is ever quoted.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -181,6 +180,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
             for s in summaries
         ]
         outputs.append(_csv(out / "cases.csv", header, cases))
+
+    # Imported here: hashlib maps OpenSSL (about 3.6 MiB), and only sim hashes.
+    import hashlib
 
     config = cfg.to_dict()  # `sim --config` reruns it
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))

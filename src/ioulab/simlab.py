@@ -182,21 +182,24 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
     aspect = np.asarray(ASPECTS)
     scale = np.asarray(SCALES)
-    grid = (len(aspect), cfg.n_points, len(scale), len(aspect))
-    ti, pi, si, ai = np.indices(grid).reshape(4, -1)
-
+    # Each output is written in place through its (target aspect, point,
+    # anchor scale, anchor aspect, coordinate) shape, so the run holds no
+    # index grid and no gathered copies, only the two outputs.
+    shape = (len(aspect), cfg.n_points, len(scale), len(aspect), 4)
+    targets = np.empty(shape)
+    targets[..., 0] = CENTER[0]
+    targets[..., 1] = CENTER[1]
     # unit target area: w * h == 1
-    t_w = np.sqrt(aspect)[ti]
-    t_h = np.sqrt(1.0 / aspect)[ti]
-    targets = np.stack(
-        [np.full(ti.shape, CENTER[0]), np.full(ti.shape, CENTER[1]), t_w, t_h], axis=1
-    )
+    targets[..., 2] = np.sqrt(aspect)[:, None, None, None]
+    targets[..., 3] = np.sqrt(1.0 / aspect)[:, None, None, None]
 
-    area = scale[si]
-    a_w = np.sqrt(area * aspect[ai])
-    a_h = np.sqrt(area / aspect[ai])
-    anchors = np.stack([px[pi], py[pi], a_w, a_h], axis=1)
-    return anchors, targets
+    anchors = np.empty(shape)
+    anchors[..., 0] = px[:, None, None]
+    anchors[..., 1] = py[:, None, None]
+    area = scale[:, None]
+    anchors[..., 2] = np.sqrt(area * aspect)
+    anchors[..., 3] = np.sqrt(area / aspect)
+    return anchors.reshape(-1, 4), targets.reshape(-1, 4)
 
 
 def _corner_l1(state: np.ndarray, goal: Target) -> np.ndarray:
@@ -213,13 +216,16 @@ def _simulate_chunk(
     targets: np.ndarray,
     cfg: SimConfig,
     first_case: int = 0,
+    *,
+    per_case: bool = False,
 ):
     """Descend one chunk of (n, 4) cases under ``spec``.
 
     Returns the per-iteration total error (the case's own error curve for a
     one-row chunk), then the per-case initial error, final error, final IoU
-    and clamp count. A final state outside the box domain raises ValueError
-    naming the spec and the case id, ``first_case`` plus its row.
+    and clamp count; without ``per_case``, None in place of all but the
+    totals and the final error. A final state outside the box domain raises
+    ValueError naming the spec and the case id, ``first_case`` plus its row.
     """
     state = anchors.T.copy()
     goal = prepare_target(np.ascontiguousarray(targets.T), spec)
@@ -229,7 +235,7 @@ def _simulate_chunk(
     clamps = np.zeros(n, dtype=np.int64)
 
     err = _corner_l1(state, goal)
-    initial = err.copy()
+    initial = err.copy() if per_case else None
     totals[0] = err.sum()
     # The cases that can still move (chunk rows), and their columns of
     # state, goal and clamps.
@@ -260,8 +266,9 @@ def _simulate_chunk(
             live = (np.take(x, keep, axis=-1), g.take(keep), np.take(c, keep))
     state[:, rows], clamps[rows] = live[0], live[2]
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_batch(state, goal)
-    return totals, initial, err, final_iou, clamps
+    if not per_case:
+        return totals, None, err, None, None
+    return totals, initial, err, iou_batch(state, goal), clamps
 
 
 def run_simulation(
@@ -271,7 +278,9 @@ def run_simulation(
 
     ``threads`` parallelizes over fixed-size chunks of cases (0 = one per
     CPU this process may run on); the reduction order is by chunk index,
-    so summaries are bit-identical for any thread count.
+    so summaries are bit-identical for any thread count. Only with
+    ``per_case`` do the summaries carry each case's initial error, final
+    error, final IoU and clamp count, and only then is the final IoU computed.
     """
     if not cfg.specs:
         raise ValueError("config needs at least one loss spec")
@@ -291,7 +300,7 @@ def run_simulation(
 
         def job(span: tuple[int, int]):
             a, b = span
-            return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a)
+            return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case)
 
         if threads > 1 and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

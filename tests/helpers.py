@@ -22,6 +22,9 @@ leave the box domain before its final step. Both build the prepared target
 afresh for every call, so they also judge the loops that build it once and
 take its columns. The sign-based tie weight is the kernel's weight as it was
 before it became a comparison, so it is the reference that one must match
+byte for byte. The index-grid case generator is the population as it was
+built before it was written in place: it gathers every column through
+``np.indices``, so it is the reference the in-place generator must match
 byte for byte.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch
 from ioulab.batch import check_boxes, eval_blocks, iou_blocks, prepare_target
-from ioulab.simlab import MIN_SIZE
+from ioulab.simlab import ASPECTS, CENTER, MIN_SIZE, SCALES
 from ioulab.sweep import SweepConfig
 
 AXES = ("x", "y", "w", "h")
@@ -290,3 +293,30 @@ def sweep_whole_array(cfg: SweepConfig):
         iou[side] = ev.inner_iou
         absgrad[side] = np.abs(ev.grad[:, col])
     return devs, iou, absgrad
+
+
+def cases_by_index(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """What ``simlab.generate_case_arrays`` returns, gathered through an index grid."""
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.radius
+    r = np.sqrt(rng.uniform(lo * lo, hi * hi, cfg.n_points))
+    phi = rng.uniform(0.0, 2.0 * np.pi, cfg.n_points)
+    px = CENTER[0] + r * np.cos(phi)
+    py = CENTER[1] + r * np.sin(phi)
+
+    aspect = np.asarray(ASPECTS)
+    scale = np.asarray(SCALES)
+    grid = (len(aspect), cfg.n_points, len(scale), len(aspect))
+    ti, pi, si, ai = np.indices(grid).reshape(4, -1)
+
+    t_w = np.sqrt(aspect)[ti]
+    t_h = np.sqrt(1.0 / aspect)[ti]
+    targets = np.stack(
+        [np.full(ti.shape, CENTER[0]), np.full(ti.shape, CENTER[1]), t_w, t_h], axis=1
+    )
+
+    area = scale[si]
+    a_w = np.sqrt(area * aspect[ai])
+    a_h = np.sqrt(area / aspect[ai])
+    anchors = np.stack([px[pi], py[pi], a_w, a_h], axis=1)
+    return anchors, targets

@@ -16,7 +16,15 @@ from ioulab import (
     scenario_config,
 )
 from ioulab.simlab import CHUNK_CASES
-from ioulab.batch import _blocks, _edges, _ext_weights, _pick, eval_blocks, prepare_target
+from ioulab.batch import (
+    BatchEval,
+    _blocks,
+    _edges,
+    _ext_weights,
+    _pick,
+    eval_blocks,
+    prepare_target,
+)
 
 from helpers import (
     TEST_RATIOS,
@@ -198,14 +206,16 @@ class TestRowSubsets:
         assert [None if f is None else f.tobytes() for f in taken] == [
             None if f is None else f.tobytes() for f in want
         ]
-        full = eval_blocks(spec, a, target)
-        part = eval_blocks(spec, a[:, rows], taken)
-        for name in ("loss", "iou", "inner_iou", "grad"):
-            want, got = getattr(full, name), getattr(part, name)
-            if want is None:
-                assert got is None, name
-            else:
-                assert got.tobytes() == want[rows].tobytes(), name
+        # both passes: the descent's gradient pass and the forward pass
+        for with_grad in (True, False):
+            full = eval_blocks(spec, a, target, with_grad=with_grad)
+            part = eval_blocks(spec, a[:, rows], taken, with_grad=with_grad)
+            for name in ("loss", "iou", "inner_iou", "grad"):
+                want, got = getattr(full, name), getattr(part, name)
+                if want is None:
+                    assert got is None, name
+                else:
+                    assert got.tobytes() == want[rows].tobytes(), name
 
 
 def tie_heavy_blocks(n: int = 20_000, seed: int = 13) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +258,9 @@ def outputs_digest(ev) -> str:
 
 
 # outputs_digest of eval_blocks on tie_heavy_blocks(), with the gradient, as
-# the kernel gave them before its tie weights became comparisons and before
-# it took a prepared target: a kernel change that moves any bit fails here.
+# the kernel gave them in one pass before its tie weights became comparisons,
+# before it took a prepared target and before the gradient pass dropped the
+# loss and terms: a kernel change that moves any bit fails here.
 KERNEL_SHA256 = {
     "iou": "d51931af7c1feda2abad6b759266c26e472a9c2ed7907bb5ae423424cbb484aa",
     "inner-iou(0.8)": "53eb4a204bf24ebf6c259ff66b4525a65a719605ad0acd1ddf5fc4ff19e35ced",
@@ -307,13 +318,17 @@ class TestKernelBits:
     def test_outputs_are_pinned(self, spec):
         a, g = tie_heavy_blocks()
         target = prepare_target(g, spec)
-        ev = eval_blocks(spec, a, target)
-        assert outputs_digest(ev) == KERNEL_SHA256[spec.label()]
-        # the forward pass alone gives the same bits
         fwd = eval_blocks(spec, a, target, with_grad=False)
+        grad = eval_blocks(spec, a, target)
         assert fwd.grad is None
-        fwd.grad = ev.grad
-        assert outputs_digest(fwd) == KERNEL_SHA256[spec.label()]
+        # the gradient pass builds neither the loss nor its terms
+        assert grad.loss is None and grad.terms == {}
+        # the forward pass's loss and terms, the gradient pass's overlaps and grad
+        merged = BatchEval(fwd.loss, grad.iou, grad.inner_iou, fwd.terms, grad.grad)
+        assert outputs_digest(merged) == KERNEL_SHA256[spec.label()]
+        # the public entry, with the forward pass's overlaps, gives the same bits
+        public = eval_batch(spec, a.T, g.T)
+        assert outputs_digest(public) == KERNEL_SHA256[spec.label()]
 
 
 # Coordinates bounded so a 1e-2 side never vanishes at the corner round trip.

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -659,3 +662,46 @@ class TestParser:
 
     def test_command_required(self):
         assert run_cli() == 2
+
+
+# Runs `python -m ioulab <argv>` and prints, as it exits, whether the run
+# loaded OpenSSL's hash module.
+_OPENSSL_PROBE = """
+import runpy, sys
+sys.argv[0] = "ioulab"
+try:
+    runpy.run_module("ioulab", run_name="__main__", alter_sys=True)
+finally:
+    print("_hashlib" in sys.modules, file=sys.stderr)
+"""
+
+
+def loads_openssl(tmp_path, *argv) -> bool:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _OPENSSL_PROBE, *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr.splitlines()[-1] == "True"
+
+
+class TestImports:
+    """A command maps only what it reads: hashlib's OpenSSL costs about 3.6 MiB of RSS."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json"),
+            ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "siou", "--grad"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv):
+        assert not loads_openssl(tmp_path, *argv)
+
+    def test_the_probe_sees_sim_load_it(self, tmp_path):
+        # sim hashes its manifest, and numpy.random's seeding imports it too
+        argv = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
+        assert loads_openssl(tmp_path, *argv)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
-from helpers import descend_every_row
+from helpers import cases_by_index, descend_every_row
 from ioulab import (
     BASE_NAMES,
     SCENARIOS,
@@ -43,7 +44,7 @@ def descend_one(spec: LossSpec, anchor, target, cfg: SimConfig):
     The total-error curve of a one-row chunk is that case's error curve.
     """
     totals, _, _, final_iou, clamps = _simulate_chunk(
-        spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg
+        spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg, per_case=True
     )
     return totals, float(final_iou[0]), int(clamps[0])
 
@@ -212,6 +213,29 @@ class TestCaseGeneration:
         assert not np.array_equal(targets[0], targets[block])
 
 
+    @pytest.mark.parametrize(
+        "n_points,seed,radius",
+        [(1, 0, (0.0, 3.0)), (3, 7, (6.0, 9.0)), (24, 1, (0.0, 3.0)), (100, 123, (0.5, 2.0))],
+    )
+    def test_matches_the_index_grid_reference(self, n_points, seed, radius):
+        cfg = tiny_cfg(n_points=n_points, seed=seed, radius=radius)
+        for got, want in zip(generate_case_arrays(cfg), cases_by_index(cfg)):
+            assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_outputs(self):
+        # the 34,300 cases of the criterion 6/7 fixtures
+        cfg = tiny_cfg(n_points=100)
+        generate_case_arrays(cfg)  # warm-up: the first call imports numpy.random
+        tracemalloc.start()
+        try:
+            anchors, targets = generate_case_arrays(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (anchors.nbytes + targets.nbytes)
+
+
 class TestRunCase:
     def test_coincident_start_stays_at_zero(self):
         cfg = tiny_cfg(iterations=20)
@@ -295,6 +319,26 @@ class TestRunSimulation:
         assert np.sum(s.case_initial_error) == pytest.approx(s.total_error_curve[0], rel=1e-12)
         assert s.case_final_iou.shape == (cfg.case_count,)
         assert np.all(s.case_clamps >= 0)
+
+    def test_final_iou_only_for_per_case_runs(self, monkeypatch):
+        cfg = tiny_cfg(specs=(LossSpec("ciou", inner=0.8),), n_points=30, iterations=3)
+        chunks = -(-cfg.case_count // CHUNK_CASES)
+        assert chunks > 1
+        calls = []
+        kernel = simlab.iou_batch
+
+        def counting(state, target):
+            calls.append(state.shape[-1])
+            return kernel(state, target)
+
+        monkeypatch.setattr(simlab, "iou_batch", counting)
+        [summary] = run_simulation(cfg)
+        assert calls == []
+        assert summary.case_final_iou is summary.case_initial_error is summary.case_clamps is None
+        [full] = run_simulation(cfg, per_case=True)
+        assert calls == [CHUNK_CASES] * (chunks - 1) + [cfg.case_count % CHUNK_CASES]
+        assert full.case_final_iou.shape == (cfg.case_count,)
+        assert full.total_error_curve.tobytes() == summary.total_error_curve.tobytes()
 
     def test_repeat_runs_identical(self):
         cfg = tiny_cfg(specs=(LossSpec("siou"),), seed=5)
@@ -389,7 +433,7 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         for spec in cfg.specs:
             assert_same_chunk(
-                _simulate_chunk(spec, anchors, targets, cfg),
+                _simulate_chunk(spec, anchors, targets, cfg, per_case=True),
                 descend_every_row(spec, anchors, targets, cfg),
             )
 
@@ -399,7 +443,7 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         want = descend_every_row(cfg.specs[0], anchors, targets, cfg)
         rows = rows_per_call(monkeypatch)
-        assert_same_chunk(_simulate_chunk(cfg.specs[0], anchors, targets, cfg), want)
+        assert_same_chunk(_simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True), want)
         # one evaluation finds every case frozen; the kernel is not called again
         assert rows == [cfg.case_count]
         assert np.all(want[0] == want[0][0])
@@ -418,7 +462,7 @@ class TestRetirement:
     def test_clamped_cases(self, anchor, target):
         cfg = tiny_cfg(iterations=7)
         anchors, targets = np.array([anchor], dtype=float), np.array([target], dtype=float)
-        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg)
+        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True)
         assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
         # both clamp on the first step and end overlapping their targets
         assert got[4][0] >= 2
