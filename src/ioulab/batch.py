@@ -36,6 +36,7 @@ ratios in ``RATIO_LIMITS``. There every loss and gradient is finite and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -59,9 +60,12 @@ BOX_LIMIT = 1e40
 SIDE_REL = 1e-9
 RATIO_LIMITS = (1e-3, 1e3)
 
-# Rows per kernel call for the callers that split their work: timed in the
-# descent loop (high preset, 12 specs, 2 shared Xeon vCPUs), a gradient call
-# costs 95 ns a pair on 8,192-row chunks, 120 on 2,048, 110-130 on 32,768-65,536.
+# Rows per kernel call for the callers that split their work. Timed in the
+# descent loop with one reused Scratch (high preset, 12 specs, 49,049 cases,
+# 2 shared Xeon vCPUs), a gradient call costs 203 ns a pair on 2,048-row
+# chunks, 176 on 4,096, 135 on 8,192 and 131 on 16,384. simlab.CHUNK_CASES
+# is this constant and fixes the order of the descent's sums, and so the
+# bytes of its totals.
 BLOCK_ROWS = 8192
 
 
@@ -135,18 +139,103 @@ class Target(NamedTuple):
         return Target._make(None if f is None else np.take(f, cols, axis=-1) for f in self)
 
 
-def _pick(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+class Scratch:
+    """Float64 and bool buffers that kernel calls reuse, so that a warm call
+    allocates nothing of the block's size.
+
+    :func:`eval_blocks` takes one as ``scratch``. A call starts by freeing
+    every slot. It writes each temporary and each output into a slot, and
+    gives a temporary's slot back once its value is dead, so that a later
+    value reuses it. The outputs stay valid until the scratch's next call; a
+    gradient pass frees the rest when it returns, and the caller may take
+    those slots for its own temporaries until then, as the descent's step
+    does.
+
+    A slot is a contiguous view of one flat buffer, shaped like the block's
+    columns with a leading axis of ``rows`` (2 for an (x, y) pair, 4 for the
+    gradient) or none (``rows=1``). As an ``out=``, its row ``i`` is
+    ``slot[i, ...]``, which stays an array for a one-pair block. The buffers
+    grow to the largest block seen. One scratch serves one thread at a time.
+    """
+
+    def __init__(self) -> None:
+        self._size = 0  # columns each buffer holds
+        self._shape: tuple[int, ...] | None = None
+        self._bufs: dict[tuple, list[np.ndarray]] = {}  # (rows, dtype) -> flat buffers
+        self._slots: dict[tuple, list[np.ndarray]] = {}  # their views at _shape
+        self._free: dict[tuple, list[np.ndarray]] = {}
+
+    def start(self, shape: tuple[int, ...]) -> "Scratch":
+        """Free every slot and shape the slots to blocks of ``shape`` columns."""
+        if shape != self._shape:
+            size = math.prod(shape)
+            if size > self._size:
+                # an earlier call's outputs keep their old buffers alive
+                self._size, self._bufs = size, {}
+            self._shape = shape
+            self._slots = {key: [self._view(b, key[0]) for b in bufs] for key, bufs in self._bufs.items()}
+        self.release()
+        return self
+
+    def release(self, *keep: np.ndarray) -> None:
+        """Free every slot but those in ``keep``."""
+        kept = {id(k) for k in keep}
+        self._free = {key: [v for v in slots if id(v) not in kept] for key, slots in self._slots.items()}
+
+    def _view(self, buf: np.ndarray, rows: int) -> np.ndarray:
+        shape = (rows, *self._shape) if rows > 1 else self._shape
+        return buf[: rows * math.prod(self._shape)].reshape(shape)
+
+    def take(self, rows: int = 2, dtype=np.float64) -> np.ndarray:
+        """A free float64 slot of ``rows`` rows (none for 1), or of ``dtype``."""
+        key = (rows, dtype)
+        free = self._free.setdefault(key, [])
+        if free:
+            return free.pop()
+        buf = np.empty(rows * self._size, dtype)
+        self._bufs.setdefault(key, []).append(buf)
+        slot = self._view(buf, rows)
+        self._slots.setdefault(key, []).append(slot)
+        return slot
+
+    def mask(self, rows: int = 2) -> np.ndarray:
+        """A free bool slot of ``rows`` rows (none for 1)."""
+        return self.take(rows, np.bool_)
+
+    def give(self, *slots: np.ndarray) -> None:
+        """Free ``slots``, each taken since the last start and not given back since."""
+        nd = len(self._shape)
+        for slot in slots:
+            self._free[(slot.shape[0] if slot.ndim > nd else 1, slot.dtype.type)].append(slot)
+
+
+def _started(scratch: Scratch | None, a: np.ndarray, g: np.ndarray) -> Scratch:
+    # A fresh scratch when the caller passes none, so nothing it returns is
+    # shared with another call's results.
+    shape = a.shape[1:] if a.shape == g.shape else np.broadcast_shapes(a.shape[1:], g.shape[1:])
+    return (Scratch() if scratch is None else scratch).start(shape)
+
+
+def _pick(u: np.ndarray, v: np.ndarray, w=None, le=None) -> np.ndarray:
     # Derivative weight of min(u, v) w.r.t. u, and of max(v, u) w.r.t. v:
-    # 1, 1/2 or 0 as u <, == or > v, so ties get the averaged value.
-    w = np.add(u < v, u <= v, dtype=np.float64)
+    # 1, 1/2 or 0 as u <, == or > v, so ties get the averaged value. Into
+    # ``w``, with ``le`` for the bool temporary; the weights are exact.
+    if w is None:
+        w = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)))
+    np.less(u, v, out=w)
+    w += np.less_equal(u, v, out=le)
     w *= 0.5
     return w
 
 
-def _ext_weights(w_hi: np.ndarray, w_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ext_weights(w_hi: np.ndarray, w_lo: np.ndarray, c=None, side=None) -> tuple[np.ndarray, np.ndarray]:
     # The enclosing box's (center, side) weights: max(a_hi, g_hi) picks the
     # anchor edge with weight 1 - w_hi, min(a_lo, g_lo) with 1 - w_lo, exactly.
-    return w_lo - w_hi, 1.0 - (w_hi + w_lo) * 0.5
+    # Into ``c`` and ``side``; ``side`` may be ``w_hi``.
+    c = np.subtract(w_lo, w_hi, out=c)
+    side = np.add(w_hi, w_lo, out=side)
+    side *= 0.5
+    return c, np.subtract(1.0, side, out=side)
 
 
 def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +255,19 @@ def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _edges(box: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    # c -+ (w * r) / 2 for a (4, ...) block; c -+ w / 2 at r == 1, as w * 1.0 == w
-    half = box[2:] / 2.0 if r == 1.0 else np.divide(t := box[2:] * r, 2.0, out=t)
-    return box[:2] - half, box[:2] + half
+def _edges(box: np.ndarray, r: float, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    # c -+ (w * r) / 2 for a (4, ...) block, into lo and hi, where hi holds the
+    # half sides first; c -+ w / 2 at r == 1, as w * 1.0 == w
+    if hi is None:
+        lo, hi = np.empty_like(box[2:]), np.empty_like(box[2:])
+    if r == 1.0:
+        np.divide(box[2:], 2.0, out=hi)
+    else:
+        np.multiply(box[2:], r, out=hi)
+        hi /= 2.0
+    np.subtract(box[:2], hi, out=lo)
+    np.add(box[:2], hi, out=hi)
+    return lo, hi
 
 
 def prepare_target(g: np.ndarray, spec: "LossSpec | None" = None) -> Target:
@@ -185,7 +283,7 @@ def prepare_target(g: np.ndarray, spec: "LossSpec | None" = None) -> Target:
     return Target(g, scaled(1.0), inner, aspect)
 
 
-def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, enclose: bool = False) -> tuple:
+def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: bool = False) -> tuple:
     """IoU of the (4, ...) anchor block ``a`` and a target's (5, ...) edges and area ``gt`` at ratio ``r``.
 
     This is the one overlap computation: the plain overlap is ``r == 1``,
@@ -193,211 +291,381 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, enclose: bool = False
     bit. Returns ``(union, iou, d_union, d_iou, edges, weights)``: the
     derivatives with ``with_grad``, the anchor's (low, high) ``edges`` and the
     tie ``weights`` (w_hi, w_lo) with ``enclose``, for the enclosing box.
+    Every array it returns is a slot of the started scratch ``s``; it gives
+    back the rest.
 
-    The in-place operations below are the same float operations in the
-    same order as the plain expressions in their comments, so they give the
-    same bits with fewer temporaries.
+    Each ``out=`` and in-place operation below is the same float operation,
+    on the same operands in the same order, as the plain expression in its
+    comment, so it gives the same bits without a temporary.
     """
+    take, give = s.take, s.give
     g_lo, g_hi, g_area = gt[:2], gt[2:4], gt[4]
-    a_lo, a_hi = _edges(a, r)
-    raw = np.minimum(a_hi, g_hi)
-    raw -= np.maximum(a_lo, g_lo)
-    ov = np.maximum(raw, 0.0)
-    inter = ov[0] * ov[1]
+    a_lo, a_hi = _edges(a, r, take(), take())
+    raw = np.minimum(a_hi, g_hi, out=take())
+    ov = np.maximum(a_lo, g_lo, out=take())
+    raw -= ov  # min(a_hi, g_hi) - max(a_lo, g_lo)
+    np.maximum(raw, 0.0, out=ov)
+    inter = np.multiply(ov[0], ov[1], out=take(1))
     # Corner-derived side lengths; using them for the areas keeps
     # inter <= union in floats (so iou <= 1, and exactly 1 on
     # bitwise-identical boxes) and makes bitwise-coincident pairs exact
     # stationary points of every loss.
-    a_side = a_hi - a_lo
-    union = a_side[0] * a_side[1]
+    a_side = np.subtract(a_hi, a_lo, out=take())
+    union = np.multiply(a_side[0], a_side[1], out=take(1))
     union += g_area
     union -= inter  # a_area + g_area - inter
-    iou = inter / union
+    iou = np.divide(inter, union, out=take(1))
     edges = (a_lo, a_hi) if enclose else None
     if not with_grad:
+        give(raw, ov, inter, a_side, *(() if enclose else (a_lo, a_hi)))
         return union, iou, None, None, edges, None
 
-    w_hi = _pick(a_hi, g_hi)  # min(a_hi, g_hi) picks the anchor edge
-    w_lo = _pick(g_lo, a_lo)  # max(a_lo, g_lo) picks the anchor edge
-    # np.where is several times slower than a cast on arrays this size.
-    is_open = (raw > 0.0).astype(np.float64)
+    le = s.mask()
+    w_hi = _pick(a_hi, g_hi, take(), le)  # min(a_hi, g_hi) picks the anchor edge
+    w_lo = _pick(g_lo, a_lo, take(), le)  # max(a_lo, g_lo) picks the anchor edge
+    give(le, *(() if enclose else (a_lo, a_hi)))
+    # (raw > 0.0).astype(np.float64); a bool-to-float cast is several times
+    # faster than np.where on arrays this size.
+    is_open = np.greater(raw, 0.0, out=raw)
     # d_inter = (is_open * (w_hi - w_lo) * ov[::-1],
     #            is_open * (w_hi + w_lo) * (r / 2) * ov[::-1])
-    d_inter_c = w_hi - w_lo
+    d_inter_c = np.subtract(w_hi, w_lo, out=take())
     d_inter_c *= is_open
     d_inter_c *= ov[::-1]
-    d_inter_s = w_hi + w_lo if enclose else np.add(w_hi, w_lo, out=w_hi)
+    d_inter_s = np.add(w_hi, w_lo, out=take() if enclose else w_hi)
     d_inter_s *= is_open
     d_inter_s *= r / 2.0
     d_inter_s *= ov[::-1]
+    give(is_open, ov, *(() if enclose else (w_lo,)))
     if r != 1.0:
         a_side *= r  # d_union_s = a_side[::-1] * r - d_inter_s
-    d_union_s = a_side[::-1] - d_inter_s
-    d_union = (-d_inter_c, d_union_s)
+    d_union_s = np.subtract(a_side[::-1], d_inter_s, out=take())
+    give(a_side)
+    d_union = (np.negative(d_inter_c, out=take()), d_union_s)
     # d_iou = (d_inter * union - inter * d_union) / (union * union)
-    union2 = union * union
+    union2 = np.multiply(union, union, out=take(1))
+    t = take()
     for di, du in zip((d_inter_c, d_inter_s), d_union):
         di *= union
-        di -= inter * du
+        di -= np.multiply(inter, du, out=t)
         di /= union2
+    give(t, union2, inter)
     weights = (w_hi, w_lo) if enclose else None
     return union, iou, d_union, (d_inter_c, d_inter_s), edges, weights
+
+
+def _scalars(value):
+    # A one-pair call's slots are 0-d arrays: give the numpy scalars that the
+    # same expressions give without out=.
+    return value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
 
 
 def iou_batch(anchors, gts) -> np.ndarray:
     """Plain IoU over broadcastable (..., 4) center-form arrays; ValueError outside the domain."""
     a, g = _blocks(anchors, gts)
-    return iou_blocks(a, prepare_target(g))
+    return _scalars(iou_blocks(a, prepare_target(g)))
 
 
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
     """Evaluate ``spec`` over broadcastable (..., 4) box arrays; ValueError outside the domain.
 
     Every field is filled: ``with_grad`` adds the gradient pass's ``grad`` to
-    the forward pass's outputs.
+    the forward pass's outputs. Each call returns arrays of its own.
     """
     a, g = _blocks(anchors, gts)
     target = prepare_target(g, spec)
     ev = eval_blocks(spec, a, target, with_grad=False)
     if with_grad:
         ev.grad = eval_blocks(spec, a, target, with_grad=True).grad
+    ev.iou, ev.inner_iou = _scalars(ev.iou), _scalars(ev.inner_iou)
+    ev.terms = {k: _scalars(v) for k, v in ev.terms.items()}
     return ev
 
 
 def iou_blocks(a: np.ndarray, target: Target) -> np.ndarray:
     """Plain IoU of the (4, ...) anchor block ``a`` and a prepared target (unchecked)."""
-    return _overlap(a, target.plain, 1.0, False)[1]
+    return _overlap(a, target.plain, 1.0, False, _started(None, a, target.box))[1]
 
 
-def eval_blocks(spec: "LossSpec", a: np.ndarray, target: Target, *, with_grad: bool = True) -> BatchEval:
+def eval_blocks(
+    spec: "LossSpec", a: np.ndarray, target: Target, *, with_grad: bool = True,
+    scratch: Scratch | None = None,
+) -> BatchEval:
     """One pass of ``spec`` on the (4, ...) anchor block ``a`` and ``prepare_target(g, spec)`` (unchecked).
 
     The forward pass (``with_grad=False``) gives ``loss``, ``iou``,
     ``inner_iou`` and ``terms``; the gradient pass gives ``iou``,
     ``inner_iou`` and ``grad``, with ``loss`` None and ``terms`` empty.
+    With a ``scratch``, the arrays are its slots (see :class:`Scratch`).
+
+    The gradient pass writes every value of the block's size into a slot.
+    Each ``out=`` and in-place operation is the same float operation, on the
+    same operands, as the plain expression in its comment; where a product or
+    a sum takes its two operands the other way round, IEEE arithmetic gives
+    the same bits. The forward pass builds its loss and terms with those
+    expressions.
     """
+    s = _started(scratch, a, target.box)
+    take, give = s.take, s.give
     base, g, enclose = spec.base, target.box, spec.base != "iou"
 
     # --- overlap -----------------------------------------------------------
     inner = d_inner = None
     if spec.inner is not None:
-        _, inner, _, d_inner, _, _ = _overlap(a, target.inner, spec.inner, with_grad)
+        union, inner, d_union, d_inner, _, _ = _overlap(a, target.inner, spec.inner, with_grad, s)
+        give(union, *(d_union or ()))
     # The iou base with a ratio is 1 - (auxiliary overlap), so its plain
     # overlap only reports ``iou`` and needs no gradient.
     union, iou, d_union, d_iou, edges, weights = _overlap(
-        a, target.plain, 1.0, with_grad and (enclose or inner is None), enclose
+        a, target.plain, 1.0, with_grad and (enclose or inner is None), s, enclose
     )
 
     # --- enclosing box (every base but iou) ----------------------------------
     if enclose:
-        ext = np.maximum(edges[1], target.plain[2:4]) - np.minimum(edges[0], target.plain[:2])
+        a_lo, a_hi = edges
+        # ext = max(a_hi, g_hi) - min(a_lo, g_lo)
+        ext = np.maximum(a_hi, target.plain[2:4], out=a_hi)
+        ext -= np.minimum(a_lo, target.plain[:2], out=a_lo)
+        give(a_lo)
         if with_grad:
-            d_ext = _ext_weights(*weights)
-        # Not read again: freed before the loss builds its temporaries.
-        del edges, weights
+            w_hi, w_lo = weights
+            d_ext = _ext_weights(w_hi, w_lo, take(), w_hi)
+            give(w_lo)
 
     # --- base loss: partials dc (center) and ds (sides) ----------------------
-    # The gradient pass builds only what the partials read; the loss and its
-    # terms are the forward pass's.
+    # The gradient pass builds only what the partials read, straight into the
+    # gradient's rows; the loss and its terms are the forward pass's.
     loss = None
     terms: dict[str, np.ndarray | float] = {}
+    if with_grad:
+        grad = take(4)
+        dc, ds = grad[:2], grad[2:]
 
     if base == "iou":
         ov_iou, ov_d = (iou, d_iou) if inner is None else (inner, d_inner)
         if with_grad:
-            dc, ds = -ov_d[0], -ov_d[1]
+            np.negative(ov_d[0], out=dc)
+            np.negative(ov_d[1], out=ds)
         else:
             loss = 1.0 - ov_iou
     elif base == "giou":
-        c_area = ext[0] * ext[1]
+        c_area = np.multiply(ext[0], ext[1], out=take(1))
         if with_grad:
-            d_c_area = [d * ext[::-1] for d in d_ext]
-            dc, ds = (
-                -di - (du * c_area - union * dca) / (c_area * c_area)
-                for di, du, dca in zip(d_iou, d_union, d_c_area)
-            )
+            cc = np.multiply(c_area, c_area, out=take(1))
+            # dc, ds = -di - (du * c_area - union * (d * ext[::-1])) / (c_area * c_area)
+            for out, di, du, d in zip((dc, ds), d_iou, d_union, d_ext):
+                d *= ext[::-1]
+                du *= c_area
+                np.multiply(union, d, out=d)
+                du -= d
+                du /= cc
+                np.negative(di, out=out)
+                out -= du
         else:
             loss = 1.0 - iou + (c_area - union) / c_area
     elif base in ("diou", "ciou", "eiou"):
-        off = a[:2] - g[:2]
-        rho2 = off[0] * off[0] + off[1] * off[1]
-        c_diag = ext[0] * ext[0] + ext[1] * ext[1]
+        off = np.subtract(a[:2], g[:2], out=take())
+        t1 = take(1)
+        # rho2 = off[0] * off[0] + off[1] * off[1]
+        rho2 = np.multiply(off[0], off[0], out=take(1))
+        rho2 += np.multiply(off[1], off[1], out=t1)
+        # c_diag = ext[0] * ext[0] + ext[1] * ext[1]
+        c_diag = np.multiply(ext[0], ext[0], out=take(1))
+        c_diag += np.multiply(ext[1], ext[1], out=t1)
         if with_grad:
-            d_c_diag = [2.0 * (ext * d) for d in d_ext]
-            cd2 = c_diag * c_diag
-            dc = -d_iou[0] + (2.0 * off * c_diag - rho2 * d_c_diag[0]) / cd2
-            ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
+            # d_c_diag = [2.0 * (ext * d) for d in d_ext]
+            d_c_diag = [np.multiply(ext, d, out=take()) for d in d_ext]
+            for d in d_c_diag:
+                np.multiply(2.0, d, out=d)
+            cd2 = np.multiply(c_diag, c_diag, out=t1)
+            # dc = -d_iou[0] + (2.0 * off * c_diag - rho2 * d_c_diag[0]) / cd2
+            np.multiply(2.0, off, out=off)
+            off *= c_diag
+            d_c_diag[0] *= rho2
+            off -= d_c_diag[0]
+            off /= cd2
+            np.negative(d_iou[0], out=dc)
+            dc += off
+            # ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
+            d_c_diag[1] *= rho2
+            d_c_diag[1] /= cd2
+            np.negative(d_iou[1], out=ds)
+            ds -= d_c_diag[1]
+            give(off, *d_c_diag)
         else:
             loss = 1.0 - iou + rho2 / c_diag
         if base == "ciou":
             aw, ah = a[2], a[3]
-            q = target.aspect - np.arctan(aw / ah)
-            v = _K_ASPECT * q * q
-            alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
+            # q = aspect - arctan(aw / ah); v = _K_ASPECT * q * q
+            q = np.divide(aw, ah, out=take(1))
+            np.arctan(q, out=q)
+            np.subtract(target.aspect, q, out=q)
+            v = np.multiply(_K_ASPECT, q, out=take(1))
+            v *= q
+            # alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
+            alpha = np.subtract(1.0, iou, out=take(1))
+            alpha += v
+            np.maximum(alpha, EPSILON, out=alpha)
+            np.divide(v, alpha, out=alpha)
             if with_grad:
-                d_v = 2.0 * _K_ASPECT * q * np.stack((-ah, aw)) / (aw * aw + ah * ah)
-                ds = ds + alpha * d_v
+                # ds = ds + alpha * (2.0 * _K_ASPECT * q * np.stack((-ah, aw)) / (aw * aw + ah * ah))
+                d_v = take()
+                np.negative(ah, out=d_v[0, ...])
+                d_v[1, ...] = aw
+                np.multiply(2.0 * _K_ASPECT, q, out=q)
+                d_v *= q
+                np.multiply(aw, aw, out=q)
+                q += np.multiply(ah, ah, out=v)
+                d_v /= q
+                d_v *= alpha
+                ds += d_v
             else:
                 loss = loss + alpha * v
                 terms.update(v=v, alpha=alpha)
         elif base == "eiou":
-            side_off = a[2:] - g[2:]
-            ext2 = ext * ext
-            t = (side_off * side_off) / ext2
+            side_off = np.subtract(a[2:], g[2:], out=take())
+            ext2 = np.multiply(ext, ext, out=take())
+            # t = (side_off * side_off) / ext2
+            t = np.multiply(side_off, side_off, out=take())
+            t /= ext2
             if with_grad:
-                k = 2.0 * t / ext
-                dc = dc - k * d_ext[0]
-                ds = ds + (2.0 * side_off / ext2 - k * d_ext[1])
+                # k = 2.0 * t / ext; dc = dc - k * d_ext[0]
+                k = np.multiply(2.0, t, out=t)
+                k /= ext
+                dc -= np.multiply(k, d_ext[0], out=d_ext[0])
+                # ds = ds + (2.0 * side_off / ext2 - k * d_ext[1])
+                np.multiply(2.0, side_off, out=side_off)
+                side_off /= ext2
+                side_off -= np.multiply(k, d_ext[1], out=d_ext[1])
+                ds += side_off
             else:
                 loss = loss + t[0] + t[1]
     elif base == "siou":
-        off = a[:2] - g[:2]
-        absx, absy = np.abs(off)
-        dist = np.sqrt(off[0] * off[0] + off[1] * off[1])
-        m = np.minimum(absx, absy)
-        den = dist + EPSILON
-        z = m / den
-        root = np.sqrt(1.0 - z * z)
-        angle = 2.0 * z * root  # sin of twice the elevation angle
-        gamma = 2.0 - angle
-        rho = (off / ext) ** 2
-        e = np.exp(-gamma * rho)
+        off = np.subtract(a[:2], g[:2], out=take())
+        absoff = np.abs(off, out=take())
+        absx, absy = absoff
+        # dist = np.sqrt(off[0] * off[0] + off[1] * off[1])
+        dist = np.multiply(off[0], off[0], out=take(1))
+        m = take(1)
+        dist += np.multiply(off[1], off[1], out=m)
+        np.sqrt(dist, out=dist)
+        np.minimum(absx, absy, out=m)
+        den = np.add(dist, EPSILON, out=take(1))
+        z = np.divide(m, den, out=take(1))
+        # root = np.sqrt(1.0 - z * z)
+        root = np.multiply(z, z, out=take(1))
+        np.subtract(1.0, root, out=root)
+        np.sqrt(root, out=root)
+        # sin of twice the elevation angle: 2.0 * z * root
+        angle = np.multiply(2.0, z, out=take(1))
+        angle *= root
+        gamma = np.subtract(2.0, angle, out=take(1))
+        # rho = (off / ext) ** 2
+        rho = np.divide(off, ext, out=take())
+        np.square(rho, out=rho)
+        # e = np.exp(-gamma * rho); past gamma, the gradient pass reads no angle
+        neg_gamma = np.negative(gamma, out=angle if with_grad else take(1))
+        e = np.multiply(neg_gamma, rho, out=take())
+        np.exp(e, out=e)
         sa, sg = a[2:], g[2:]
-        omega = np.abs(sa - sg) / np.maximum(sa, sg)
-        e_omega = np.exp(-omega)
-        shape_base = 1.0 - e_omega
+        # omega = np.abs(sa - sg) / np.maximum(sa, sg)
+        omega = np.subtract(sa, sg, out=take())
+        np.abs(omega, out=omega)
+        e_omega = np.maximum(sa, sg, out=take())
+        omega /= e_omega
+        # e_omega = np.exp(-omega); shape_base = 1.0 - e_omega
+        np.negative(omega, out=e_omega)
+        np.exp(e_omega, out=e_omega)
+        shape_base = np.subtract(1.0, e_omega, out=take())
         if with_grad:
+            give(omega)
             # m, dist and so gamma depend on the centers only.
             # d_m = sign(off) on the axis that gives m, else 0; the comparisons
-            # give the same bits as a masked np.sign in a sixth of its time.
-            use_x = absx <= absy
-            pick = np.stack((use_x, ~use_x))
-            d_m = ((off > 0.0) & pick).astype(np.float64)
-            d_m -= (off < 0.0) & pick
-            pos = dist > 0.0
-            # A ufunc's where= leaves the zeros of out where the condition
-            # fails, as np.where(cond, value, 0.0) would, and is faster.
-            d_dist = np.divide(off, dist, out=np.zeros_like(off), where=pos)
-            d_z = np.divide(
-                d_m * den - m * d_dist, den * den, out=np.zeros_like(d_m), where=pos
-            )
-            d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / root) * d_z)
-            k = 2.0 * rho / ext
-            d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]
-            d_rho_s = -(k * d_ext[1])
+            # give the same bits as a masked np.sign in a sixth of its time:
+            # ((off > 0.0) & pick).astype(np.float64) - ((off < 0.0) & pick)
+            pick, sign = s.mask(), s.mask()
+            np.less_equal(absx, absy, out=pick[0, ...])
+            np.logical_not(pick[0], out=pick[1, ...])
+            give(absoff)
+            d_m = take()
+            np.copyto(d_m, np.logical_and(np.greater(off, 0.0, out=sign), pick, out=sign))
+            d_m -= np.logical_and(np.less(off, 0.0, out=sign), pick, out=sign)
+            give(pick, sign)
+            pos = np.greater(dist, 0.0, out=s.mask(1))
+            # A ufunc's where= leaves out untouched where the condition fails,
+            # so out starts at zero, as in np.where(cond, value, 0.0), which is
+            # slower.
+            d_dist = take()
+            d_dist.fill(0.0)
+            np.divide(off, dist, out=d_dist, where=pos)
+            # d_z = (d_m * den - m * d_dist) / (den * den) where pos, else 0,
+            # in d_dist's slot: where pos fails, it holds m * d_dist = 0 * 0
+            d_m *= den
+            d_m -= np.multiply(m, d_dist, out=d_dist)
+            np.multiply(den, den, out=den)
+            d_z = np.divide(d_m, den, out=d_dist, where=pos)
+            give(d_m, m, pos)
+            # d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / root) * d_z)
+            np.multiply(2.0, z, out=den)
+            den *= z
+            np.subtract(1.0, den, out=den)
+            np.multiply(2.0, den, out=den)
+            den /= root
+            d_gamma = np.multiply(den, d_z, out=d_z)
+            np.negative(d_gamma, out=d_gamma)
+            give(den, z, root)
+            # k = 2.0 * rho / ext
+            k = np.multiply(2.0, rho, out=take())
+            k /= ext
+            # d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]
+            d_rho_c = np.multiply(2.0, off, out=off)
+            d_rho_c /= np.multiply(ext, ext, out=ext)
+            d_rho_c -= np.multiply(k, d_ext[0], out=d_ext[0])
+            # d_rho_s = -(k * d_ext[1])
+            d_rho_s = np.multiply(k, d_ext[1], out=k)
+            np.negative(d_rho_s, out=d_rho_s)
+            give(*d_ext)
             # each axis's distance term also moves with gamma, which both
-            # center partials reach
-            d_dist_cost_c = 0.5 * (
-                e * (gamma * d_rho_c + rho * d_gamma) + e[::-1] * (rho[::-1] * d_gamma)
-            )
-            d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
-            # Unlike the where= calls above, both branches are used here:
-            # two where= divides measure about 1.5x slower than np.where
-            # on an 8,192-case chunk.
-            d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg)
-            df = SIOU_THETA * shape_base ** (SIOU_THETA - 1.0) * e_omega
-            dc = -d_iou[0] + d_dist_cost_c / 2.0
-            ds = -d_iou[1] + (d_dist_cost_s + 0.5 * (df * d_omega)) / 2.0
+            # center partials reach:
+            # d_dist_cost_c = 0.5 * (e * (gamma * d_rho_c + rho * d_gamma)
+            #                        + e[::-1] * (rho[::-1] * d_gamma))
+            d_cost_c = np.multiply(gamma, d_rho_c, out=d_rho_c)
+            t = take()
+            d_cost_c += np.multiply(rho, d_gamma, out=t)
+            d_cost_c *= e  # e * (...), the same product
+            np.multiply(rho[::-1], d_gamma, out=t)
+            np.multiply(e[::-1], t, out=t)
+            d_cost_c += t
+            np.multiply(0.5, d_cost_c, out=d_cost_c)
+            # d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
+            d_cost_s = np.multiply(gamma, d_rho_s, out=d_rho_s)
+            np.multiply(e, d_cost_s, out=d_cost_s)
+            np.multiply(0.5, d_cost_s, out=d_cost_s)
+            # d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg), as the
+            # exact blend a * (sa >= sg) + b * (sa < sg) of a >= 0 and b < 0,
+            # which needs no temporary and takes half of np.where's time.
+            d_omega = np.multiply(sa, sa, out=t)
+            np.divide(sg, d_omega, out=d_omega)
+            neg = np.divide(-1.0, sg, out=take())
+            sel = np.greater_equal(sa, sg, out=s.mask())
+            d_omega *= sel
+            neg *= np.logical_not(sel, out=sel)
+            d_omega += neg
+            # df = SIOU_THETA * shape_base ** (SIOU_THETA - 1.0) * e_omega
+            df = np.power(shape_base, SIOU_THETA - 1.0, out=shape_base)
+            np.multiply(SIOU_THETA, df, out=df)
+            df *= e_omega
+            # dc = -d_iou[0] + d_dist_cost_c / 2.0
+            d_cost_c /= 2.0
+            np.negative(d_iou[0], out=dc)
+            dc += d_cost_c
+            # ds = -d_iou[1] + (d_dist_cost_s + 0.5 * (df * d_omega)) / 2.0
+            np.multiply(df, d_omega, out=d_omega)
+            np.multiply(0.5, d_omega, out=d_omega)
+            d_cost_s += d_omega
+            d_cost_s /= 2.0
+            np.negative(d_iou[1], out=ds)
+            ds += d_cost_s
         else:
             dist_cost = 0.5 * ((1.0 - e[0]) + (1.0 - e[1]))
             f = shape_base ** SIOU_THETA
@@ -420,9 +688,15 @@ def eval_blocks(spec: "LossSpec", a: np.ndarray, target: Target, *, with_grad: b
     # --- auxiliary (inner) composition: every base but iou ---------------------
     if inner is not None and base != "iou":
         if with_grad:
-            dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
+            # dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
+            dc += d_iou[0]
+            dc -= d_inner[0]
+            ds += d_iou[1]
+            ds -= d_inner[1]
         else:
             loss = loss + iou - inner
 
-    grad = np.moveaxis(np.concatenate((dc, ds)), 0, -1) if with_grad else None
-    return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)
+    if not with_grad:
+        return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=None)
+    s.release(iou, inner, grad)
+    return BatchEval(loss=None, iou=iou, inner_iou=inner, terms=terms, grad=np.moveaxis(grad, 0, -1))

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, Target, check_boxes, prepare_target
+from .batch import BLOCK_ROWS, Scratch, Target, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernels under these module attribute names.
 from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
@@ -202,12 +203,25 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return anchors.reshape(-1, 4), targets.reshape(-1, 4)
 
 
-def _corner_l1(state: np.ndarray, goal: Target) -> np.ndarray:
-    """Per-case L1 distance from a (4, n) state's corners to the prepared target's."""
-    half = state[2:] / 2.0
-    d_lo = np.abs((state[:2] - half) - goal.plain[:2])
-    d_hi = np.abs((state[:2] + half) - goal.plain[2:4])
-    return d_lo[0] + d_hi[0] + d_lo[1] + d_hi[1]
+def _corner_l1(state: np.ndarray, goal: Target, s: Scratch, out: np.ndarray) -> np.ndarray:
+    """Per-case L1 distance from a (4, n) state's corners to the prepared target's, into ``out``.
+
+    The temporaries are slots of the started scratch ``s``:
+    ``abs((c - w / 2) - lo) + abs((c + w / 2) - hi)``, x then y, in place.
+    """
+    half = np.divide(state[2:], 2.0, out=s.take())
+    d_lo = np.subtract(state[:2], half, out=s.take())
+    d_lo -= goal.plain[:2]
+    np.abs(d_lo, out=d_lo)
+    d_hi = np.add(state[:2], half, out=half)
+    d_hi -= goal.plain[2:4]
+    np.abs(d_hi, out=d_hi)
+    # d_lo[0] + d_hi[0] + d_lo[1] + d_hi[1]
+    np.add(d_lo[0], d_hi[0], out=out)
+    out += d_lo[1]
+    out += d_hi[1]
+    s.give(d_lo, d_hi)
+    return out
 
 
 def _simulate_chunk(
@@ -218,6 +232,7 @@ def _simulate_chunk(
     first_case: int = 0,
     *,
     per_case: bool = False,
+    scratch: Scratch | None = None,
 ):
     """Descend one chunk of (n, 4) cases under ``spec``.
 
@@ -226,7 +241,10 @@ def _simulate_chunk(
     and clamp count; without ``per_case``, None in place of all but the
     totals and the final error. A final state outside the box domain raises
     ValueError naming the spec and the case id, ``first_case`` plus its row.
+    The kernel's temporaries, the step, the clamp test and the corner error
+    live in ``scratch`` (a new one if None); nothing returned shares it.
     """
+    s = Scratch() if scratch is None else scratch
     state = anchors.T.copy()
     goal = prepare_target(np.ascontiguousarray(targets.T), spec)
     n = state.shape[1]
@@ -234,7 +252,7 @@ def _simulate_chunk(
     totals = np.empty(steps + 1)
     clamps = np.zeros(n, dtype=np.int64)
 
-    err = _corner_l1(state, goal)
+    err = _corner_l1(state, goal, s.start((n,)), np.empty(n))
     initial = err.copy() if per_case else None
     totals[0] = err.sum()
     # The cases that can still move (chunk rows), and their columns of
@@ -246,20 +264,27 @@ def _simulate_chunk(
         if not x.shape[1]:
             totals[t:] = totals[t - 1]
             break
-        ev = eval_batch(spec, x, g, with_grad=True)
+        ev = eval_batch(spec, x, g, with_grad=True, scratch=s)
         # Larger steps while the pair barely overlaps, annealing to
-        # step_size as the overlap approaches 1.
-        move = cfg.step_size * (2.0 - ev.iou) * ev.grad.T
+        # step_size as the overlap approaches 1:
+        # move = cfg.step_size * (2.0 - ev.iou) * ev.grad.T, in the kernel's
+        # iou and grad slots (the product commutes bit for bit).
+        rate = np.subtract(2.0, ev.iou, out=ev.iou)
+        rate *= cfg.step_size
+        move = np.multiply(rate, ev.grad.T, out=ev.grad.T)
         x -= move
-        low = x[2:] < MIN_SIZE
+        low = np.less(x[2:], MIN_SIZE, out=s.mask())
         # one event per clamped coordinate (bool + bool would OR, not add)
         c += low[0]
         c += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
-        err[rows] = _corner_l1(x, g)
+        err[rows] = _corner_l1(x, g, s, s.take(1))
         totals[t] = err.sum()
         # Retire the cases the step left in place and the clamp did not touch.
-        keep = np.flatnonzero(move.any(axis=0) | low[0] | low[1])
+        moving = np.any(move, axis=0, out=s.mask(1))
+        moving |= low[0]
+        moving |= low[1]
+        keep = np.flatnonzero(moving)
         if keep.size < x.shape[1]:
             state[:, rows], clamps[rows] = x, c
             rows = np.arange(n)[rows][keep]
@@ -276,9 +301,10 @@ def run_simulation(
 ) -> list[ConvergenceSummary]:
     """Run every spec over the full case population.
 
-    ``threads`` parallelizes over fixed-size chunks of cases (0 = one per
-    CPU this process may run on); the reduction order is by chunk index,
-    so summaries are bit-identical for any thread count. Only with
+    ``threads`` parallelizes over the (spec, chunk) jobs, each a fixed-size
+    chunk of cases (0 = one worker per CPU this process may run on); the
+    reduction order is by chunk index, so summaries are bit-identical for any
+    thread count. Only with
     ``per_case`` do the summaries carry each case's initial error, final
     error, final IoU and clamp count, and only then is the final IoU computed.
     """
@@ -294,37 +320,50 @@ def run_simulation(
     anchors, targets = generate_case_arrays(cfg)
     n = anchors.shape[0]
     bounds = [(i, min(i + CHUNK_CASES, n)) for i in range(0, n, CHUNK_CASES)]
+    jobs = [(spec, span) for spec in cfg.specs for span in bounds]
+    # One scratch per worker for the whole run: a job takes one and puts it back.
+    scratches = queue.SimpleQueue()
+    for _ in range(min(threads, len(jobs))):
+        scratches.put(Scratch())
 
-    summaries = []
-    for spec in cfg.specs:
+    def job(item):
+        spec, (a, b) = item
+        scratch = scratches.get()
+        try:
+            return _simulate_chunk(
+                spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case, scratch=scratch
+            )
+        finally:
+            scratches.put(scratch)
 
-        def job(span: tuple[int, int]):
-            a, b = span
-            return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case)
+    # One pool for every (spec, chunk) job; its map yields them in job order.
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(jobs) > 1 else None
+    try:
+        results = pool.map(job, jobs) if pool is not None else map(job, jobs)
+        return [_summary(spec, [next(results) for _ in bounds], per_case) for spec in cfg.specs]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-        if threads > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(job, bounds))
-        else:
-            parts = [job(span) for span in bounds]
 
-        totals = parts[0][0].copy()
-        for p in parts[1:]:
-            totals += p[0]
-        final_err = np.concatenate([p[2] for p in parts])
-        mean_final = float(final_err.sum() / n)
-        # trapezoids; iterations >= 1, so the curve has at least two points
-        auc = float(0.5 * (totals[0] + totals[-1]) + totals[1:-1].sum())
-        summary = ConvergenceSummary(
-            label=spec.label(),
-            total_error_curve=totals,
-            mean_final_error=mean_final,
-            auc=auc,
-        )
-        if per_case:
-            summary.case_initial_error = np.concatenate([p[1] for p in parts])
-            summary.case_final_error = final_err
-            summary.case_final_iou = np.concatenate([p[3] for p in parts])
-            summary.case_clamps = np.concatenate([p[4] for p in parts])
-        summaries.append(summary)
-    return summaries
+def _summary(spec: LossSpec, parts: list[tuple], per_case: bool) -> ConvergenceSummary:
+    """The summary of ``spec`` from its chunks' ``_simulate_chunk`` results, in chunk order."""
+    totals = parts[0][0].copy()
+    for p in parts[1:]:
+        totals += p[0]
+    final_err = np.concatenate([p[2] for p in parts])
+    mean_final = float(final_err.sum() / final_err.size)
+    # trapezoids; iterations >= 1, so the curve has at least two points
+    auc = float(0.5 * (totals[0] + totals[-1]) + totals[1:-1].sum())
+    summary = ConvergenceSummary(
+        label=spec.label(),
+        total_error_curve=totals,
+        mean_final_error=mean_final,
+        auc=auc,
+    )
+    if per_case:
+        summary.case_initial_error = np.concatenate([p[1] for p in parts])
+        summary.case_final_error = final_err
+        summary.case_final_iou = np.concatenate([p[3] for p in parts])
+        summary.case_clamps = np.concatenate([p[4] for p in parts])
+    return summary

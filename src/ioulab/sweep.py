@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, check_boxes, prepare_target
+from .batch import BLOCK_ROWS, Scratch, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernel under this module attribute name.
 from .batch import eval_blocks as eval_batch
 from .losses import LossSpec, inner_ratio, real_number, sequence, whole_number
@@ -100,9 +100,9 @@ def run_sweep(
     order, the overlap and the |gradient| columns along those deviations.
 
     The kernel sees at most ``BLOCK_ROWS`` anchors per call, each against
-    the one target box. Every output row depends on its own anchor alone,
-    so the block size changes no bit of the result, only the size of the
-    kernel's temporaries.
+    the one target box, and one scratch holds its temporaries for every
+    block. Every output row depends on its own anchor alone, so the block
+    size changes no bit of the result, only the size of that scratch.
     """
     n = cfg.samples
     devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], n)
@@ -114,6 +114,7 @@ def run_sweep(
     targets = {side: prepare_target(target, spec) for side, spec in specs.items()}
     iou = {side: np.empty(n) for side in specs}
     absgrad = {side: np.empty(n) for side in specs}
+    scratch = Scratch()
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         # One anchor per column: the (4, n) block the kernel takes.
@@ -121,7 +122,7 @@ def run_sweep(
         anchors[:] = target
         anchors[col] = devs[lo:hi]
         for side, spec in specs.items():
-            ev = eval_batch(spec, anchors, targets[side])
+            ev = eval_batch(spec, anchors, targets[side], scratch=scratch)
             iou[side][lo:hi] = ev.inner_iou
             np.abs(ev.grad[:, col], out=absgrad[side][lo:hi])
     return devs, iou, absgrad

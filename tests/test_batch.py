@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ioulab import (
 from ioulab.simlab import CHUNK_CASES
 from ioulab.batch import (
     BatchEval,
+    Scratch,
     _blocks,
     _edges,
     _ext_weights,
@@ -329,6 +331,111 @@ class TestKernelBits:
         # the public entry, with the forward pass's overlaps, gives the same bits
         public = eval_batch(spec, a.T, g.T)
         assert outputs_digest(public) == KERNEL_SHA256[spec.label()]
+
+
+
+# One (2, 8,192) float64 array, the size of a kernel temporary on a chunk.
+PAIR_BYTES = 2 * CHUNK_CASES * 8
+
+# Per spec, the tracemalloc peak of one gradient pass on an 8,192-row chunk of
+# the high preset when every call allocated its temporaries afresh, in
+# PAIR_BYTES: no scratch may hold more than that.
+FRESH_PEAK_PAIRS = {
+    "iou": 14.0, "inner-iou": 14.0, "giou": 15.5, "inner-giou": 18.0,
+    "diou": 16.5, "inner-diou": 20.0, "ciou": 19.0, "inner-ciou": 22.5,
+    "eiou": 21.5, "inner-eiou": 24.0, "siou": 33.8, "inner-siou": 37.3,
+}
+
+
+def chunk_blocks(rows: int = CHUNK_CASES) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``rows`` cases of the high preset as (4, rows) blocks, as the descent passes them."""
+    anchors, targets = generate_case_arrays(scenario_config("high", n_points=rows // 343 + 1))
+    return anchors[:rows].T.copy(), targets[:rows].T.copy()
+
+
+class PoisonedScratch(Scratch):
+    """A scratch whose every slot comes poisoned: a value the kernel reads
+    before writing it is inf (0 * inf warns, and warnings are errors) or
+    True, and changes some bit. A masked divide must clear its slot first."""
+
+    def take(self, rows=2, dtype=np.float64):
+        slot = super().take(rows, dtype)
+        slot.fill(True if dtype is np.bool_ else np.inf)
+        return slot
+
+
+class TestScratch:
+    """A reused scratch changes no bit, allocates nothing of the block's size
+    once warm, and never lets the public entries share memory."""
+
+    def test_reused_scratch_gives_fresh_scratch_bits(self):
+        a, g = tie_heavy_blocks()
+        # Blocks of 8,192, 37 and 8,192 columns; the tie-heavy rows hold
+        # exact edge ties, and the last tenth coincident boxes, where siou's
+        # masked divides must leave zeros in their reused slots.
+        cols = [np.arange(8192), np.r_[17_990:18_027], np.arange(20_000 - 8192, 20_000)]
+        assert [c.size for c in cols] == [8192, 37, 8192]
+        scratch = PoisonedScratch()
+        for spec in scenario_config("high").specs:
+            for c in cols:
+                target = prepare_target(g[:, c], spec)
+                for with_grad in (True, False):
+                    want = eval_blocks(spec, a[:, c], target, with_grad=with_grad)
+                    got = eval_blocks(spec, a[:, c], target, with_grad=with_grad, scratch=scratch)
+                    assert outputs_digest(got) == outputs_digest(want), (spec, c.size, with_grad)
+
+    @pytest.mark.parametrize("spec", scenario_config("high").specs, ids=LossSpec.label)
+    def test_warm_call_allocates_nothing_of_the_block_size(self, spec):
+        a, g = chunk_blocks()
+        target = prepare_target(g, spec)
+        scratch = Scratch()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # the first call fills the scratch, which keeps what it allocated
+            eval_blocks(spec, a, target, scratch=scratch)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            eval_blocks(spec, a, target, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # numpy's own cast buffer (8,192 elements) is all a warm call allocates
+        assert peak < PAIR_BYTES, f"{peak} bytes"
+        assert held / PAIR_BYTES <= FRESH_PEAK_PAIRS[spec.label().split("(")[0]], f"{held} bytes"
+
+    def test_scratch_grows_to_the_largest_block(self):
+        spec = LossSpec("siou", inner=0.8)
+        a, g = chunk_blocks()
+        scratch = Scratch()
+        small = eval_blocks(spec, a[:, :37], prepare_target(g[:, :37], spec), scratch=scratch)
+        kept = small.grad.copy()
+        full = eval_blocks(spec, a, prepare_target(g, spec), scratch=scratch)
+        want = eval_blocks(spec, a, prepare_target(g, spec))
+        assert outputs_digest(full) == outputs_digest(want)
+        # the small call's outputs keep the buffers they were written in
+        assert small.grad.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("spec", [LossSpec("ciou"), LossSpec("siou", inner=0.8)], ids=str)
+    def test_public_entries_never_share_memory(self, spec):
+        a, g = chunk_blocks(1000)
+        first = eval_batch(spec, a.T, g.T)
+        kept = outputs_digest(first)
+        second = eval_batch(spec, a.T[::-1], g.T[::-1])
+        def arrays(ev):
+            fields = [ev.loss, ev.iou, ev.inner_iou, ev.grad, *ev.terms.values()]
+            return [x for x in fields if isinstance(x, np.ndarray)]
+
+        for x in arrays(first):
+            for y in arrays(second):
+                assert not np.shares_memory(x, y)
+        assert outputs_digest(first) == kept
+        iou_first = iou_batch(a.T, g.T)
+        kept_iou = iou_first.tobytes()
+        iou_second = iou_batch(a.T[::-1], g.T[::-1])
+        assert not np.shares_memory(iou_first, iou_second)
+        assert iou_first.tobytes() == kept_iou
 
 
 # Coordinates bounded so a 1e-2 side never vanishes at the corner round trip.

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -393,6 +394,55 @@ class TestRunSimulation:
             monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
         run_simulation(tiny_cfg(), threads=0)
         assert workers == [3 if affinity else 5]
+
+
+    def test_one_pool_and_one_scratch_per_worker_for_the_run(self, monkeypatch):
+        # Three specs of one chunk each: every (spec, chunk) job goes to one
+        # pool, and each worker keeps one scratch for the whole run.
+        pools, scratches = [], []
+
+        class RecordingPool(simlab.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        class RecordingScratch(simlab.Scratch):
+            def __init__(self):
+                scratches.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simlab, "Scratch", RecordingScratch)
+        cfg = tiny_cfg(specs=(LossSpec("iou"), LossSpec("giou"), LossSpec("siou", inner=0.8)))
+        serial = run_simulation(cfg, threads=1, per_case=True)
+        assert (pools, len(scratches)) == ([], 1)
+        pooled = run_simulation(cfg, threads=2, per_case=True)
+        assert (pools, len(scratches)) == ([2], 3)
+        assert_same_summaries(pooled, serial)
+
+    def test_workers_never_share_a_scratch(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: two
+        # jobs writing one scratch at once would change some bit.
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 32)  # 343 cases -> 11 chunks
+        cfg = tiny_cfg(specs=(LossSpec("siou", inner=0.8), LossSpec("ciou")), iterations=6)
+        serial = run_simulation(cfg, threads=1, per_case=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_simulation(cfg, threads=8, per_case=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_summaries(pooled, serial)
+
+
+def assert_same_summaries(got, want):
+    """Both runs gave the same summaries, per-case arrays byte for byte."""
+    assert [s.label for s in got] == [s.label for s in want]
+    for g, w in zip(got, want):
+        assert (g.mean_final_error, g.auc) == (w.mean_final_error, w.auc), w.label
+        for name in ("total_error_curve", "case_initial_error", "case_final_error",
+                     "case_final_iou", "case_clamps"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), (w.label, name)
 
 
 def preset_cfg(scenario: str, **overrides) -> SimConfig:
