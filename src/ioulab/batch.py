@@ -151,18 +151,18 @@ class Scratch:
     those slots for its own temporaries until then, as the descent's step
     does.
 
-    A slot is a contiguous view of one flat buffer, shaped like the block's
-    columns with a leading axis of ``rows`` (2 for an (x, y) pair, 4 for the
-    gradient) or none (``rows=1``). As an ``out=``, its row ``i`` is
-    ``slot[i, ...]``, which stays an array for a one-pair block. The buffers
+    A slot is a contiguous view of one flat buffer, its ``base``, shaped like
+    the block's columns with a leading axis of ``rows`` (2 for an (x, y)
+    pair, 4 for the gradient) or none (``rows=1``). As an ``out=``, its row
+    ``i`` is ``slot[i, ...]``, which stays an array for a one-pair block. The
+    views are reshaped only when the block's shape changes, and the buffers
     grow to the largest block seen. One scratch serves one thread at a time.
     """
 
     def __init__(self) -> None:
         self._size = 0  # columns each buffer holds
         self._shape: tuple[int, ...] | None = None
-        self._bufs: dict[tuple, list[np.ndarray]] = {}  # (rows, dtype) -> flat buffers
-        self._slots: dict[tuple, list[np.ndarray]] = {}  # their views at _shape
+        self._slots: dict[tuple, list[np.ndarray]] = {}  # (rows, dtype) -> every slot
         self._free: dict[tuple, list[np.ndarray]] = {}
 
     def start(self, shape: tuple[int, ...]) -> "Scratch":
@@ -171,31 +171,31 @@ class Scratch:
             size = math.prod(shape)
             if size > self._size:
                 # an earlier call's outputs keep their old buffers alive
-                self._size, self._bufs = size, {}
+                self._size, self._slots, self._free = size, {}, {}
             self._shape = shape
-            self._slots = {key: [self._view(b, key[0]) for b in bufs] for key, bufs in self._bufs.items()}
+            for (rows, _), slots in self._slots.items():
+                dims = (rows, *shape) if rows > 1 else shape
+                slots[:] = [slot.base[: rows * size].reshape(dims) for slot in slots]
         self.release()
         return self
 
-    def release(self, *keep: np.ndarray) -> None:
+    def release(self, *keep: np.ndarray | None) -> None:
         """Free every slot but those in ``keep``."""
-        kept = {id(k) for k in keep}
-        self._free = {key: [v for v in slots if id(v) not in kept] for key, slots in self._slots.items()}
-
-    def _view(self, buf: np.ndarray, rows: int) -> np.ndarray:
-        shape = (rows, *self._shape) if rows > 1 else self._shape
-        return buf[: rows * math.prod(self._shape)].reshape(shape)
+        for key, slots in self._slots.items():
+            self._free[key][:] = slots
+        for kept in keep:
+            if kept is not None:
+                free = self._free[kept.shape[0] if kept.ndim > len(self._shape) else 1, kept.dtype.type]
+                free[:] = [slot for slot in free if slot is not kept]
 
     def take(self, rows: int = 2, dtype=np.float64) -> np.ndarray:
         """A free float64 slot of ``rows`` rows (none for 1), or of ``dtype``."""
-        key = (rows, dtype)
-        free = self._free.setdefault(key, [])
+        free = self._free.setdefault((rows, dtype), [])
         if free:
             return free.pop()
-        buf = np.empty(rows * self._size, dtype)
-        self._bufs.setdefault(key, []).append(buf)
-        slot = self._view(buf, rows)
-        self._slots.setdefault(key, []).append(slot)
+        dims = (rows, *self._shape) if rows > 1 else self._shape
+        slot = np.empty(rows * self._size, dtype)[: math.prod(dims)].reshape(dims)
+        self._slots.setdefault((rows, dtype), []).append(slot)
         return slot
 
     def mask(self, rows: int = 2) -> np.ndarray:
@@ -206,7 +206,7 @@ class Scratch:
         """Free ``slots``, each taken since the last start and not given back since."""
         nd = len(self._shape)
         for slot in slots:
-            self._free[(slot.shape[0] if slot.ndim > nd else 1, slot.dtype.type)].append(slot)
+            self._free[slot.shape[0] if slot.ndim > nd else 1, slot.dtype.type].append(slot)
 
 
 def _started(scratch: Scratch | None, a: np.ndarray, g: np.ndarray) -> Scratch:
@@ -216,12 +216,10 @@ def _started(scratch: Scratch | None, a: np.ndarray, g: np.ndarray) -> Scratch:
     return (Scratch() if scratch is None else scratch).start(shape)
 
 
-def _pick(u: np.ndarray, v: np.ndarray, w=None, le=None) -> np.ndarray:
+def _pick(u: np.ndarray, v: np.ndarray, w: np.ndarray, le: np.ndarray) -> np.ndarray:
     # Derivative weight of min(u, v) w.r.t. u, and of max(v, u) w.r.t. v:
     # 1, 1/2 or 0 as u <, == or > v, so ties get the averaged value. Into
     # ``w``, with ``le`` for the bool temporary; the weights are exact.
-    if w is None:
-        w = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)))
     np.less(u, v, out=w)
     w += np.less_equal(u, v, out=le)
     w *= 0.5
@@ -256,8 +254,7 @@ def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edges(box: np.ndarray, r: float, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    # c -+ (w * r) / 2 for a (4, ...) block, into lo and hi, where hi holds the
-    # half sides first; c -+ w / 2 at r == 1, as w * 1.0 == w
+    # c -+ (w * r) / 2 for a (4, ...) block, into lo and hi; c -+ w / 2 at r == 1, as w * 1.0 == w
     if hi is None:
         lo, hi = np.empty_like(box[2:]), np.empty_like(box[2:])
     if r == 1.0:
@@ -292,43 +289,37 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: 
     derivatives with ``with_grad``, the anchor's (low, high) ``edges`` and the
     tie ``weights`` (w_hi, w_lo) with ``enclose``, for the enclosing box.
     Every array it returns is a slot of the started scratch ``s``; it gives
-    back the rest.
-
-    Each ``out=`` and in-place operation below is the same float operation,
-    on the same operands in the same order, as the plain expression in its
-    comment, so it gives the same bits without a temporary.
+    back the rest. Its float operations are those of the reference kernel,
+    as :func:`eval_blocks` says.
     """
     take, give = s.take, s.give
     g_lo, g_hi, g_area = gt[:2], gt[2:4], gt[4]
     a_lo, a_hi = _edges(a, r, take(), take())
     raw = np.minimum(a_hi, g_hi, out=take())
     ov = np.maximum(a_lo, g_lo, out=take())
-    raw -= ov  # min(a_hi, g_hi) - max(a_lo, g_lo)
+    raw -= ov
     np.maximum(raw, 0.0, out=ov)
     inter = np.multiply(ov[0], ov[1], out=take(1))
-    # Corner-derived side lengths; using them for the areas keeps
-    # inter <= union in floats (so iou <= 1, and exactly 1 on
-    # bitwise-identical boxes) and makes bitwise-coincident pairs exact
-    # stationary points of every loss.
+    # Corner-derived side lengths: as the areas' sides they keep inter <= union in
+    # floats (so iou <= 1, and exactly 1 on bitwise-identical boxes) and make
+    # bitwise-coincident pairs exact stationary points of every loss.
     a_side = np.subtract(a_hi, a_lo, out=take())
     union = np.multiply(a_side[0], a_side[1], out=take(1))
     union += g_area
-    union -= inter  # a_area + g_area - inter
+    union -= inter
     iou = np.divide(inter, union, out=take(1))
     edges = (a_lo, a_hi) if enclose else None
     if not with_grad:
         give(raw, ov, inter, a_side, *(() if enclose else (a_lo, a_hi)))
         return union, iou, None, None, edges, None
 
+    # d_inter from the tie weights and the open (raw > 0) axes, then d_union and d_iou
     le = s.mask()
-    w_hi = _pick(a_hi, g_hi, take(), le)  # min(a_hi, g_hi) picks the anchor edge
-    w_lo = _pick(g_lo, a_lo, take(), le)  # max(a_lo, g_lo) picks the anchor edge
+    w_hi = _pick(a_hi, g_hi, take(), le)
+    w_lo = _pick(g_lo, a_lo, take(), le)
     give(le, *(() if enclose else (a_lo, a_hi)))
-    # (raw > 0.0).astype(np.float64); a bool-to-float cast is several times
-    # faster than np.where on arrays this size.
+    # A bool-to-float cast is several times faster than np.where on arrays this size.
     is_open = np.greater(raw, 0.0, out=raw)
-    # d_inter = (is_open * (w_hi - w_lo) * ov[::-1],
-    #            is_open * (w_hi + w_lo) * (r / 2) * ov[::-1])
     d_inter_c = np.subtract(w_hi, w_lo, out=take())
     d_inter_c *= is_open
     d_inter_c *= ov[::-1]
@@ -337,12 +328,11 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: 
     d_inter_s *= r / 2.0
     d_inter_s *= ov[::-1]
     give(is_open, ov, *(() if enclose else (w_lo,)))
-    if r != 1.0:
-        a_side *= r  # d_union_s = a_side[::-1] * r - d_inter_s
+    if r != 1.0:  # a_side * 1.0 == a_side
+        a_side *= r
     d_union_s = np.subtract(a_side[::-1], d_inter_s, out=take())
     give(a_side)
     d_union = (np.negative(d_inter_c, out=take()), d_union_s)
-    # d_iou = (d_inter * union - inter * d_union) / (union * union)
     union2 = np.multiply(union, union, out=take(1))
     t = take()
     for di, du in zip((d_inter_c, d_inter_s), d_union):
@@ -399,11 +389,12 @@ def eval_blocks(
     With a ``scratch``, the arrays are its slots (see :class:`Scratch`).
 
     The gradient pass writes every value of the block's size into a slot.
-    Each ``out=`` and in-place operation is the same float operation, on the
-    same operands, as the plain expression in its comment; where a product or
-    a sum takes its two operands the other way round, IEEE arithmetic gives
-    the same bits. The forward pass builds its loss and terms with those
-    expressions.
+    ``reference_blocks`` in ``tests/helpers.py`` states each value as one
+    plain numpy expression on fresh arrays. Each ``out=`` and in-place
+    operation here is the same float operation on the same operands, at most
+    a product or a sum with its two operands the other way round, which IEEE
+    arithmetic leaves bit for bit; ``tests/test_batch.py::TestReference``
+    holds every output byte of both passes to the reference.
     """
     s = _started(scratch, a, target.box)
     take, give = s.take, s.give
@@ -423,7 +414,6 @@ def eval_blocks(
     # --- enclosing box (every base but iou) ----------------------------------
     if enclose:
         a_lo, a_hi = edges
-        # ext = max(a_hi, g_hi) - min(a_lo, g_lo)
         ext = np.maximum(a_hi, target.plain[2:4], out=a_hi)
         ext -= np.minimum(a_lo, target.plain[:2], out=a_lo)
         give(a_lo)
@@ -452,7 +442,6 @@ def eval_blocks(
         c_area = np.multiply(ext[0], ext[1], out=take(1))
         if with_grad:
             cc = np.multiply(c_area, c_area, out=take(1))
-            # dc, ds = -di - (du * c_area - union * (d * ext[::-1])) / (c_area * c_area)
             for out, di, du, d in zip((dc, ds), d_iou, d_union, d_ext):
                 d *= ext[::-1]
                 du *= c_area
@@ -464,21 +453,18 @@ def eval_blocks(
         else:
             loss = 1.0 - iou + (c_area - union) / c_area
     elif base in ("diou", "ciou", "eiou"):
+        # the center-distance penalty rho2 / c_diag, shared by the three
         off = np.subtract(a[:2], g[:2], out=take())
         t1 = take(1)
-        # rho2 = off[0] * off[0] + off[1] * off[1]
         rho2 = np.multiply(off[0], off[0], out=take(1))
         rho2 += np.multiply(off[1], off[1], out=t1)
-        # c_diag = ext[0] * ext[0] + ext[1] * ext[1]
         c_diag = np.multiply(ext[0], ext[0], out=take(1))
         c_diag += np.multiply(ext[1], ext[1], out=t1)
         if with_grad:
-            # d_c_diag = [2.0 * (ext * d) for d in d_ext]
             d_c_diag = [np.multiply(ext, d, out=take()) for d in d_ext]
             for d in d_c_diag:
                 np.multiply(2.0, d, out=d)
             cd2 = np.multiply(c_diag, c_diag, out=t1)
-            # dc = -d_iou[0] + (2.0 * off * c_diag - rho2 * d_c_diag[0]) / cd2
             np.multiply(2.0, off, out=off)
             off *= c_diag
             d_c_diag[0] *= rho2
@@ -486,7 +472,6 @@ def eval_blocks(
             off /= cd2
             np.negative(d_iou[0], out=dc)
             dc += off
-            # ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
             d_c_diag[1] *= rho2
             d_c_diag[1] /= cd2
             np.negative(d_iou[1], out=ds)
@@ -495,20 +480,18 @@ def eval_blocks(
         else:
             loss = 1.0 - iou + rho2 / c_diag
         if base == "ciou":
+            # the aspect term alpha * v, with alpha held constant
             aw, ah = a[2], a[3]
-            # q = aspect - arctan(aw / ah); v = _K_ASPECT * q * q
             q = np.divide(aw, ah, out=take(1))
             np.arctan(q, out=q)
             np.subtract(target.aspect, q, out=q)
             v = np.multiply(_K_ASPECT, q, out=take(1))
             v *= q
-            # alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
             alpha = np.subtract(1.0, iou, out=take(1))
             alpha += v
             np.maximum(alpha, EPSILON, out=alpha)
             np.divide(v, alpha, out=alpha)
             if with_grad:
-                # ds = ds + alpha * (2.0 * _K_ASPECT * q * np.stack((-ah, aw)) / (aw * aw + ah * ah))
                 d_v = take()
                 np.negative(ah, out=d_v[0, ...])
                 d_v[1, ...] = aw
@@ -523,17 +506,15 @@ def eval_blocks(
                 loss = loss + alpha * v
                 terms.update(v=v, alpha=alpha)
         elif base == "eiou":
+            # the side penalties (side_off / ext) ** 2
             side_off = np.subtract(a[2:], g[2:], out=take())
             ext2 = np.multiply(ext, ext, out=take())
-            # t = (side_off * side_off) / ext2
             t = np.multiply(side_off, side_off, out=take())
             t /= ext2
             if with_grad:
-                # k = 2.0 * t / ext; dc = dc - k * d_ext[0]
                 k = np.multiply(2.0, t, out=t)
                 k /= ext
                 dc -= np.multiply(k, d_ext[0], out=d_ext[0])
-                # ds = ds + (2.0 * side_off / ext2 - k * d_ext[1])
                 np.multiply(2.0, side_off, out=side_off)
                 side_off /= ext2
                 side_off -= np.multiply(k, d_ext[1], out=d_ext[1])
@@ -541,10 +522,10 @@ def eval_blocks(
             else:
                 loss = loss + t[0] + t[1]
     elif base == "siou":
+        # the angle, distance and shape costs
         off = np.subtract(a[:2], g[:2], out=take())
         absoff = np.abs(off, out=take())
         absx, absy = absoff
-        # dist = np.sqrt(off[0] * off[0] + off[1] * off[1])
         dist = np.multiply(off[0], off[0], out=take(1))
         m = take(1)
         dist += np.multiply(off[1], off[1], out=m)
@@ -552,37 +533,30 @@ def eval_blocks(
         np.minimum(absx, absy, out=m)
         den = np.add(dist, EPSILON, out=take(1))
         z = np.divide(m, den, out=take(1))
-        # root = np.sqrt(1.0 - z * z)
         root = np.multiply(z, z, out=take(1))
         np.subtract(1.0, root, out=root)
         np.sqrt(root, out=root)
-        # sin of twice the elevation angle: 2.0 * z * root
-        angle = np.multiply(2.0, z, out=take(1))
+        angle = np.multiply(2.0, z, out=take(1))  # sin of twice the elevation angle
         angle *= root
         gamma = np.subtract(2.0, angle, out=take(1))
-        # rho = (off / ext) ** 2
         rho = np.divide(off, ext, out=take())
         np.square(rho, out=rho)
-        # e = np.exp(-gamma * rho); past gamma, the gradient pass reads no angle
+        # past gamma, the gradient pass reads no angle
         neg_gamma = np.negative(gamma, out=angle if with_grad else take(1))
         e = np.multiply(neg_gamma, rho, out=take())
         np.exp(e, out=e)
         sa, sg = a[2:], g[2:]
-        # omega = np.abs(sa - sg) / np.maximum(sa, sg)
         omega = np.subtract(sa, sg, out=take())
         np.abs(omega, out=omega)
         e_omega = np.maximum(sa, sg, out=take())
         omega /= e_omega
-        # e_omega = np.exp(-omega); shape_base = 1.0 - e_omega
         np.negative(omega, out=e_omega)
         np.exp(e_omega, out=e_omega)
         shape_base = np.subtract(1.0, e_omega, out=take())
         if with_grad:
             give(omega)
-            # m, dist and so gamma depend on the centers only.
-            # d_m = sign(off) on the axis that gives m, else 0; the comparisons
-            # give the same bits as a masked np.sign in a sixth of its time:
-            # ((off > 0.0) & pick).astype(np.float64) - ((off < 0.0) & pick)
+            # m, dist and so gamma depend on the centers only. d_m is sign(off) on
+            # m's axis, else 0: comparisons give a masked np.sign's bits in a sixth of its time.
             pick, sign = s.mask(), s.mask()
             np.less_equal(absx, absy, out=pick[0, ...])
             np.logical_not(pick[0], out=pick[1, ...])
@@ -592,20 +566,17 @@ def eval_blocks(
             d_m -= np.logical_and(np.less(off, 0.0, out=sign), pick, out=sign)
             give(pick, sign)
             pos = np.greater(dist, 0.0, out=s.mask(1))
-            # A ufunc's where= leaves out untouched where the condition fails,
-            # so out starts at zero, as in np.where(cond, value, 0.0), which is
-            # slower.
+            # A ufunc's where= leaves out untouched where the condition fails, so
+            # out starts at zero, as np.where(cond, value, 0.0) would, but faster.
             d_dist = take()
             d_dist.fill(0.0)
             np.divide(off, dist, out=d_dist, where=pos)
-            # d_z = (d_m * den - m * d_dist) / (den * den) where pos, else 0,
-            # in d_dist's slot: where pos fails, it holds m * d_dist = 0 * 0
+            # d_z goes to d_dist's slot: where pos fails, it holds m * d_dist = 0 * 0
             d_m *= den
             d_m -= np.multiply(m, d_dist, out=d_dist)
             np.multiply(den, den, out=den)
             d_z = np.divide(d_m, den, out=d_dist, where=pos)
             give(d_m, m, pos)
-            # d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / root) * d_z)
             np.multiply(2.0, z, out=den)
             den *= z
             np.subtract(1.0, den, out=den)
@@ -614,34 +585,27 @@ def eval_blocks(
             d_gamma = np.multiply(den, d_z, out=d_z)
             np.negative(d_gamma, out=d_gamma)
             give(den, z, root)
-            # k = 2.0 * rho / ext
             k = np.multiply(2.0, rho, out=take())
             k /= ext
-            # d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]
             d_rho_c = np.multiply(2.0, off, out=off)
             d_rho_c /= np.multiply(ext, ext, out=ext)
             d_rho_c -= np.multiply(k, d_ext[0], out=d_ext[0])
-            # d_rho_s = -(k * d_ext[1])
             d_rho_s = np.multiply(k, d_ext[1], out=k)
             np.negative(d_rho_s, out=d_rho_s)
             give(*d_ext)
-            # each axis's distance term also moves with gamma, which both
-            # center partials reach:
-            # d_dist_cost_c = 0.5 * (e * (gamma * d_rho_c + rho * d_gamma)
-            #                        + e[::-1] * (rho[::-1] * d_gamma))
+            # gamma moves both axes' distance terms, and both center partials reach it
             d_cost_c = np.multiply(gamma, d_rho_c, out=d_rho_c)
             t = take()
             d_cost_c += np.multiply(rho, d_gamma, out=t)
-            d_cost_c *= e  # e * (...), the same product
+            d_cost_c *= e
             np.multiply(rho[::-1], d_gamma, out=t)
             np.multiply(e[::-1], t, out=t)
             d_cost_c += t
             np.multiply(0.5, d_cost_c, out=d_cost_c)
-            # d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
             d_cost_s = np.multiply(gamma, d_rho_s, out=d_rho_s)
             np.multiply(e, d_cost_s, out=d_cost_s)
             np.multiply(0.5, d_cost_s, out=d_cost_s)
-            # d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg), as the
+            # d_omega is sg / (sa * sa) where sa >= sg, else -1.0 / sg: as the
             # exact blend a * (sa >= sg) + b * (sa < sg) of a >= 0 and b < 0,
             # which needs no temporary and takes half of np.where's time.
             d_omega = np.multiply(sa, sa, out=t)
@@ -651,15 +615,12 @@ def eval_blocks(
             d_omega *= sel
             neg *= np.logical_not(sel, out=sel)
             d_omega += neg
-            # df = SIOU_THETA * shape_base ** (SIOU_THETA - 1.0) * e_omega
             df = np.power(shape_base, SIOU_THETA - 1.0, out=shape_base)
             np.multiply(SIOU_THETA, df, out=df)
             df *= e_omega
-            # dc = -d_iou[0] + d_dist_cost_c / 2.0
             d_cost_c /= 2.0
             np.negative(d_iou[0], out=dc)
             dc += d_cost_c
-            # ds = -d_iou[1] + (d_dist_cost_s + 0.5 * (df * d_omega)) / 2.0
             np.multiply(df, d_omega, out=d_omega)
             np.multiply(0.5, d_omega, out=d_omega)
             d_cost_s += d_omega
@@ -688,7 +649,6 @@ def eval_blocks(
     # --- auxiliary (inner) composition: every base but iou ---------------------
     if inner is not None and base != "iou":
         if with_grad:
-            # dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
             dc += d_iou[0]
             dc -= d_inner[0]
             ds += d_iou[1]
@@ -696,7 +656,6 @@ def eval_blocks(
         else:
             loss = loss + iou - inner
 
-    if not with_grad:
-        return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=None)
-    s.release(iou, inner, grad)
-    return BatchEval(loss=None, iou=iou, inner_iou=inner, terms=terms, grad=np.moveaxis(grad, 0, -1))
+    if with_grad:
+        s.release(iou, inner, grad)
+    return BatchEval(loss, iou, inner, terms, np.moveaxis(grad, 0, -1) if with_grad else None)

@@ -25,7 +25,11 @@ before it became a comparison, so it is the reference that one must match
 byte for byte. The index-grid case generator is the population as it was
 built before it was written in place: it gathers every column through
 ``np.indices``, so it is the reference the in-place generator must match
-byte for byte.
+byte for byte. The reference kernel is the loss kernel as it was before it
+wrote into a reused scratch: each value one plain numpy expression on fresh
+arrays, with the sign-based tie weight, so it states every float operation
+the scratch kernel must perform and is the reference it must match byte for
+byte, for every output of both passes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,16 @@ import io
 import numpy as np
 
 from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch
-from ioulab.batch import check_boxes, eval_blocks, iou_blocks, prepare_target
+from ioulab.batch import (
+    _K_ASPECT,
+    EPSILON,
+    SIOU_THETA,
+    BatchEval,
+    check_boxes,
+    eval_blocks,
+    iou_blocks,
+    prepare_target,
+)
 from ioulab.simlab import ASPECTS, CENTER, MIN_SIZE, SCALES
 from ioulab.sweep import SweepConfig
 
@@ -206,6 +219,144 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
 def pick_reference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Derivative weight of min(u, v) w.r.t. u, 1/2 at ties: ``0.5 * (sign(v - u) + 1)``."""
     return 0.5 * (np.sign(v - u) + 1.0)
+
+
+def _reference_overlap(a, gt, r, with_grad):
+    """``(union, iou, d_union, d_iou, (a_lo, a_hi), (w_hi, w_lo))`` of the anchor
+    block ``a`` and a target's (5, ...) edges and area ``gt`` at ratio ``r``."""
+    g_lo, g_hi, g_area = gt[:2], gt[2:4], gt[4]
+    half = (a[2:] * r) / 2.0
+    a_lo, a_hi = a[:2] - half, a[:2] + half
+    raw = np.minimum(a_hi, g_hi) - np.maximum(a_lo, g_lo)
+    ov = np.maximum(raw, 0.0)
+    inter = ov[0] * ov[1]
+    a_side = a_hi - a_lo
+    union = a_side[0] * a_side[1] + g_area - inter
+    iou = inter / union
+    if not with_grad:
+        return union, iou, None, None, (a_lo, a_hi), None
+    w_hi = pick_reference(a_hi, g_hi)
+    w_lo = pick_reference(g_lo, a_lo)
+    is_open = (raw > 0.0).astype(np.float64)
+    d_inter = ((w_hi - w_lo) * is_open * ov[::-1], (w_hi + w_lo) * is_open * (r / 2.0) * ov[::-1])
+    d_union = (-d_inter[0], a_side[::-1] * r - d_inter[1])
+    d_iou = tuple((di * union - inter * du) / (union * union) for di, du in zip(d_inter, d_union))
+    return union, iou, d_union, d_iou, (a_lo, a_hi), (w_hi, w_lo)
+
+
+def reference_blocks(spec: LossSpec, a: np.ndarray, target, *, with_grad: bool = True) -> BatchEval:
+    """What ``batch.eval_blocks`` returns for one pass, from plain expressions on fresh arrays."""
+    base, g = spec.base, target.box
+    inner = d_inner = None
+    if spec.inner is not None:
+        _, inner, _, d_inner, _, _ = _reference_overlap(a, target.inner, spec.inner, with_grad)
+    union, iou, d_union, d_iou, (a_lo, a_hi), weights = _reference_overlap(a, target.plain, 1.0, with_grad)
+    if base != "iou":
+        ext = np.maximum(a_hi, target.plain[2:4]) - np.minimum(a_lo, target.plain[:2])
+        if with_grad:
+            w_hi, w_lo = weights
+            d_ext = (w_lo - w_hi, 1.0 - (w_hi + w_lo) * 0.5)
+
+    loss = None
+    terms = {}
+    if base == "iou":
+        ov_iou, ov_d = (iou, d_iou) if inner is None else (inner, d_inner)
+        if with_grad:
+            dc, ds = -ov_d[0], -ov_d[1]
+        else:
+            loss = 1.0 - ov_iou
+    elif base == "giou":
+        c_area = ext[0] * ext[1]
+        if with_grad:
+            dc, ds = (
+                -di - (du * c_area - union * (d * ext[::-1])) / (c_area * c_area)
+                for di, du, d in zip(d_iou, d_union, d_ext)
+            )
+        else:
+            loss = 1.0 - iou + (c_area - union) / c_area
+    elif base in ("diou", "ciou", "eiou"):
+        off = a[:2] - g[:2]
+        rho2 = off[0] * off[0] + off[1] * off[1]
+        c_diag = ext[0] * ext[0] + ext[1] * ext[1]
+        if with_grad:
+            d_c_diag = [2.0 * (ext * d) for d in d_ext]
+            cd2 = c_diag * c_diag
+            dc = -d_iou[0] + (2.0 * off * c_diag - rho2 * d_c_diag[0]) / cd2
+            ds = -d_iou[1] - rho2 * d_c_diag[1] / cd2
+        else:
+            loss = 1.0 - iou + rho2 / c_diag
+        if base == "ciou":
+            aw, ah = a[2], a[3]
+            q = target.aspect - np.arctan(aw / ah)
+            v = _K_ASPECT * q * q
+            alpha = v / np.maximum((1.0 - iou) + v, EPSILON)
+            if with_grad:
+                ds = ds + alpha * (2.0 * _K_ASPECT * q * np.stack((-ah, aw)) / (aw * aw + ah * ah))
+            else:
+                loss = loss + alpha * v
+                terms.update(v=v, alpha=alpha)
+        elif base == "eiou":
+            side_off = a[2:] - g[2:]
+            ext2 = ext * ext
+            t = (side_off * side_off) / ext2
+            if with_grad:
+                k = 2.0 * t / ext
+                dc = dc - k * d_ext[0]
+                ds = ds + (2.0 * side_off / ext2 - k * d_ext[1])
+            else:
+                loss = loss + t[0] + t[1]
+    else:  # siou
+        off = a[:2] - g[:2]
+        absx, absy = np.abs(off)
+        dist = np.sqrt(off[0] * off[0] + off[1] * off[1])
+        m = np.minimum(absx, absy)
+        den = dist + EPSILON
+        z = m / den
+        root = np.sqrt(1.0 - z * z)
+        angle = 2.0 * z * root
+        gamma = 2.0 - angle
+        rho = (off / ext) ** 2
+        e = np.exp(-gamma * rho)
+        sa, sg = a[2:], g[2:]
+        omega = np.abs(sa - sg) / np.maximum(sa, sg)
+        e_omega = np.exp(-omega)
+        shape_base = 1.0 - e_omega
+        if with_grad:
+            use_x = absx <= absy
+            pick = np.stack((use_x, ~use_x))
+            d_m = ((off > 0.0) & pick).astype(np.float64) - ((off < 0.0) & pick)
+            pos = dist > 0.0
+            d_dist = np.divide(off, dist, out=np.zeros_like(off), where=pos)
+            d_z = np.divide(d_m * den - m * d_dist, den * den, out=np.zeros_like(d_m), where=pos)
+            d_gamma = -((2.0 * (1.0 - 2.0 * z * z) / root) * d_z)
+            k = 2.0 * rho / ext
+            d_rho_c = 2.0 * off / (ext * ext) - k * d_ext[0]
+            d_rho_s = -(k * d_ext[1])
+            d_dist_cost_c = 0.5 * (
+                e * (gamma * d_rho_c + rho * d_gamma) + e[::-1] * (rho[::-1] * d_gamma)
+            )
+            d_dist_cost_s = 0.5 * (e * (gamma * d_rho_s))
+            d_omega = np.where(sa >= sg, sg / (sa * sa), -1.0 / sg)
+            df = SIOU_THETA * shape_base ** (SIOU_THETA - 1.0) * e_omega
+            dc = -d_iou[0] + d_dist_cost_c / 2.0
+            ds = -d_iou[1] + (d_dist_cost_s + 0.5 * (df * d_omega)) / 2.0
+        else:
+            dist_cost = 0.5 * ((1.0 - e[0]) + (1.0 - e[1]))
+            f = shape_base ** SIOU_THETA
+            shape_cost = 0.5 * (f[0] + f[1])
+            loss = 1.0 - iou + (dist_cost + shape_cost) / 2.0
+            terms.update(
+                angle_cost=angle, gamma=gamma, distance_cost=dist_cost, shape_cost=shape_cost,
+                rho_x=rho[0], rho_y=rho[1], omega_w=omega[0], omega_h=omega[1], theta=SIOU_THETA,
+            )
+
+    if inner is not None and base != "iou":
+        if with_grad:
+            dc, ds = dc + d_iou[0] - d_inner[0], ds + d_iou[1] - d_inner[1]
+        else:
+            loss = loss + iou - inner
+    grad = np.moveaxis(np.concatenate((dc, ds)), 0, -1) if with_grad else None
+    return BatchEval(loss=loss, iou=iou, inner_iou=inner, terms=terms, grad=grad)
 
 
 def csv_reference(header, blocks) -> bytes:
