@@ -10,11 +10,13 @@ once and call the kernels directly: a descent state may leave the domain.
 Per-axis layout: ``block[:2]`` holds the centers (x, y) and ``block[2:]``
 the sides (w, h). Every overlap, enclosure and offset quantity splits into
 an x and a y factor that depends only on that axis's center and side, so it
-is one (2, ...) array over both axes. A derivative is a pair ``(dc, ds)`` of
-(2, ...) arrays: the partials with respect to the anchor's center (x, y)
-and to its sides (w, h). The partial of an x factor with respect to y or h
-is zero and is never stored; products of the two axes (areas, the squared
-diagonal) pick up the other axis's factor through ``[::-1]``.
+is one (2, ...) array over both axes. A derivative is one (2, 2, ...) array
+shaped like the gradient's rows: half 0 holds the partials with respect to
+the anchor's center (x, y), half 1 those with respect to its sides (w, h).
+The (low, high) edges of a box are one such array too, so an operation that
+treats both halves alike runs once. The partial of an x factor with respect
+to y or h is zero and is never stored; products of the two axes (areas, the
+squared diagonal) pick up the other axis's factor through ``[::-1]``.
 
 Subgradient conventions at the non-smooth points:
 
@@ -152,17 +154,18 @@ class Scratch:
     does.
 
     A slot is a contiguous view of one flat buffer, its ``base``, shaped like
-    the block's columns with a leading axis of ``rows`` (2 for an (x, y)
-    pair, 4 for the gradient) or none (``rows=1``). As an ``out=``, its row
-    ``i`` is ``slot[i, ...]``, which stays an array for a one-pair block. The
-    views are reshaped only when the block's shape changes, and the buffers
-    grow to the largest block seen. One scratch serves one thread at a time.
+    the block's columns behind ``lead`` leading axes of size 2: none for one
+    value per column, one for an (x, y) pair, two for a pair of pairs such as
+    a derivative or the (low, high) edges. As an ``out=``, its half ``i`` is
+    ``slot[i, ...]``, which stays an array for a one-pair block. The views
+    are reshaped only when the block's shape changes, and the buffers grow to
+    the largest block seen. One scratch serves one thread at a time.
     """
 
     def __init__(self) -> None:
         self._size = 0  # columns each buffer holds
         self._shape: tuple[int, ...] | None = None
-        self._slots: dict[tuple, list[np.ndarray]] = {}  # (rows, dtype) -> every slot
+        self._slots: dict[tuple, list[np.ndarray]] = {}  # (lead, dtype) -> every slot
         self._free: dict[tuple, list[np.ndarray]] = {}
 
     def start(self, shape: tuple[int, ...]) -> "Scratch":
@@ -173,11 +176,13 @@ class Scratch:
                 # an earlier call's outputs keep their old buffers alive
                 self._size, self._slots, self._free = size, {}, {}
             self._shape = shape
-            for (rows, _), slots in self._slots.items():
-                dims = (rows, *shape) if rows > 1 else shape
-                slots[:] = [slot.base[: rows * size].reshape(dims) for slot in slots]
+            for (lead, _), slots in self._slots.items():
+                slots[:] = [slot.base[: size << lead].reshape((2,) * lead + shape) for slot in slots]
         self.release()
         return self
+
+    def _key(self, slot: np.ndarray) -> tuple:
+        return slot.ndim - len(self._shape), slot.dtype.type
 
     def release(self, *keep: np.ndarray | None) -> None:
         """Free every slot but those in ``keep``."""
@@ -185,28 +190,28 @@ class Scratch:
             self._free[key][:] = slots
         for kept in keep:
             if kept is not None:
-                free = self._free[kept.shape[0] if kept.ndim > len(self._shape) else 1, kept.dtype.type]
+                free = self._free[self._key(kept)]
                 free[:] = [slot for slot in free if slot is not kept]
 
-    def take(self, rows: int = 2, dtype=np.float64) -> np.ndarray:
-        """A free float64 slot of ``rows`` rows (none for 1), or of ``dtype``."""
-        free = self._free.setdefault((rows, dtype), [])
+    def take(self, lead: int = 1, dtype=np.float64) -> np.ndarray:
+        """A free float64 slot with ``lead`` leading axes of size 2, or of ``dtype``."""
+        free = self._free.setdefault((lead, dtype), [])
         if free:
             return free.pop()
-        dims = (rows, *self._shape) if rows > 1 else self._shape
-        slot = np.empty(rows * self._size, dtype)[: math.prod(dims)].reshape(dims)
-        self._slots.setdefault((rows, dtype), []).append(slot)
+        dims = (2,) * lead + self._shape
+        slot = np.empty(self._size << lead, dtype)[: math.prod(dims)].reshape(dims)
+        self._slots.setdefault((lead, dtype), []).append(slot)
         return slot
 
-    def mask(self, rows: int = 2) -> np.ndarray:
-        """A free bool slot of ``rows`` rows (none for 1)."""
-        return self.take(rows, np.bool_)
+    def mask(self, lead: int = 1) -> np.ndarray:
+        """A free bool slot with ``lead`` leading axes of size 2."""
+        return self.take(lead, np.bool_)
 
-    def give(self, *slots: np.ndarray) -> None:
-        """Free ``slots``, each taken since the last start and not given back since."""
-        nd = len(self._shape)
+    def give(self, *slots: np.ndarray | None) -> None:
+        """Free ``slots``, each taken since the last start and not given back since; skip None."""
         for slot in slots:
-            self._free[slot.shape[0] if slot.ndim > nd else 1, slot.dtype.type].append(slot)
+            if slot is not None:
+                self._free[self._key(slot)].append(slot)
 
 
 def _started(scratch: Scratch | None, a: np.ndarray, g: np.ndarray) -> Scratch:
@@ -226,16 +231,6 @@ def _pick(u: np.ndarray, v: np.ndarray, w: np.ndarray, le: np.ndarray) -> np.nda
     return w
 
 
-def _ext_weights(w_hi: np.ndarray, w_lo: np.ndarray, c=None, side=None) -> tuple[np.ndarray, np.ndarray]:
-    # The enclosing box's (center, side) weights: max(a_hi, g_hi) picks the
-    # anchor edge with weight 1 - w_hi, min(a_lo, g_lo) with 1 - w_lo, exactly.
-    # Into ``c`` and ``side``; ``side`` may be ``w_hi``.
-    c = np.subtract(w_lo, w_hi, out=c)
-    side = np.add(w_hi, w_lo, out=side)
-    side *= 0.5
-    return c, np.subtract(1.0, side, out=side)
-
-
 def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
     """Both box arrays, checked by :func:`check_boxes`, as contiguous (4, ...) blocks of equal rank."""
     arrs = []
@@ -253,10 +248,10 @@ def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _edges(box: np.ndarray, r: float, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    # c -+ (w * r) / 2 for a (4, ...) block, into lo and hi; c -+ w / 2 at r == 1, as w * 1.0 == w
-    if hi is None:
-        lo, hi = np.empty_like(box[2:]), np.empty_like(box[2:])
+def _edges(box: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarray:
+    # The (low, high) edges c -+ (w * r) / 2 of a (4, ...) block as one (2, 2, ...)
+    # array, into ``out``; c -+ w / 2 at r == 1, as w * 1.0 == w
+    lo, hi = out = np.empty((2, *box[2:].shape)) if out is None else out
     if r == 1.0:
         np.divide(box[2:], 2.0, out=hi)
     else:
@@ -264,16 +259,16 @@ def _edges(box: np.ndarray, r: float, lo=None, hi=None) -> tuple[np.ndarray, np.
         hi /= 2.0
     np.subtract(box[:2], hi, out=lo)
     np.add(box[:2], hi, out=hi)
-    return lo, hi
+    return out
 
 
 def prepare_target(g: np.ndarray, spec: "LossSpec | None" = None) -> Target:
     """The :class:`Target` of the (4, ...) gt block ``g`` under ``spec``, or for
     :func:`iou_blocks` without one (unchecked). A target does not move: build it once."""
     def scaled(r):
-        lo, hi = _edges(g, r)
-        side = hi - lo  # corner-derived, as the anchor's in _overlap
-        return np.concatenate((lo, hi, (side[0] * side[1])[None]))
+        edges = _edges(g, r)
+        side = edges[1] - edges[0]  # corner-derived, as the anchor's in _overlap
+        return np.concatenate((*edges, (side[0] * side[1])[None]))
 
     inner = None if spec is None or spec.inner is None else scaled(spec.inner)
     aspect = np.arctan(g[2] / g[3]) if spec is not None and spec.base == "ciou" else None
@@ -285,63 +280,77 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: 
 
     This is the one overlap computation: the plain overlap is ``r == 1``,
     and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
-    bit. Returns ``(union, iou, d_union, d_iou, edges, weights)``: the
-    derivatives with ``with_grad``, the anchor's (low, high) ``edges`` and the
-    tie ``weights`` (w_hi, w_lo) with ``enclose``, for the enclosing box.
-    Every array it returns is a slot of the started scratch ``s``; it gives
-    back the rest. Its float operations are those of the reference kernel,
-    as :func:`eval_blocks` says.
+    bit. Returns ``(union, iou, d_union, d_iou, ext, d_ext)``: the
+    derivatives with ``with_grad``, and with ``enclose`` the enclosing box's
+    sides ``ext`` and, with ``with_grad``, their derivative. Every array it
+    returns is a slot of the started scratch ``s``; it gives back the rest.
+    Its float operations are those of the reference kernel, as
+    :func:`eval_blocks` says.
     """
     take, give = s.take, s.give
     g_lo, g_hi, g_area = gt[:2], gt[2:4], gt[4]
-    a_lo, a_hi = _edges(a, r, take(), take())
-    raw = np.minimum(a_hi, g_hi, out=take())
-    ov = np.maximum(a_lo, g_lo, out=take())
-    raw -= ov
+    edges = _edges(a, r, take(2))
+    a_lo, a_hi = edges
+    raw, ov = extents = take(2)
+    np.minimum(a_hi, g_hi, out=raw)
+    raw -= np.maximum(a_lo, g_lo, out=ov)
     np.maximum(raw, 0.0, out=ov)
-    inter = np.multiply(ov[0], ov[1], out=take(1))
+    inter = np.multiply(ov[0], ov[1], out=take(0))
     # Corner-derived side lengths: as the areas' sides they keep inter <= union in
     # floats (so iou <= 1, and exactly 1 on bitwise-identical boxes) and make
     # bitwise-coincident pairs exact stationary points of every loss.
     a_side = np.subtract(a_hi, a_lo, out=take())
-    union = np.multiply(a_side[0], a_side[1], out=take(1))
+    union = np.multiply(a_side[0], a_side[1], out=take(0))
     union += g_area
     union -= inter
-    iou = np.divide(inter, union, out=take(1))
-    edges = (a_lo, a_hi) if enclose else None
+    iou = np.divide(inter, union, out=take(0))
+    if with_grad:
+        # the tie weights (w_lo, w_hi) of max(a_lo, g_lo) and min(a_hi, g_hi)
+        le = s.mask()
+        weights = take(2)
+        _pick(g_lo, a_lo, weights[0], le)
+        _pick(a_hi, g_hi, weights[1], le)
+        give(le)
+    ext = None
+    if enclose:
+        ext = np.maximum(a_hi, g_hi, out=take())
+        ext -= np.minimum(a_lo, g_lo, out=a_lo)
+    give(edges)
     if not with_grad:
-        give(raw, ov, inter, a_side, *(() if enclose else (a_lo, a_hi)))
-        return union, iou, None, None, edges, None
+        give(extents, inter, a_side)
+        return union, iou, None, None, ext, None
 
-    # d_inter from the tie weights and the open (raw > 0) axes, then d_union and d_iou
-    le = s.mask()
-    w_hi = _pick(a_hi, g_hi, take(), le)
-    w_lo = _pick(g_lo, a_lo, take(), le)
-    give(le, *(() if enclose else (a_lo, a_hi)))
+    # d_iou starts as d_inter, from the tie weights and the open (raw > 0) axes
+    w_lo, w_hi = weights
+    d_iou = take(2)
+    np.subtract(w_hi, w_lo, out=d_iou[0])
+    np.add(w_hi, w_lo, out=d_iou[1])
+    d_ext = None
+    if enclose:
+        # max(a_hi, g_hi) picks the anchor edge with weight 1 - w_hi, min(a_lo, g_lo) with 1 - w_lo
+        d_ext = weights
+        np.subtract(w_lo, w_hi, out=w_lo)
+        np.multiply(d_iou[1], 0.5, out=w_hi)
+        np.subtract(1.0, w_hi, out=w_hi)
+    else:
+        give(weights)
     # A bool-to-float cast is several times faster than np.where on arrays this size.
-    is_open = np.greater(raw, 0.0, out=raw)
-    d_inter_c = np.subtract(w_hi, w_lo, out=take())
-    d_inter_c *= is_open
-    d_inter_c *= ov[::-1]
-    d_inter_s = np.add(w_hi, w_lo, out=take() if enclose else w_hi)
-    d_inter_s *= is_open
-    d_inter_s *= r / 2.0
-    d_inter_s *= ov[::-1]
-    give(is_open, ov, *(() if enclose else (w_lo,)))
+    d_iou *= np.greater(raw, 0.0, out=raw)
+    d_iou[1] *= r / 2.0
+    d_iou *= ov[::-1]
+    give(extents)
     if r != 1.0:  # a_side * 1.0 == a_side
         a_side *= r
-    d_union_s = np.subtract(a_side[::-1], d_inter_s, out=take())
-    give(a_side)
-    d_union = (np.negative(d_inter_c, out=take()), d_union_s)
-    union2 = np.multiply(union, union, out=take(1))
-    t = take()
-    for di, du in zip((d_inter_c, d_inter_s), d_union):
-        di *= union
-        di -= np.multiply(inter, du, out=t)
-        di /= union2
-    give(t, union2, inter)
-    weights = (w_hi, w_lo) if enclose else None
-    return union, iou, d_union, (d_inter_c, d_inter_s), edges, weights
+    d_union = take(2)
+    np.negative(d_iou[0], out=d_union[0])
+    np.subtract(a_side[::-1], d_iou[1], out=d_union[1])
+    union2 = np.multiply(union, union, out=take(0))
+    d_iou *= union
+    for di, du in zip(d_iou, d_union):
+        di -= np.multiply(inter, du, out=a_side)
+    d_iou /= union2
+    give(a_side, union2, inter)
+    return union, iou, d_union, d_iou, ext, d_ext
 
 
 def _scalars(value):
@@ -400,94 +409,75 @@ def eval_blocks(
     take, give = s.take, s.give
     base, g, enclose = spec.base, target.box, spec.base != "iou"
 
-    # --- overlap -----------------------------------------------------------
+    # --- overlaps, and the enclosing box for every base but iou ---------------
     inner = d_inner = None
     if spec.inner is not None:
         union, inner, d_union, d_inner, _, _ = _overlap(a, target.inner, spec.inner, with_grad, s)
-        give(union, *(d_union or ()))
+        give(union, d_union)
     # The iou base with a ratio is 1 - (auxiliary overlap), so its plain
     # overlap only reports ``iou`` and needs no gradient.
-    union, iou, d_union, d_iou, edges, weights = _overlap(
+    union, iou, d_union, d_iou, ext, d_ext = _overlap(
         a, target.plain, 1.0, with_grad and (enclose or inner is None), s, enclose
     )
+    if base != "giou":
+        give(union, d_union)
 
-    # --- enclosing box (every base but iou) ----------------------------------
-    if enclose:
-        a_lo, a_hi = edges
-        ext = np.maximum(a_hi, target.plain[2:4], out=a_hi)
-        ext -= np.minimum(a_lo, target.plain[:2], out=a_lo)
-        give(a_lo)
-        if with_grad:
-            w_hi, w_lo = weights
-            d_ext = _ext_weights(w_hi, w_lo, take(), w_hi)
-            give(w_lo)
-
-    # --- base loss: partials dc (center) and ds (sides) ----------------------
-    # The gradient pass builds only what the partials read, straight into the
-    # gradient's rows; the loss and its terms are the forward pass's.
-    loss = None
+    # --- base loss: the gradient pass builds only what its (center, side) ------
+    # halves read, starting from minus the base's overlap derivative, in that
+    # derivative's slot unless the inner composition reads it again; the loss
+    # and its terms are the forward pass's.
+    loss = grad = None
     terms: dict[str, np.ndarray | float] = {}
     if with_grad:
-        grad = take(4)
-        dc, ds = grad[:2], grad[2:]
+        d_ov = d_inner if d_iou is None else d_iou
+        grad = np.negative(d_ov, out=take(2) if enclose and inner is not None else d_ov)
 
     if base == "iou":
-        ov_iou, ov_d = (iou, d_iou) if inner is None else (inner, d_inner)
-        if with_grad:
-            np.negative(ov_d[0], out=dc)
-            np.negative(ov_d[1], out=ds)
-        else:
-            loss = 1.0 - ov_iou
+        if not with_grad:
+            loss = 1.0 - (iou if inner is None else inner)
     elif base == "giou":
-        c_area = np.multiply(ext[0], ext[1], out=take(1))
+        c_area = np.multiply(ext[0], ext[1], out=take(0))
         if with_grad:
-            cc = np.multiply(c_area, c_area, out=take(1))
-            for out, di, du, d in zip((dc, ds), d_iou, d_union, d_ext):
-                d *= ext[::-1]
-                du *= c_area
-                np.multiply(union, d, out=d)
-                du -= d
-                du /= cc
-                np.negative(di, out=out)
-                out -= du
+            d_ext *= ext[::-1]
+            d_union *= c_area
+            np.multiply(union, d_ext, out=d_ext)
+            d_union -= d_ext
+            d_union /= np.multiply(c_area, c_area, out=c_area)
+            grad -= d_union
         else:
             loss = 1.0 - iou + (c_area - union) / c_area
     elif base in ("diou", "ciou", "eiou"):
         # the center-distance penalty rho2 / c_diag, shared by the three
         off = np.subtract(a[:2], g[:2], out=take())
-        t1 = take(1)
-        rho2 = np.multiply(off[0], off[0], out=take(1))
+        t1 = take(0)
+        rho2 = np.multiply(off[0], off[0], out=take(0))
         rho2 += np.multiply(off[1], off[1], out=t1)
-        c_diag = np.multiply(ext[0], ext[0], out=take(1))
+        c_diag = np.multiply(ext[0], ext[0], out=take(0))
         c_diag += np.multiply(ext[1], ext[1], out=t1)
         if with_grad:
-            d_c_diag = [np.multiply(ext, d, out=take()) for d in d_ext]
-            for d in d_c_diag:
-                np.multiply(2.0, d, out=d)
+            # eiou reads d_ext again
+            d_c_diag = np.multiply(ext, d_ext, out=take(2) if base == "eiou" else d_ext)
+            np.multiply(2.0, d_c_diag, out=d_c_diag)
             cd2 = np.multiply(c_diag, c_diag, out=t1)
             np.multiply(2.0, off, out=off)
             off *= c_diag
-            d_c_diag[0] *= rho2
-            off -= d_c_diag[0]
-            off /= cd2
-            np.negative(d_iou[0], out=dc)
-            dc += off
-            d_c_diag[1] *= rho2
-            d_c_diag[1] /= cd2
-            np.negative(d_iou[1], out=ds)
-            ds -= d_c_diag[1]
-            give(off, *d_c_diag)
+            d_c_diag *= rho2
+            np.subtract(off, d_c_diag[0], out=d_c_diag[0])
+            d_c_diag /= cd2
+            grad[0] += d_c_diag[0]
+            grad[1] -= d_c_diag[1]
+            give(off, d_c_diag)
         else:
             loss = 1.0 - iou + rho2 / c_diag
         if base == "ciou":
             # the aspect term alpha * v, with alpha held constant
             aw, ah = a[2], a[3]
-            q = np.divide(aw, ah, out=take(1))
+            q = np.divide(aw, ah, out=take(0))
             np.arctan(q, out=q)
             np.subtract(target.aspect, q, out=q)
-            v = np.multiply(_K_ASPECT, q, out=take(1))
+            v = np.multiply(_K_ASPECT, q, out=take(0))
             v *= q
-            alpha = np.subtract(1.0, iou, out=take(1))
+            alpha = np.subtract(1.0, iou, out=take(0))
             alpha += v
             np.maximum(alpha, EPSILON, out=alpha)
             np.divide(v, alpha, out=alpha)
@@ -501,7 +491,7 @@ def eval_blocks(
                 q += np.multiply(ah, ah, out=v)
                 d_v /= q
                 d_v *= alpha
-                ds += d_v
+                grad[1] += d_v
             else:
                 loss = loss + alpha * v
                 terms.update(v=v, alpha=alpha)
@@ -514,11 +504,12 @@ def eval_blocks(
             if with_grad:
                 k = np.multiply(2.0, t, out=t)
                 k /= ext
-                dc -= np.multiply(k, d_ext[0], out=d_ext[0])
+                d_ext *= k
+                grad[0] -= d_ext[0]
                 np.multiply(2.0, side_off, out=side_off)
                 side_off /= ext2
-                side_off -= np.multiply(k, d_ext[1], out=d_ext[1])
-                ds += side_off
+                side_off -= d_ext[1]
+                grad[1] += side_off
             else:
                 loss = loss + t[0] + t[1]
     elif base == "siou":
@@ -526,23 +517,23 @@ def eval_blocks(
         off = np.subtract(a[:2], g[:2], out=take())
         absoff = np.abs(off, out=take())
         absx, absy = absoff
-        dist = np.multiply(off[0], off[0], out=take(1))
-        m = take(1)
+        dist = np.multiply(off[0], off[0], out=take(0))
+        m = take(0)
         dist += np.multiply(off[1], off[1], out=m)
         np.sqrt(dist, out=dist)
         np.minimum(absx, absy, out=m)
-        den = np.add(dist, EPSILON, out=take(1))
-        z = np.divide(m, den, out=take(1))
-        root = np.multiply(z, z, out=take(1))
+        den = np.add(dist, EPSILON, out=take(0))
+        z = np.divide(m, den, out=take(0))
+        root = np.multiply(z, z, out=take(0))
         np.subtract(1.0, root, out=root)
         np.sqrt(root, out=root)
-        angle = np.multiply(2.0, z, out=take(1))  # sin of twice the elevation angle
+        angle = np.multiply(2.0, z, out=take(0))  # sin of twice the elevation angle
         angle *= root
-        gamma = np.subtract(2.0, angle, out=take(1))
+        gamma = np.subtract(2.0, angle, out=take(0))
         rho = np.divide(off, ext, out=take())
         np.square(rho, out=rho)
         # past gamma, the gradient pass reads no angle
-        neg_gamma = np.negative(gamma, out=angle if with_grad else take(1))
+        neg_gamma = np.negative(gamma, out=angle if with_grad else take(0))
         e = np.multiply(neg_gamma, rho, out=take())
         np.exp(e, out=e)
         sa, sg = a[2:], g[2:]
@@ -552,9 +543,12 @@ def eval_blocks(
         omega /= e_omega
         np.negative(omega, out=e_omega)
         np.exp(e_omega, out=e_omega)
-        shape_base = np.subtract(1.0, e_omega, out=take())
+        shape_base = np.subtract(1.0, e_omega, out=omega if with_grad else take())
         if with_grad:
-            give(omega)
+            df = np.power(shape_base, SIOU_THETA - 1.0, out=shape_base)
+            np.multiply(SIOU_THETA, df, out=df)
+            df *= e_omega
+            give(e_omega)
             # m, dist and so gamma depend on the centers only. d_m is sign(off) on
             # m's axis, else 0: comparisons give a masked np.sign's bits in a sixth of its time.
             pick, sign = s.mask(), s.mask()
@@ -565,7 +559,7 @@ def eval_blocks(
             np.copyto(d_m, np.logical_and(np.greater(off, 0.0, out=sign), pick, out=sign))
             d_m -= np.logical_and(np.less(off, 0.0, out=sign), pick, out=sign)
             give(pick, sign)
-            pos = np.greater(dist, 0.0, out=s.mask(1))
+            pos = np.greater(dist, 0.0, out=s.mask(0))
             # A ufunc's where= leaves out untouched where the condition fails, so
             # out starts at zero, as np.where(cond, value, 0.0) would, but faster.
             d_dist = take()
@@ -587,46 +581,33 @@ def eval_blocks(
             give(den, z, root)
             k = np.multiply(2.0, rho, out=take())
             k /= ext
-            d_rho_c = np.multiply(2.0, off, out=off)
-            d_rho_c /= np.multiply(ext, ext, out=ext)
-            d_rho_c -= np.multiply(k, d_ext[0], out=d_ext[0])
-            d_rho_s = np.multiply(k, d_ext[1], out=k)
-            np.negative(d_rho_s, out=d_rho_s)
-            give(*d_ext)
+            d_rho = np.multiply(k, d_ext, out=d_ext)
+            np.multiply(2.0, off, out=off)
+            off /= np.multiply(ext, ext, out=ext)
+            np.subtract(off, d_rho[0], out=d_rho[0])
+            np.negative(d_rho[1], out=d_rho[1])
             # gamma moves both axes' distance terms, and both center partials reach it
-            d_cost_c = np.multiply(gamma, d_rho_c, out=d_rho_c)
-            t = take()
-            d_cost_c += np.multiply(rho, d_gamma, out=t)
-            d_cost_c *= e
-            np.multiply(rho[::-1], d_gamma, out=t)
-            np.multiply(e[::-1], t, out=t)
-            d_cost_c += t
-            np.multiply(0.5, d_cost_c, out=d_cost_c)
-            d_cost_s = np.multiply(gamma, d_rho_s, out=d_rho_s)
-            np.multiply(e, d_cost_s, out=d_cost_s)
-            np.multiply(0.5, d_cost_s, out=d_cost_s)
+            d_cost = np.multiply(gamma, d_rho, out=d_rho)
+            d_cost[0] += np.multiply(rho, d_gamma, out=k)
+            d_cost *= e
+            np.multiply(rho[::-1], d_gamma, out=k)
+            d_cost[0] += np.multiply(e[::-1], k, out=k)
+            np.multiply(0.5, d_cost, out=d_cost)
             # d_omega is sg / (sa * sa) where sa >= sg, else -1.0 / sg: as the
             # exact blend a * (sa >= sg) + b * (sa < sg) of a >= 0 and b < 0,
             # which needs no temporary and takes half of np.where's time.
-            d_omega = np.multiply(sa, sa, out=t)
+            d_omega = np.multiply(sa, sa, out=off)
             np.divide(sg, d_omega, out=d_omega)
-            neg = np.divide(-1.0, sg, out=take())
+            neg = np.divide(-1.0, sg, out=k)
             sel = np.greater_equal(sa, sg, out=s.mask())
             d_omega *= sel
             neg *= np.logical_not(sel, out=sel)
             d_omega += neg
-            df = np.power(shape_base, SIOU_THETA - 1.0, out=shape_base)
-            np.multiply(SIOU_THETA, df, out=df)
-            df *= e_omega
-            d_cost_c /= 2.0
-            np.negative(d_iou[0], out=dc)
-            dc += d_cost_c
             np.multiply(df, d_omega, out=d_omega)
             np.multiply(0.5, d_omega, out=d_omega)
-            d_cost_s += d_omega
-            d_cost_s /= 2.0
-            np.negative(d_iou[1], out=ds)
-            ds += d_cost_s
+            d_cost[1] += d_omega
+            d_cost /= 2.0
+            grad += d_cost
         else:
             dist_cost = 0.5 * ((1.0 - e[0]) + (1.0 - e[1]))
             f = shape_base ** SIOU_THETA
@@ -649,13 +630,12 @@ def eval_blocks(
     # --- auxiliary (inner) composition: every base but iou ---------------------
     if inner is not None and base != "iou":
         if with_grad:
-            dc += d_iou[0]
-            dc -= d_inner[0]
-            ds += d_iou[1]
-            ds -= d_inner[1]
+            grad += d_iou
+            grad -= d_inner
         else:
             loss = loss + iou - inner
 
     if with_grad:
         s.release(iou, inner, grad)
-    return BatchEval(loss, iou, inner, terms, np.moveaxis(grad, 0, -1) if with_grad else None)
+        grad = np.moveaxis(grad.reshape(4, *grad.shape[2:]), 0, -1)
+    return BatchEval(loss, iou, inner, terms, grad)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_ROWS, Scratch, Target, check_boxes, prepare_target
+from .batch import BLOCK_ROWS, Scratch, Target, _edges, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernels under these module attribute names.
 from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
@@ -206,21 +206,17 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 def _corner_l1(state: np.ndarray, goal: Target, s: Scratch, out: np.ndarray) -> np.ndarray:
     """Per-case L1 distance from a (4, n) state's corners to the prepared target's, into ``out``.
 
-    The temporaries are slots of the started scratch ``s``:
-    ``abs((c - w / 2) - lo) + abs((c + w / 2) - hi)``, x then y, in place.
+    The corners are ``batch._edges`` of the state, in a slot of the started
+    scratch ``s``: ``abs(lo - g_lo) + abs(hi - g_hi)``, x then y, in place.
     """
-    half = np.divide(state[2:], 2.0, out=s.take())
-    d_lo = np.subtract(state[:2], half, out=s.take())
-    d_lo -= goal.plain[:2]
-    np.abs(d_lo, out=d_lo)
-    d_hi = np.add(state[:2], half, out=half)
-    d_hi -= goal.plain[2:4]
-    np.abs(d_hi, out=d_hi)
-    # d_lo[0] + d_hi[0] + d_lo[1] + d_hi[1]
-    np.add(d_lo[0], d_hi[0], out=out)
-    out += d_lo[1]
-    out += d_hi[1]
-    s.give(d_lo, d_hi)
+    d = _edges(state, 1.0, s.take(2))
+    d -= goal.plain[:4].reshape(d.shape)
+    np.abs(d, out=d)
+    # d[lo, x] + d[hi, x] + d[lo, y] + d[hi, y], in that order
+    np.add(d[0, 0], d[1, 0], out=out)
+    out += d[0, 1]
+    out += d[1, 1]
+    s.give(d)
     return out
 
 
@@ -278,10 +274,10 @@ def _simulate_chunk(
         c += low[0]
         c += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
-        err[rows] = _corner_l1(x, g, s, s.take(1))
+        err[rows] = _corner_l1(x, g, s, s.take(0))
         totals[t] = err.sum()
         # Retire the cases the step left in place and the clamp did not touch.
-        moving = np.any(move, axis=0, out=s.mask(1))
+        moving = np.any(move, axis=0, out=s.mask(0))
         moving |= low[0]
         moving |= low[1]
         keep = np.flatnonzero(moving)

@@ -29,7 +29,9 @@ byte for byte. The reference kernel is the loss kernel as it was before it
 wrote into a reused scratch: each value one plain numpy expression on fresh
 arrays, with the sign-based tie weight, so it states every float operation
 the scratch kernel must perform and is the reference it must match byte for
-byte, for every output of both passes.
+byte, for every output of both passes. The host check is the one place that
+decides whether a recorded digest applies: it skips a test whose digests
+were recorded with another numpy version or CPU features.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch
 from ioulab.batch import (
@@ -214,6 +217,19 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
             raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
         out[..., k] = (loss(hi) - loss(lo)) / (2.0 * step)
     return out
+
+
+def skip_off_host(recorded: dict, what: str) -> None:
+    """Skip the calling test unless this process has the numpy version and the
+    CPU features ``recorded``: numpy's SIMD dispatch may change the last bits
+    of a float elsewhere, so ``what`` holds for that host alone."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as feats
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as feats
+    here = sorted(k for k, v in feats.items() if v)
+    if recorded["numpy"] != np.__version__ or recorded["cpu_features"] != here:
+        pytest.skip(f"{what} was recorded with another numpy version or CPU features")
 
 
 def pick_reference(u: np.ndarray, v: np.ndarray) -> np.ndarray:

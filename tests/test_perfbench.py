@@ -16,10 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ioulab import cli
+
+from helpers import skip_off_host
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,14 +36,7 @@ def _workloads():
 def _recorded() -> dict:
     """digests.json's digests by workload; skips on another numpy or CPU."""
     doc = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as feats
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__ as feats
-    rec = doc["recorded_with"]
-    here = sorted(k for k, v in feats.items() if v)
-    if rec["numpy"] != np.__version__ or rec["cpu_features"] != here:
-        pytest.skip("digests.json was recorded with another numpy version or CPU features")
+    skip_off_host(doc["recorded_with"], "digests.json")
     return doc["workloads"]
 
 
