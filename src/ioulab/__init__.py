@@ -6,23 +6,43 @@ plain overlap; both check that every box is in the supported domain.
 :mod:`ioulab.simlab` and :mod:`ioulab.sweep` drive the
 regression-convergence and gradient-sweep experiments the ``ioulab`` CLI
 exposes.
+
+The public names and the submodules load on first use (PEP 562), so a bare
+``import ioulab`` loads no numpy; ``ioulab.__main__``, the CLI's entry,
+relies on that to set the environment numpy reads when it loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .batch import eval_batch, iou_batch
-from .losses import BASE_NAMES, LossSpec
-from .simlab import SCENARIOS, SimConfig, generate_case_arrays, run_simulation, scenario_config
+# Each public name, in ``__all__`` order, and the submodule it lives in.
+_HOMES = {
+    "BASE_NAMES": "losses",
+    "LossSpec": "losses",
+    "eval_batch": "batch",
+    "iou_batch": "batch",
+    "SCENARIOS": "simlab",
+    "SimConfig": "simlab",
+    "scenario_config": "simlab",
+    "run_simulation": "simlab",
+    "generate_case_arrays": "simlab",
+}
+_SUBMODULES = ("batch", "cli", "losses", "simlab", "sweep")
 
-__all__ = [
-    "__version__",
-    "BASE_NAMES",
-    "LossSpec",
-    "eval_batch",
-    "iou_batch",
-    "SCENARIOS",
-    "SimConfig",
-    "scenario_config",
-    "run_simulation",
-    "generate_case_arrays",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package, so this runs once
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

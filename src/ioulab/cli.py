@@ -321,7 +321,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory: the run is too large for the memory it can get", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

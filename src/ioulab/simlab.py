@@ -246,7 +246,8 @@ def _simulate_chunk(
     n = state.shape[1]
     steps = cfg.iterations
     totals = np.empty(steps + 1)
-    clamps = np.zeros(n, dtype=np.int64)
+    # clamp events are counted only where they are returned
+    clamps = np.zeros(n, dtype=np.int64) if per_case else None
 
     err = _corner_l1(state, goal, s.start((n,)), np.empty(n))
     initial = err.copy() if per_case else None
@@ -270,9 +271,10 @@ def _simulate_chunk(
         move = np.multiply(rate, ev.grad.T, out=ev.grad.T)
         x -= move
         low = np.less(x[2:], MIN_SIZE, out=s.mask())
-        # one event per clamped coordinate (bool + bool would OR, not add)
-        c += low[0]
-        c += low[1]
+        if per_case:
+            # one event per clamped coordinate (bool + bool would OR, not add)
+            c += low[0]
+            c += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
         err[rows] = _corner_l1(x, g, s, s.take(0))
         totals[t] = err.sum()
@@ -282,10 +284,15 @@ def _simulate_chunk(
         moving |= low[1]
         keep = np.flatnonzero(moving)
         if keep.size < x.shape[1]:
-            state[:, rows], clamps[rows] = x, c
+            state[:, rows] = x
+            if per_case:
+                clamps[rows] = c
+                c = np.take(c, keep)
             rows = np.arange(n)[rows][keep]
-            live = (np.take(x, keep, axis=-1), g.take(keep), np.take(c, keep))
-    state[:, rows], clamps[rows] = live[0], live[2]
+            live = (np.take(x, keep, axis=-1), g.take(keep), c)
+    state[:, rows] = live[0]
+    if per_case:
+        clamps[rows] = live[2]
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     if not per_case:
         return totals, None, err, None, None

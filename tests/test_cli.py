@@ -13,6 +13,8 @@ from helpers import csv_reference, skip_off_host
 from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def run_cli(*argv):
     """Invoke the entry point, folding argparse SystemExit into a code."""
@@ -279,7 +281,7 @@ class TestSim:
 
     def test_readme_demo_output(self, tmp_path, capsys):
         # The README's `ioulab sim` demo prints what the README shows.
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         [(command, shown)] = re.findall(r"^\$ ioulab (sim [^\n]*)\n(.*?)^```", readme, flags=re.M | re.S)
         argv = command.split()
         at = argv.index("--out") + 1
@@ -682,27 +684,50 @@ class TestParser:
         assert run_cli() == 2
 
 
-# Runs `python -m ioulab <argv>` and prints, as it exits, whether the run
-# loaded OpenSSL's hash module.
-_OPENSSL_PROBE = """
-import runpy, sys
+def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ioulab.
+
+    Each keyword sets that environment variable for it, or removes it when
+    None. Returns the JSON value the probe prints as its last stderr line.
+    """
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    full = {**os.environ, "PYTHONPATH": path}
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path,
+        env=full, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+# Runs `python -m ioulab <argv>` and reports, as it exits, whether the run
+# loaded OpenSSL's hash module, the OpenBLAS thread setting it ran with, and
+# its thread count on Linux (None elsewhere).
+_CLI_PROBE = """
+import json, os, runpy, sys
 sys.argv[0] = "ioulab"
 try:
     runpy.run_module("ioulab", run_name="__main__", alter_sys=True)
 finally:
-    print("_hashlib" in sys.modules, file=sys.stderr)
+    tasks = "/proc/self/task"
+    print(json.dumps({
+        "openssl": "_hashlib" in sys.modules,
+        "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    }), file=sys.stderr)
 """
+
+EVAL_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "siou", "--grad")
 
 
 def loads_openssl(tmp_path, *argv) -> bool:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _OPENSSL_PROBE, *argv], cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stderr.splitlines()[-1] == "True"
+    return run_probe(tmp_path, _CLI_PROBE, *argv)["openssl"]
 
 
 class TestImports:
@@ -712,7 +737,7 @@ class TestImports:
         "argv",
         [
             ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json"),
-            ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "siou", "--grad"),
+            EVAL_ARGV,
         ],
         ids=lambda argv: argv[0],
     )
@@ -723,3 +748,62 @@ class TestImports:
         # sim hashes its manifest, and numpy.random's seeding imports it too
         argv = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
         assert loads_openssl(tmp_path, *argv)
+
+
+_LAZY_PROBE = """
+import json, sys
+import ioulab
+numpy_loaded = "numpy" in sys.modules
+unresolved = [name for name in ioulab.__all__ if not hasattr(ioulab, name)]
+try:
+    ioulab.no_such_name
+    error = None
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps([numpy_loaded, unresolved, ioulab.simlab.__name__, error]), file=sys.stderr)
+"""
+
+_ENVIRON_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+import ioulab.cli
+print(json.dumps(dict(os.environ) == before), file=sys.stderr)
+"""
+
+
+class TestStartup:
+    """The CLI starts numpy's OpenBLAS with one thread; ioulab as a library changes no setting."""
+
+    def test_bare_import_loads_no_numpy(self, tmp_path):
+        numpy_loaded, unresolved, simlab, error = run_probe(tmp_path, _LAZY_PROBE)
+        assert not numpy_loaded
+        assert unresolved == []
+        assert simlab == "ioulab.simlab"
+        assert "no_such_name" in error
+
+    def test_cli_defaults_blas_to_one_thread(self, tmp_path):
+        report = run_probe(tmp_path, _CLI_PROBE, *EVAL_ARGV, OPENBLAS_NUM_THREADS=None)
+        assert report["blas"] == "1"
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["threads"] == 1
+
+    def test_the_users_setting_wins(self, tmp_path):
+        report = run_probe(tmp_path, _CLI_PROBE, *EVAL_ARGV, OPENBLAS_NUM_THREADS="3")
+        assert report["blas"] == "3"
+
+    def test_library_import_leaves_the_environment(self, tmp_path):
+        assert run_probe(tmp_path, _ENVIRON_PROBE, OPENBLAS_NUM_THREADS=None) is True
+
+    def test_installed_script_enters_through_the_default(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        target = tomllib.loads(pyproject)["project"]["scripts"]["ioulab"]
+        module, _, attr = target.partition(":")
+        code = f"""
+import importlib, json, os, sys
+entry = getattr(importlib.import_module({module!r}), {attr!r})
+import ioulab.cli
+print(json.dumps([entry is ioulab.cli.main, os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+"""
+        assert run_probe(tmp_path, code, OPENBLAS_NUM_THREADS=None) == [True, "1"]
