@@ -2,17 +2,20 @@
 
 Exit codes are a stable contract: 0 on success, 1 when a checked property
 fails (a sweep conclusion does not hold), 2 on usage or config errors, an
-output path that cannot be written, a result that is not finite, or a run
-too large for the memory it can get.
+output path that cannot be written, two outputs that name one file, a
+result that is not finite, or a run too large for the memory it can get.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
-no field holds a comma, quote or newline, so none is ever quoted.
+no field holds a comma, quote or newline, so none is ever quoted. numpy
+builds the floats that ``%.17g`` prints in fixed notation (``_fixed_fields``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
@@ -29,16 +32,26 @@ from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 
-CSV_ROWS_PER_WRITE = 1024  # rows that exist as Python values at a time
+CSV_ROWS_PER_WRITE = 372  # rows formatted together: about 4,000 values of an 11-column sweep
 
 
 def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
     """Write each ``(path, chunks)`` output; an OSError is a usage error.
 
-    Every path is opened before any is written, and any failure, such as
-    running out of memory while formatting, removes the files that did not
-    exist before, so a run leaves all its outputs or none.
+    Two paths that name one file (through a link, or spelled otherwise) are
+    a usage error, raised before any file is opened. Every path is opened
+    before any is written, and any failure, such as running out of memory
+    while formatting, removes the files that did not exist before, so a run
+    leaves all its outputs or none.
     """
+    for i, (path, _) in enumerate(outputs):
+        for earlier, _ in outputs[:i]:
+            try:
+                same = os.path.samefile(earlier, path)
+            except OSError:  # not there yet; realpath never raises on a symlink loop
+                same = os.path.realpath(earlier) == os.path.realpath(path)
+            if same:
+                raise ValueError(f"{earlier} and {path} name the same file")
     new = [path for path, _ in outputs if not path.exists()]
     try:
         with ExitStack() as stack:
@@ -55,14 +68,121 @@ def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
         raise
 
 
+# numpy formats a block's floats into rows of _FIELD bytes, NUL where a row has
+# no character: a sign, a "0.000" prefix, then 17 (digit, dot) byte pairs, the
+# last dot slot holding the separator. Deleting the NULs leaves the CSV text.
+_FIELD = 40
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW10 = np.array([float(10**j) for j in range(21)])  # exact doubles
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = np.array([10**j for j in range(18)], np.int64)
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)])  # 1e-4 ... 1e16
+
+
+@functools.cache  # built on the first write, not at import
+def _digit_groups() -> np.ndarray:
+    """Four digits as (digit, NUL) byte pairs, one uint64: row ``i`` is ``i`` in
+    4 digits, row 10,000 + ``i`` the same with its trailing zeros as NUL, and
+    row 20,000 + ``d`` the leading digit ``d`` alone, in the last pair."""
+    i = np.arange(10_000, dtype=np.uint16)[:, None]  # uint16 keeps the build small
+    scale = np.array([1000, 100, 10, 1], np.uint16)
+    full = i // scale % 10 + 48
+    pairs = np.zeros((20_010, 8), np.uint8)
+    pairs[:10_000, ::2] = full
+    pairs[10_000:20_000, ::2] = np.where(i % (10 * scale) == 0, 0, full)
+    pairs[20_001:, 6] = np.arange(49, 58)
+    return pairs.view(np.uint64).ravel()
+
+
+@functools.cache
+def _field_templates() -> np.ndarray:
+    """Row ``4 * j + 2 * negative + dot``: the field of a value of decimal
+    exponent 16 - j without its digits, the integer digits as "0"."""
+    t = np.zeros((21, 2, 2, _FIELD), np.uint8)
+    t[..., -1] = ord(",")
+    t[:, 1, :, 0] = ord("-")
+    for j in range(21):
+        if j > 16:
+            t[j, ..., 1 : j - 14] = np.frombuffer(b"0.000"[: j - 15], np.uint8)
+        else:
+            t[j, ..., 6 : 39 - 2 * j : 2] = ord("0")
+            t[j, :, 1, 39 - 2 * j] = ord(".") if j else ord(",")  # X = 16: no fraction
+    return t.reshape(-1, _FIELD)
+
+
+def _fixed_fields(v: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Write ``%.17g`` of each ``v`` (overwritten) that prints in fixed notation,
+    or is zero, into its row of ``fields``; return a mask of the others, for ``%``.
+
+    Such a value, of decimal exponent X in -4..16, prints the 17 digits of
+    N = |v| * 10**j, j = 16 - X, rounded half to even. 10**j is an exact double,
+    so Dekker's two-product gives the exact product as p + e; p >= 1e16 > 2**53
+    is an even integer, so N = p + rint(e), and no double below 1e17 rounds up
+    to the next power of ten.
+    """
+    negative = np.signbit(v)
+    a = np.abs(v, out=v)
+    zero = a == 0
+    other = (a < 1e-4) | (a >= 1e17)  # exponent notation
+    np.putmask(a, other | zero, 1.0)
+    other &= ~zero
+    # exact: each double 1e-k lies above 10**-k, so none lies between them
+    j = 21 - np.searchsorted(_DECADES, a, side="right")
+    t = a * _SPLIT
+    hi = t - (t - a)
+    lo = a - hi
+    p = a * _POW10[j]
+    e = hi * _POW10_HI[j] - p
+    e += hi * _POW10_LO[j]
+    e += lo * _POW10_HI[j]
+    e += lo * _POW10_LO[j]
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    np.putmask(n, zero, 0)
+    dot = n % _POW10_INT[np.minimum(j, 17)] != 0  # some fractional digit is not 0
+    groups = np.empty((5, len(n)), np.int64)  # N as 1 + 4 * 4 digits
+    for k in (4, 3, 2, 1):
+        q = n // 10_000
+        groups[k] = n - q * 10_000
+        n = q
+    groups[0] = n + 20_000
+    tail = groups[2:] == 0  # a group followed by zeros alone takes the bare row
+    tail[1] &= tail[2]
+    tail[0] &= tail[1]
+    groups[1:4] += tail * 10_000
+    groups[4] += 10_000
+    row = 4 * j + 2 * negative + dot
+    np.take(_field_templates(), row, axis=0, out=fields, mode="clip")  # "raise" buffers out
+    fields.view(np.uint64)[...] |= np.take(_digit_groups(), groups.T)
+    return other
+
+
+def _rows(prefix: str, part: list[np.ndarray]) -> str:
+    """The CSV lines of the columns ``part``, each line starting with ``prefix``."""
+    rows, width = len(part[0]), len(part)
+    values = np.stack(part, axis=1).astype(np.float64, copy=False)
+    fields = np.empty((rows, width, _FIELD), np.uint8)
+    other = _fixed_fields(values.reshape(-1), fields.reshape(-1, _FIELD)).reshape(rows, width)
+    fields[:, -1, -1] = ord("\n")
+    other[:, [col.dtype.kind != "f" for col in part]] = True
+    for k in np.flatnonzero(other.any(axis=0)).tolist():
+        at = np.flatnonzero(other[:, k])
+        spec = "%.17g" if part[k].dtype.kind == "f" else "%d"
+        text = np.array([spec % x for x in part[k][at].tolist()], f"S{_FIELD - 1}")
+        fields[at, k, :-1] = text.view(np.uint8).reshape(len(at), -1)
+    text = fields.tobytes().translate(None, b"\0").decode("ascii")
+    return prefix + text[:-1].replace("\n", "\n" + prefix) + "\n" if prefix else text
+
+
 def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[str]]:
     """``path`` with the lines of ``header``, then of each ``(lead, columns)`` block.
 
     A row is the fields ``lead`` (a spec label, or none), then one value
-    from each column. A block formats all its rows with one %-format:
-    ``%d`` per integer column and ``%.17g`` per float one, the routine
-    behind ``format(x, ".17g")``. A non-finite value raises ValueError
-    here, before any file is opened.
+    from each column: ``%d`` for an integer column, ``%.17g`` for a float
+    one. ``CSV_ROWS_PER_WRITE`` rows at a time become one string: numpy
+    builds the floats that print in fixed notation (``_fixed_fields``),
+    and ``%`` formats the integers and the floats in exponent notation. A
+    non-finite value raises ValueError here, before any file is opened.
     """
     line = 2
     for lead, columns in blocks:
@@ -77,11 +197,9 @@ def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[st
     def lines():
         yield ",".join(header) + "\n"
         for lead, columns in blocks:
-            kinds = ["%.17g" if col.dtype.kind == "f" else "%d" for col in columns]
-            fmt = ",".join([*lead, *kinds]) + "\n"
+            prefix = "".join(f"{field}," for field in lead)
             for a in range(0, len(columns[0]), CSV_ROWS_PER_WRITE):
-                part = [col[a : a + CSV_ROWS_PER_WRITE].tolist() for col in columns]
-                yield from (fmt % row for row in zip(*part))
+                yield _rows(prefix, [col[a : a + CSV_ROWS_PER_WRITE] for col in columns])
 
     return path, lines()
 

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import csv_reference, skip_off_host
 from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config
@@ -81,6 +87,22 @@ def sha256_file(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# tracemalloc peak of writing an 11-column CSV, whatever its row count
+WRITER_PEAK_BYTES = 1536 * 1024
+
+
+def csv_text(header, blocks):
+    """The bytes that ``_csv`` yields for ``header`` and ``blocks``, no file written."""
+    return "".join(_csv(Path("unused.csv"), header, blocks)[1]).encode("utf-8")
+
+
+def assert_floats_match_reference(values):
+    """``values`` as two float columns, forwards and reversed, write as the reference does."""
+    col = np.asarray(values, dtype=np.float64)
+    blocks = [((), [col, col[::-1].copy()])]
+    assert csv_text(["a", "b"], blocks) == csv_reference(["a", "b"], blocks)
+
+
 class TestCsvWriter:
     def test_matches_per_value_reference(self, tmp_path):
         edge = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, 1e-5, 1.0, -2.5, 1.7976931348623157e308]
@@ -109,6 +131,86 @@ class TestCsvWriter:
             "10000000000000000,1e+22",
             "0.10000000000000001,1.0000000000000001e-05",
         ]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_any_finite_float(self, values):
+        assert_floats_match_reference(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert_floats_match_reference(values[np.isfinite(values)])
+
+    def test_half_way_cases_round_to_even(self):
+        # x = k / 2**(j + 1) with k odd: x * 10**j is a half-integer, so the
+        # 17th significant digit is a tie wherever x's decimal exponent is 16 - j
+        rng = np.random.default_rng(7)
+        ties = []
+        for exponent in range(-4, 16):
+            j = 16 - exponent
+            lo = math.ceil(Fraction(2 ** (j + 1)) * Fraction(10) ** exponent)
+            hi = min(math.floor(Fraction(2 ** (j + 1)) * Fraction(10) ** (exponent + 1)), 2**53)
+            for k in rng.integers(lo, hi, size=50).tolist():
+                x = math.ldexp(k | 1, -(j + 1))
+                assert (Fraction(x) * 10**j).denominator == 2
+                ties.append(x)
+        assert len(ties) == 1000
+        assert_floats_match_reference(ties + [-t for t in ties])
+
+    def test_switch_points_and_powers_of_ten(self):
+        # %g turns to exponent notation below 1e-4 and from 1e17 on; next to
+        # each power of ten the decimal exponent changes
+        values = []
+        for k in range(-6, 19):
+            p = 10.0**k
+            values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+        values += [0.5e-4, 1.5e16, 99999999999999984.0]
+        assert_floats_match_reference(values + [-v for v in values])
+
+    def test_signed_zeros_subnormals_and_extremes_warn_nothing(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_floats_match_reference(values)
+
+    def test_leads_and_int_columns_over_several_writes(self):
+        n = 2 * CSV_ROWS_PER_WRITE + 5
+        rng = np.random.default_rng(3)
+        ints = rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True)
+        ints[:4] = [0, -1, 2**63 - 1, -(2**63)]
+        floats = rng.uniform(-50.0, 50.0, n)
+        floats[::7] = 0.0
+        floats[::11] = 1e-7
+        m = CSV_ROWS_PER_WRITE  # a block that fills one write exactly
+        header = ["spec", "id", "a", "count", "b"]
+        blocks = [
+            (("inner-ciou(0.8)",), [np.arange(n), floats, ints, floats * 1e12]),
+            (("iou",), [ints[:3], floats[:3], np.arange(3), floats[3:6]]),
+            (("x",), [np.arange(m), floats[:m], ints[:m], -floats[:m]]),
+        ]
+        assert csv_text(header, blocks) == csv_reference(header, blocks)
+
+    def test_working_set_does_not_grow_with_rows(self):
+        # a %-per-row writer of 1,024 rows at a time peaks at about 0.74 MB,
+        # this one at about 0.9 MB (numpy 2.4.6), at 50k and at 200k rows alike
+        header = [f"c{k}" for k in range(11)]
+        out = Path(os.devnull)
+        _write(_csv(out, header, [((), [np.ones(1)] * 11)]))  # builds the cached tables
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (50_000, 200_000):
+            columns = [rng.uniform(-20.0, 20.0, n) for _ in range(11)]
+            tracemalloc.start()
+            try:
+                _write(_csv(out, header, [((), columns)]))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < WRITER_PEAK_BYTES
+        assert peaks[1] < peaks[0] + 64 * 1024
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_names_file_column_and_line(self, tmp_path, bad):
@@ -557,6 +659,26 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spelling,existing",
+        [("same", False), ("same", True), ("dotted", False), ("dotted", True), ("hard-link", True)],
+    )
+    def test_out_and_report_naming_one_file_exit_two(self, tmp_path, capsys, spelling, existing):
+        path = tmp_path / "both"
+        report = {"same": path, "dotted": tmp_path / "sub" / ".." / "both", "hard-link": tmp_path / "link"}[spelling]
+        if existing:
+            path.write_text("kept\n")
+        if spelling == "hard-link":
+            os.link(path, report)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("sweep", "--samples", "11", "--out", str(path), "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path} and {report} name the same file" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+        if existing:
+            assert path.read_text() == "kept\n"
 
     def test_failed_output_leaves_no_other_output(self, tmp_path, capsys):
         csv_path = tmp_path / "ok.csv"
