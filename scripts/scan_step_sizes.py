@@ -15,17 +15,11 @@ import argparse
 import numpy as np
 
 from ioulab import BASE_NAMES, SCENARIOS, SimConfig, run_simulation, scenario_config
+from ioulab.cli import numbers_arg
 
 
-def parse_steps(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def scan_one(name: str, step: float, args) -> None:
-    cfg = scenario_config(
-        name, n_points=args.points, iterations=args.iterations, step_size=step, seed=args.seed
-    )
-    summaries = run_simulation(cfg, threads=args.threads)
+def scan_one(name: str, cfg: SimConfig, threads: int) -> None:
+    summaries = run_simulation(cfg, threads=threads)
     finals = {s.label: float(s.total_error_curve[-1]) for s in summaries}
 
     worst_rise = 0.0
@@ -41,7 +35,7 @@ def scan_one(name: str, step: float, args) -> None:
         if finals[f"inner-{base}({SCENARIOS[name]['ratio']:g})"] >= finals[base]
     ]
     print(
-        f"  step {step:4.2f}  {name:>4}  worst rise {max(worst_rise, 0.0):8.1e}  "
+        f"  step {cfg.step_size:4.2f}  {name:>4}  worst rise {max(worst_rise, 0.0):8.1e}  "
         f"auxiliary faster for {len(BASE_NAMES) - len(slower)}/{len(BASE_NAMES)}"
         + (f" (not {','.join(slower)})" if slower else "")
         + (f"  DIVERGED: {','.join(diverged)}" if diverged else "")
@@ -52,7 +46,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--steps",
-        type=parse_steps,
+        type=numbers_arg,
         default=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
         metavar="S[,S...]",
     )
@@ -61,12 +55,19 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=0)
     args = parser.parse_args()
+    fields = dict(n_points=args.points, iterations=args.iterations, seed=args.seed)
+    try:  # SimConfig checks every field, so a bad step is a usage error
+        runs = [
+            (name, scenario_config(name, step_size=step, **fields))
+            for name in SCENARIOS
+            for step in args.steps
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    cases = SimConfig(specs=(), n_points=args.points).case_count
-    print(f"{cases} cases per run, {args.iterations} iterations")
-    for name in SCENARIOS:
-        for step in args.steps:
-            scan_one(name, step, args)
+    print(f"{runs[0][1].case_count} cases per run, {args.iterations} iterations")
+    for name, cfg in runs:
+        scan_one(name, cfg, args.threads)
     return 0
 
 

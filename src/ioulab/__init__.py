@@ -1,8 +1,8 @@
 """Overlap-based box regression losses, analytic gradients, experiments.
 
 :func:`eval_batch` runs a :class:`LossSpec` on one (x, y, w, h) box pair
-or on whole populations of (n, 4) arrays, and :func:`iou_batch` gives their
-plain overlap; both check that every box is in the supported domain.
+or on whole populations of (n, 4) arrays, and checks that every box is in
+the supported domain.
 :mod:`ioulab.simlab` and :mod:`ioulab.sweep` drive the
 regression-convergence and gradient-sweep experiments the ``ioulab`` CLI
 exposes.
@@ -21,7 +21,6 @@ _HOMES = {
     "BASE_NAMES": "losses",
     "LossSpec": "losses",
     "eval_batch": "batch",
-    "iou_batch": "batch",
     "SCENARIOS": "simlab",
     "SimConfig": "simlab",
     "scenario_config": "simlab",

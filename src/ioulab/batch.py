@@ -1,10 +1,10 @@
 """Vectorized loss evaluation with hand-derived analytic gradients.
 
-Boxes are in center form (x, y, w, h). The public entries :func:`eval_batch`
-and :func:`iou_batch` take broadcastable (..., 4) arrays, check every box
-with :func:`check_boxes` and copy each into a contiguous (4, ...) block for
-the unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`, which take
-the gt block's :class:`Target`. The descent and the sweep prepare each target
+Boxes are in center form (x, y, w, h). The public entry :func:`eval_batch`
+takes broadcastable (..., 4) arrays, checks every box with
+:func:`check_boxes` and copies each into a contiguous (4, ...) block for the
+unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`, which take the
+gt block's :class:`Target`. The descent and the sweep prepare each target
 once and call the kernels directly: a descent state may leave the domain.
 
 Per-axis layout: ``block[:2]`` holds the centers (x, y) and ``block[2:]``
@@ -262,16 +262,16 @@ def _edges(box: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def prepare_target(g: np.ndarray, spec: "LossSpec | None" = None) -> Target:
-    """The :class:`Target` of the (4, ...) gt block ``g`` under ``spec``, or for
-    :func:`iou_blocks` without one (unchecked). A target does not move: build it once."""
+def prepare_target(g: np.ndarray, spec: "LossSpec") -> Target:
+    """The :class:`Target` of the (4, ...) gt block ``g`` under ``spec`` (unchecked).
+    A target does not move: build it once."""
     def scaled(r):
         edges = _edges(g, r)
         side = edges[1] - edges[0]  # corner-derived, as the anchor's in _overlap
         return np.concatenate((*edges, (side[0] * side[1])[None]))
 
-    inner = None if spec is None or spec.inner is None else scaled(spec.inner)
-    aspect = np.arctan(g[2] / g[3]) if spec is not None and spec.base == "ciou" else None
+    inner = None if spec.inner is None else scaled(spec.inner)
+    aspect = np.arctan(g[2] / g[3]) if spec.base == "ciou" else None
     return Target(g, scaled(1.0), inner, aspect)
 
 
@@ -357,12 +357,6 @@ def _scalars(value):
     # A one-pair call's slots are 0-d arrays: give the numpy scalars that the
     # same expressions give without out=.
     return value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-
-
-def iou_batch(anchors, gts) -> np.ndarray:
-    """Plain IoU over broadcastable (..., 4) center-form arrays; ValueError outside the domain."""
-    a, g = _blocks(anchors, gts)
-    return _scalars(iou_blocks(a, prepare_target(g)))
 
 
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:

@@ -28,7 +28,7 @@ from . import __version__
 from .batch import check_boxes, eval_batch
 from .losses import BASE_NAMES, LossSpec
 from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_config
-from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
+from .sweep import AXES, HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 
@@ -214,10 +214,11 @@ def _box_arg(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _sides_arg(text: str) -> tuple[float, ...]:
+def numbers_arg(text: str) -> tuple[float, ...]:
+    """``--aux-sides``, and scripts/scan_step_sizes.py's ``--steps``: one or more floats."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of sides")
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
@@ -413,16 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_sim)
 
     pw = sub.add_parser("sweep", help="sweep overlap gradients across center deviations")
-    pw.add_argument("--box-side", type=float, default=10.0)
-    pw.add_argument(
-        "--aux-sides", type=_sides_arg, default=(8.0, 12.0), metavar="S[,S...]"
-    )
-    pw.add_argument("--dev-min", type=float, default=-15.0)
-    pw.add_argument("--dev-max", type=float, default=15.0)
-    pw.add_argument("--samples", type=int, default=601)
-    pw.add_argument("--axis", choices=AXES, default="x")
-    pw.add_argument("--high-iou-threshold", type=float, default=0.7)
-    pw.add_argument("--low-iou-threshold", type=float, default=0.0)
+    pw.add_argument("--box-side", type=float, default=SweepConfig.box_side)
+    pw.add_argument("--aux-sides", type=numbers_arg, default=SweepConfig.aux_sides, metavar="S[,S...]")
+    pw.add_argument("--dev-min", type=float, default=SweepConfig.deviation_range[0])
+    pw.add_argument("--dev-max", type=float, default=SweepConfig.deviation_range[1])
+    pw.add_argument("--samples", type=int, default=SweepConfig.samples)
+    pw.add_argument("--axis", choices=AXES, default=SweepConfig.axis)
+    pw.add_argument("--high-iou-threshold", type=float, default=HIGH_IOU_THRESHOLD)
+    pw.add_argument("--low-iou-threshold", type=float, default=LOW_IOU_THRESHOLD)
     pw.add_argument("--out", metavar="FILE", help="write the sweep curves as CSV")
     pw.add_argument("--report", metavar="FILE", help="also write the conclusions report JSON")
     pw.set_defaults(func=cmd_sweep)

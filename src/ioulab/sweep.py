@@ -39,6 +39,7 @@ AXES = ("x", "y")
 
 # Slack for the monotone-decay comparisons, float noise only.
 _TREND_SLACK = 1e-12
+HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD = 0.7, 0.0  # check_conclusions' defaults, and the CLI's
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class SweepConfig:
     The target square of side ``box_side`` sits at the origin; the anchor
     is the same square displaced by each sampled deviation along ``axis``.
     Each entry of ``aux_sides`` adds a curve for the pair rescaled to that
-    side about both centers.
+    side about both centers. The CLI reads its defaults off the class.
     """
 
     box_side: float = 10.0
@@ -153,8 +154,8 @@ def check_conclusions(
     grad: dict[float, np.ndarray],
     *,
     actual_side: float,
-    high_iou_threshold: float = 0.7,
-    low_iou_threshold: float = 0.0,
+    high_iou_threshold: float = HIGH_IOU_THRESHOLD,
+    low_iou_threshold: float = LOW_IOU_THRESHOLD,
 ) -> dict:
     """Test the three gradient-behavior claims against the curves of a sweep.
 

@@ -184,6 +184,11 @@ def spec_matrix() -> list[LossSpec]:
     return specs
 
 
+def plain_iou(anchors, gts):
+    """Plain IoU of broadcastable (..., 4) box arrays, from the checked entry's forward pass."""
+    return eval_batch(LossSpec("iou"), anchors, gts, with_grad=False).iou
+
+
 def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradients over (..., 4) box arrays.
 
@@ -217,6 +222,20 @@ def grad_fd_batch(spec: LossSpec, anchors, gts, step: float = 1e-5) -> np.ndarra
             raise ValueError(f"finite-difference step {step} makes the {AXES[k]} side non-positive")
         out[..., k] = (loss(hi) - loss(lo)) / (2.0 * step)
     return out
+
+
+# The numpy version and CPU features that every host-tied digest of the suite
+# was recorded with: the kernel's, the CLI outputs' and the criterion runs'.
+RECORDED_HOST = {
+    "numpy": "2.4.6",
+    "cpu_features": sorted("""
+        AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F
+        AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI
+        AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR BMI
+        BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT SSE SSE2 SSE3 SSE41
+        SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4
+    """.split()),
+}
 
 
 def skip_off_host(recorded: dict, what: str) -> None:
@@ -438,7 +457,7 @@ def descend_every_row(
         err = _corner_l1_rows(state, targets)
         totals[t] = err.sum()
     check_boxes(state, f"{spec.label()}: the descent's final state of case", first_row=first_case)
-    final_iou = iou_blocks(state.T, prepare_target(targets.T))
+    final_iou = iou_blocks(state.T, prepare_target(targets.T, spec))
     return totals, initial, err, final_iou, clamps
 
 

@@ -13,7 +13,6 @@ from ioulab import (
     LossSpec,
     eval_batch,
     generate_case_arrays,
-    iou_batch,
     scenario_config,
 )
 from ioulab.simlab import CHUNK_CASES
@@ -29,8 +28,10 @@ from ioulab.batch import (
 )
 
 from helpers import (
+    RECORDED_HOST,
     TEST_RATIOS,
     pick_reference,
+    plain_iou,
     random_box,
     random_integer_box,
     raster_iou,
@@ -67,11 +68,11 @@ def _assert_matches(got, want, spec):
 
 
 class TestOverlapKernels:
-    def test_iou_batch_matches_scalar_bitwise(self):
+    def test_iou_matches_scalar_bitwise(self):
         anchors, gts = _random_arrays(50, 2000)
-        batched = iou_batch(anchors, gts)
+        batched = plain_iou(anchors, gts)
         for i in range(0, 2000, 37):
-            assert batched[i] == iou_batch(anchors[i], gts[i])
+            assert batched[i] == plain_iou(anchors[i], gts[i])
 
     @pytest.mark.parametrize("ratio", TEST_RATIOS)
     def test_inner_iou_batch_matches_scalar_bitwise(self, ratio):
@@ -80,7 +81,7 @@ class TestOverlapKernels:
         scale = np.array([1.0, 1.0, ratio, ratio])
         for i in range(0, 500, 11):
             # the auxiliary overlap is the plain overlap of the rescaled boxes
-            assert batched[i] == iou_batch(anchors[i] * scale, gts[i] * scale)
+            assert batched[i] == plain_iou(anchors[i] * scale, gts[i] * scale)
 
     def test_iou_never_exceeds_one_on_near_coincident_pairs(self):
         rng = np.random.default_rng(52)
@@ -88,13 +89,13 @@ class TestOverlapKernels:
         # adversarial: perturb by a few ulps so the quotient is as close
         # to 1 as float arithmetic allows
         gts = anchors * (1.0 + rng.integers(-4, 5, anchors.shape) * np.finfo(float).eps)
-        v = iou_batch(anchors, gts)
+        v = plain_iou(anchors, gts)
         assert np.all(v <= 1.0)
         assert np.all(v >= 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="trailing axis"):
-            iou_batch(np.zeros((5, 3)), np.zeros((5, 4)))
+            plain_iou(np.zeros((5, 3)), np.zeros((5, 4)))
 
 
 class TestEvalBatch:
@@ -266,22 +267,10 @@ PINNED_SPECS = [LossSpec(b, inner=r) for b in BASE_NAMES for r in (None, 0.8, 1.
 # outputs_digest of eval_blocks on tie_heavy_blocks(), with the gradient, as
 # the kernel gave them in one pass before its tie weights became comparisons,
 # before it took a prepared target and before the gradient pass dropped the
-# loss and terms: a kernel change that moves any bit fails here. Recorded with
-# KERNEL_RECORDED_WITH's numpy and CPU features, and skipped elsewhere: under
-# an AVX2 dispatch numpy's arctan and exp give other last bits, so the ciou
-# and siou digests differ there on correct code. TestReference is the check
-# that holds on any host.
-KERNEL_RECORDED_WITH = {
-    "numpy": "2.4.6",
-    "cpu_features": sorted("""
-        AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F
-        AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI
-        AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR BMI
-        BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT SSE SSE2 SSE3 SSE41
-        SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4
-    """.split()),
-}
-
+# loss and terms: a kernel change that moves any bit fails here. Recorded on
+# RECORDED_HOST, and skipped elsewhere: under an AVX2 dispatch numpy's arctan
+# and exp give other last bits, so the ciou and siou digests differ there on
+# correct code. TestReference is the check that holds on any host.
 KERNEL_SHA256 = {
     "iou": "d51931af7c1feda2abad6b759266c26e472a9c2ed7907bb5ae423424cbb484aa",
     "inner-iou(0.8)": "53eb4a204bf24ebf6c259ff66b4525a65a719605ad0acd1ddf5fc4ff19e35ced",
@@ -338,7 +327,7 @@ class TestKernelBits:
         # the enclosure's weights, built in place of the overlap's tie weights,
         # once came from their own sign-based picks
         a, g = (block.copy() for block in np.array(rows).transpose(1, 2, 0))
-        target = prepare_target(g)
+        target = prepare_target(g, LossSpec("giou"))
         *_, d_ext = _overlap(a, target.plain, 1.0, True, Scratch().start(a.shape[1:]), enclose=True)
         (a_lo, a_hi), (g_lo, g_hi) = _edges(a, 1.0), target.plain[:4].reshape(2, 2, -1)
         u_hi, u_lo = pick_reference(g_hi, a_hi), pick_reference(a_lo, g_lo)
@@ -347,7 +336,7 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("spec", PINNED_SPECS, ids=LossSpec.label)
     def test_outputs_are_pinned(self, spec):
-        skip_off_host(KERNEL_RECORDED_WITH, "KERNEL_SHA256")
+        skip_off_host(RECORDED_HOST, "KERNEL_SHA256")
         a, g = tie_heavy_blocks()
         target = prepare_target(g, spec)
         fwd = eval_blocks(spec, a, target, with_grad=False)
@@ -521,11 +510,6 @@ class TestScratch:
             for y in arrays(second):
                 assert not np.shares_memory(x, y)
         assert outputs_digest(first) == kept
-        iou_first = iou_batch(a.T, g.T)
-        kept_iou = iou_first.tobytes()
-        iou_second = iou_batch(a.T[::-1], g.T[::-1])
-        assert not np.shares_memory(iou_first, iou_second)
-        assert iou_first.tobytes() == kept_iou
 
 
 # Coordinates bounded so a 1e-2 side never vanishes at the corner round trip.
@@ -540,7 +524,7 @@ def boxes(draw):
 
 
 def iou(a, b) -> float:
-    return float(iou_batch(a, b))
+    return float(plain_iou(a, b))
 
 
 def inner_iou(a, b, ratio: float) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import csv_reference, skip_off_host
+from helpers import RECORDED_HOST, csv_reference, skip_off_host
 from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
@@ -34,21 +34,6 @@ def eval_json(capsys, *argv):
     code = run_cli("eval", *argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
-
-
-# The numpy version and CPU features that EVAL_STDOUT_SHA256, SIM_CSV_SHA256
-# and SWEEP_CSV_SHA256 were recorded with; the pinned tests skip on any other
-# host, where numpy's SIMD dispatch may change the last bits of a float.
-PINS_RECORDED_WITH = {
-    "numpy": "2.4.6",
-    "cpu_features": sorted("""
-        AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F
-        AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI
-        AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX AVX512_SPR BMI
-        BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT SSE SSE2 SSE3 SSE41
-        SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4
-    """.split()),
-}
 
 
 # sha256 of the exact stdout of `ioulab eval --anchor 0,0,10,5 --gt 2,1,8,6
@@ -227,7 +212,7 @@ class TestCsvWriter:
 class TestEval:
     @pytest.mark.parametrize("loss", list(EVAL_STDOUT_SHA256))
     def test_stdout_bytes_pinned(self, capsys, loss):
-        skip_off_host(PINS_RECORDED_WITH, "the CLI output digests")
+        skip_off_host(RECORDED_HOST, "the CLI output digests")
         ratio = ("--ratio", "0.8") if loss.startswith("inner-") else ()
         code = run_cli(
             "eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", loss, *ratio, "--grad"
@@ -525,7 +510,7 @@ class TestSim:
 
     @pytest.mark.parametrize("scenario", ["high", "low"])
     def test_csv_bytes_pinned(self, tmp_path, scenario):
-        skip_off_host(PINS_RECORDED_WITH, "the CLI output digests")
+        skip_off_host(RECORDED_HOST, "the CLI output digests")
         out = tmp_path / "run"
         code = run_cli(
             "sim", "--scenario", scenario, "--bases", "iou,giou,diou,ciou,eiou,siou",
@@ -634,7 +619,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_csv_bytes_pinned(self, tmp_path, axis):
-        skip_off_host(PINS_RECORDED_WITH, "the CLI output digests")
+        skip_off_host(RECORDED_HOST, "the CLI output digests")
         csv_path = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--axis", axis, "--out", str(csv_path)) == 0
         assert sha256_file(csv_path) == SWEEP_CSV_SHA256

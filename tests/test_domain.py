@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import smooth_mask, spec_matrix
-from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch, iou_batch, run_simulation, scenario_config
+from helpers import plain_iou, smooth_mask, spec_matrix
+from ioulab import BASE_NAMES, LossSpec, SimConfig, eval_batch, run_simulation, scenario_config
 from ioulab import batch
 from ioulab.batch import BOX_LIMIT, EPSILON, RATIO_LIMITS, SIDE_REL, check_boxes
 from ioulab.sweep import SweepConfig, run_sweep
@@ -96,7 +96,7 @@ class TestCheckBoxes:
             with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
                 eval_batch(LossSpec("iou"), *args)
             with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
-                iou_batch(*args)
+                plain_iou(*args)
 
 
 class TestRatioLimits:
@@ -149,7 +149,7 @@ def outside_boxes(draw):
 
 
 class TestPublicEntries:
-    """``eval_batch`` and ``iou_batch`` refuse every box outside the domain."""
+    """``eval_batch``'s forward and gradient passes refuse every box outside the domain."""
 
     @pytest.mark.parametrize(
         "anchor,gt,name",
@@ -163,7 +163,7 @@ class TestPublicEntries:
         # ciou gave nan for the first anchor and 1.0 for the second before
         # the entries checked their boxes
         bad = tuple(float(v) for v in (anchor if name == "anchors" else gt))
-        for entry in (lambda a, g: eval_batch(LossSpec("ciou"), a, g), iou_batch):
+        for entry in (lambda a, g: eval_batch(LossSpec("ciou"), a, g), plain_iou):
             with pytest.raises(ValueError) as exc:
                 entry(anchor, gt)
             assert str(exc.value).startswith(f"{name} is outside the supported box domain: ")
@@ -184,7 +184,7 @@ class TestPublicEntries:
         args = (boxes, good) if name == "anchors" else (good, boxes)
         with pytest.raises(ValueError) as exc:
             if spec is None:
-                iou_batch(*args)
+                plain_iou(*args)
             else:
                 eval_batch(spec, *args)
         message = str(exc.value)

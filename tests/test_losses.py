@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ioulab import BASE_NAMES, LossSpec, eval_batch, iou_batch
+from ioulab import BASE_NAMES, LossSpec, eval_batch
 
-from helpers import TEST_RATIOS, random_box
+from helpers import TEST_RATIOS, plain_iou, random_box
 
 
 def _pairs(seed, n):
@@ -16,7 +16,7 @@ def _pairs(seed, n):
 def assert_rejected(box, match=None):
     """Both public entries reject ``box`` as either argument, naming that argument."""
     good = (0.0, 0.0, 1.0, 1.0)
-    for entry in (iou_batch, lambda a, g: eval_batch(LossSpec("ciou"), a, g)):
+    for entry in (plain_iou, lambda a, g: eval_batch(LossSpec("ciou"), a, g)):
         for name, args in (("anchors", (box, good)), ("gts", (good, box))):
             with pytest.raises(ValueError, match=f"^{name} is outside the supported box domain"):
                 entry(*args)
@@ -299,7 +299,7 @@ class TestInnerLoss:
             v = eval_batch(LossSpec("iou", inner=ratio), a, g)
             assert v.loss == pytest.approx(1.0 - v.inner_iou, abs=1e-15)
             scale = np.array([1.0, 1.0, ratio, ratio])
-            scaled = iou_batch(np.array(a) * scale, np.array(g) * scale)
+            scaled = plain_iou(np.array(a) * scale, np.array(g) * scale)
             assert v.inner_iou == pytest.approx(float(scaled), abs=1e-15)
 
 

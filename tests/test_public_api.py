@@ -21,7 +21,6 @@ PUBLIC = [
     "BASE_NAMES",
     "LossSpec",
     "eval_batch",
-    "iou_batch",
     "SCENARIOS",
     "SimConfig",
     "scenario_config",

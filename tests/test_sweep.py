@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import sweep_whole_array
-from ioulab import iou_batch, sweep as sweep_module
+from helpers import plain_iou, sweep_whole_array
+from ioulab import sweep as sweep_module
 from ioulab.batch import BLOCK_ROWS
 from ioulab.sweep import SweepConfig, _mask_regions, check_conclusions, run_sweep
 
@@ -148,7 +148,7 @@ class TestRunSweep:
             for side in (10.0, 8.0, 12.0):
 
                 def f(d):
-                    return float(iou_batch((d, 0.0, side, side), (0.0, 0.0, side, side)))
+                    return float(plain_iou((d, 0.0, side, side), (0.0, 0.0, side, side)))
 
                 fd = abs(f(dev + h) - f(dev - h)) / (2 * h)
                 assert absgrad[side][i] == pytest.approx(fd, abs=1e-6)
