@@ -14,8 +14,9 @@ import argparse
 
 import numpy as np
 
-from ioulab import BASE_NAMES, SCENARIOS, SimConfig, run_simulation, scenario_config
+from ioulab import BASE_NAMES, SCENARIOS, LossSpec, SimConfig, run_simulation, scenario_config
 from ioulab.cli import numbers_arg
+from ioulab.losses import whole_number
 
 
 def scan_one(name: str, cfg: SimConfig, threads: int) -> None:
@@ -32,7 +33,7 @@ def scan_one(name: str, cfg: SimConfig, threads: int) -> None:
     slower = [
         base
         for base in BASE_NAMES
-        if finals[f"inner-{base}({SCENARIOS[name]['ratio']:g})"] >= finals[base]
+        if finals[LossSpec(base, inner=SCENARIOS[name]["ratio"]).label()] >= finals[base]
     ]
     print(
         f"  step {cfg.step_size:4.2f}  {name:>4}  worst rise {max(worst_rise, 0.0):8.1e}  "
@@ -56,7 +57,10 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=0)
     args = parser.parse_args()
     fields = dict(n_points=args.points, iterations=args.iterations, seed=args.seed)
-    try:  # SimConfig checks every field, so a bad step is a usage error
+    # SimConfig checks every field, and whole_number the thread count as
+    # run_simulation does, so a bad setting is a usage error before any run
+    try:
+        whole_number("threads", args.threads, 0)
         runs = [
             (name, scenario_config(name, step_size=step, **fields))
             for name in SCENARIOS

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,14 +35,19 @@ LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 CSV_ROWS_PER_WRITE = 372  # rows formatted together: about 4,000 values of an 11-column sweep
 
 
-def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
-    """Write each ``(path, chunks)`` output; an OSError is a usage error.
+def _write(*outputs: tuple[Path, Iterable[str]], directory: Path | None = None) -> None:
+    """Write each ``(path, chunks)`` output, all or none; an OSError is a usage error.
 
     Two paths that name one file (through a link, or spelled otherwise) are
-    a usage error, raised before any file is opened. Every path is opened
-    before any is written, and any failure, such as running out of memory
-    while formatting, removes the files that did not exist before, so a run
-    leaves all its outputs or none.
+    a usage error, raised before anything is made. Then ``directory``, if
+    given, is made with its missing parents, and every output is opened
+    without truncating it, so an output that cannot be opened changes no
+    file; only then is each rewritten in turn. Any failure, such as running
+    out of memory while formatting, removes in reverse what the call made:
+    the outputs that did not exist (through a link, the file made at its
+    target, not the link), then the directories. Every file that existed is
+    kept, but a failure once writing has begun leaves the outputs already
+    rewritten as they are.
     """
     for i, (path, _) in enumerate(outputs):
         for earlier, _ in outputs[:i]:
@@ -52,17 +57,25 @@ def _write(*outputs: tuple[Path, Iterable[str]]) -> None:
                 same = os.path.realpath(earlier) == os.path.realpath(path)
             if same:
                 raise ValueError(f"{earlier} and {path} name the same file")
-    new = [path for path, _ in outputs if not path.exists()]
+    made = []  # what this call creates: directories root first, then outputs
     try:
-        with ExitStack() as stack:
-            files = []
-            for path, _ in outputs:
-                files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
-            for f, (path, chunks) in zip(files, outputs):
+        if directory is not None:
+            for path in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
+                path.mkdir()
+                made.append(path)
+        for path, _ in outputs:
+            real = Path(os.path.realpath(path))
+            new = not os.path.lexists(real)  # a symlink loop's realpath is a link
+            open(path, "ab").close()
+            if new:
+                made.append(real)
+        for path, chunks in outputs:
+            with open(path, "w", encoding="utf-8", newline="") as f:
                 f.writelines(chunks)
     except BaseException as exc:
-        for created in new:
-            created.unlink(missing_ok=True)
+        for p in reversed(made):
+            with suppress(OSError):
+                p.rmdir() if p.is_dir() else p.unlink()
         if isinstance(exc, OSError):
             raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
@@ -316,17 +329,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "error_metric": "corner_l1",
     }
     outputs.append((out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"]))
-    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write(*outputs)  # raises ValueError for the OSErrors of its files
-    except BaseException as exc:
-        for d in made:
-            with suppress(OSError):
-                d.rmdir()
-        if isinstance(exc, OSError):
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
-        raise
+    _write(*outputs, directory=out)
 
     for s in summaries:
         print(

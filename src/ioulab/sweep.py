@@ -107,24 +107,26 @@ def run_sweep(
     """
     n = cfg.samples
     devs = np.linspace(cfg.deviation_range[0], cfg.deviation_range[1], n)
-    target = np.array([[0.0], [0.0], [cfg.box_side], [cfg.box_side]])
     col = AXES.index(cfg.axis)
-    # The inner-iou loss is 1 - (overlap of the pair rescaled to ``side``),
-    # and ratio 1 reproduces the plain overlap bit for bit.
-    specs = {side: LossSpec("iou", inner=side / cfg.box_side) for side in cfg.sides()}
-    targets = {side: prepare_target(target, spec) for side, spec in specs.items()}
-    iou = {side: np.empty(n) for side in specs}
-    absgrad = {side: np.empty(n) for side in specs}
+    # Each curve is the pair rescaled about its centers by side / box_side:
+    # the plain overlap of squares of side box_side * ratio, the side that
+    # batch._edges computes, so the bits are the inner-iou loss's. A plain
+    # spec has no ratio to warn about; SweepConfig checked each one.
+    plain = LossSpec("iou")
+    squares = {side: cfg.box_side * (side / cfg.box_side) for side in cfg.sides()}
+    targets = {side: prepare_target(np.array([[0.0], [0.0], [q], [q]]), plain) for side, q in squares.items()}
+    iou = {side: np.empty(n) for side in squares}
+    absgrad = {side: np.empty(n) for side in squares}
     scratch = Scratch()
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         # One anchor per column: the (4, n) block the kernel takes.
-        anchors = np.empty((4, hi - lo))
-        anchors[:] = target
+        anchors = np.zeros((4, hi - lo))
         anchors[col] = devs[lo:hi]
-        for side, spec in specs.items():
-            ev = eval_batch(spec, anchors, targets[side], scratch=scratch)
-            iou[side][lo:hi] = ev.inner_iou
+        for side, q in squares.items():
+            anchors[2:] = q
+            ev = eval_batch(plain, anchors, targets[side], scratch=scratch)
+            iou[side][lo:hi] = ev.iou
             np.abs(ev.grad[:, col], out=absgrad[side][lo:hi])
     return devs, iou, absgrad
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -559,6 +560,36 @@ class TestSim:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_new_run_directory_holds_only_the_outputs(self, tmp_path):
+        out = tmp_path / "new" / "run"
+        code = run_cli(
+            "sim", "--scenario", "high", "--points", "1", "--iterations", "1",
+            "--threads", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "new", "new/run", "new/run/manifest.json", "new/run/summary.csv",
+        ]
+
+    def test_disk_full_removes_the_new_run_directory(self, tmp_path, monkeypatch, capsys):
+        def disk_full(path, header, blocks):
+            def lines():
+                yield ",".join(header) + "\n"
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            return path, lines()
+
+        monkeypatch.setattr(cli, "_csv", disk_full)
+        out = tmp_path / "new" / "run"
+        code = run_cli(
+            "sim", "--scenario", "high", "--points", "1", "--iterations", "1",
+            "--threads", "1", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'summary.csv'}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_default_run_passes(self, capsys, tmp_path):
@@ -674,6 +705,31 @@ class TestSweep:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_existing_output_survives_an_unopenable_one(self, tmp_path, capsys):
+        # every output is opened before any is truncated
+        csv_path = tmp_path / "existing.csv"
+        csv_path.write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        code = run_cli(
+            "sweep", "--samples", "11", "--out", str(csv_path), "--report", str(tmp_path / "adir"),
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert csv_path.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "adir", csv_path]
+
+    def test_failure_keeps_a_dangling_link_and_removes_its_new_target(self, tmp_path, capsys):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        code = run_cli(
+            "sweep", "--samples", "11", "--out", str(link),
+            "--report", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert link.is_symlink()
+        assert list(tmp_path.iterdir()) == [link]
 
     def test_csv_deterministic(self, tmp_path):
         paths = []

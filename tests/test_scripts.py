@@ -47,3 +47,12 @@ def test_scan_step_sizes_rejects_bad_steps(monkeypatch, capsys, steps, message):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == f"scan_step_sizes.py: error: {message}"
+
+
+def test_scan_step_sizes_rejects_negative_threads(monkeypatch, capsys):
+    # checked with the configs, before the header
+    code = run_script(monkeypatch, "scan_step_sizes.py", "--points", "1", "--threads", "-1")
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "scan_step_sizes.py: error: threads must be >= 0, got -1"

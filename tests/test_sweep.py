@@ -153,6 +153,18 @@ class TestRunSweep:
                 fd = abs(f(dev + h) - f(dev - h)) / (2 * h)
                 assert absgrad[side][i] == pytest.approx(fd, abs=1e-6)
 
+    def test_ratios_outside_the_typical_range_warn_nothing(self):
+        # SweepConfig checked every ratio against RATIO_LIMITS; only the
+        # inner-iou reference, which builds each ratio's LossSpec, warns
+        cfg = SweepConfig(aux_sides=(2.0, 14.0), samples=11)
+        devs, iou, absgrad = run_sweep(cfg)
+        with pytest.warns(UserWarning, match="outside the typical range"):
+            ref_devs, ref_iou, ref_absgrad = sweep_whole_array(cfg)
+        assert devs.tobytes() == ref_devs.tobytes()
+        for side in cfg.sides():
+            assert iou[side].tobytes() == ref_iou[side].tobytes()
+            assert absgrad[side].tobytes() == ref_absgrad[side].tobytes()
+
     def test_axis_y_matches_axis_x(self):
         dx, ix, gx = run_sweep(SweepConfig(samples=81))
         dy, iy, gy = run_sweep(SweepConfig(samples=81, axis="y"))
