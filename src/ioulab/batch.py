@@ -203,10 +203,6 @@ class Scratch:
         self._slots.setdefault((lead, dtype), []).append(slot)
         return slot
 
-    def mask(self, lead: int = 1) -> np.ndarray:
-        """A free bool slot with ``lead`` leading axes of size 2."""
-        return self.take(lead, np.bool_)
-
     def give(self, *slots: np.ndarray | None) -> None:
         """Free ``slots``, each taken since the last start and not given back since; skip None."""
         for slot in slots:
@@ -306,7 +302,7 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: 
     iou = np.divide(inter, union, out=take(0))
     if with_grad:
         # the tie weights (w_lo, w_hi) of max(a_lo, g_lo) and min(a_hi, g_hi)
-        le = s.mask()
+        le = take(1, np.bool_)
         weights = take(2)
         _pick(g_lo, a_lo, weights[0], le)
         _pick(a_hi, g_hi, weights[1], le)
@@ -426,6 +422,13 @@ def eval_blocks(
         d_ov = d_inner if d_iou is None else d_iou
         grad = np.negative(d_ov, out=take(2) if enclose and inner is not None else d_ov)
 
+    if base not in ("iou", "giou"):
+        # the centre offset and its squared length, read by every distance penalty
+        off = np.subtract(a[:2], g[:2], out=take())
+        t1 = take(0)
+        rho2 = np.multiply(off[0], off[0], out=take(0))
+        rho2 += np.multiply(off[1], off[1], out=t1)
+
     if base == "iou":
         if not with_grad:
             loss = 1.0 - (iou if inner is None else inner)
@@ -442,10 +445,6 @@ def eval_blocks(
             loss = 1.0 - iou + (c_area - union) / c_area
     elif base in ("diou", "ciou", "eiou"):
         # the center-distance penalty rho2 / c_diag, shared by the three
-        off = np.subtract(a[:2], g[:2], out=take())
-        t1 = take(0)
-        rho2 = np.multiply(off[0], off[0], out=take(0))
-        rho2 += np.multiply(off[1], off[1], out=t1)
         c_diag = np.multiply(ext[0], ext[0], out=take(0))
         c_diag += np.multiply(ext[1], ext[1], out=t1)
         if with_grad:
@@ -508,14 +507,10 @@ def eval_blocks(
                 loss = loss + t[0] + t[1]
     elif base == "siou":
         # the angle, distance and shape costs
-        off = np.subtract(a[:2], g[:2], out=take())
         absoff = np.abs(off, out=take())
         absx, absy = absoff
-        dist = np.multiply(off[0], off[0], out=take(0))
-        m = take(0)
-        dist += np.multiply(off[1], off[1], out=m)
-        np.sqrt(dist, out=dist)
-        np.minimum(absx, absy, out=m)
+        dist = np.sqrt(rho2, out=rho2)
+        m = np.minimum(absx, absy, out=t1)
         den = np.add(dist, EPSILON, out=take(0))
         z = np.divide(m, den, out=take(0))
         root = np.multiply(z, z, out=take(0))
@@ -545,7 +540,7 @@ def eval_blocks(
             give(e_omega)
             # m, dist and so gamma depend on the centers only. d_m is sign(off) on
             # m's axis, else 0: comparisons give a masked np.sign's bits in a sixth of its time.
-            pick, sign = s.mask(), s.mask()
+            pick, sign = take(1, np.bool_), take(1, np.bool_)
             np.less_equal(absx, absy, out=pick[0, ...])
             np.logical_not(pick[0], out=pick[1, ...])
             give(absoff)
@@ -553,7 +548,7 @@ def eval_blocks(
             np.copyto(d_m, np.logical_and(np.greater(off, 0.0, out=sign), pick, out=sign))
             d_m -= np.logical_and(np.less(off, 0.0, out=sign), pick, out=sign)
             give(pick, sign)
-            pos = np.greater(dist, 0.0, out=s.mask(0))
+            pos = np.greater(dist, 0.0, out=take(0, np.bool_))
             # A ufunc's where= leaves out untouched where the condition fails, so
             # out starts at zero, as np.where(cond, value, 0.0) would, but faster.
             d_dist = take()
@@ -593,7 +588,7 @@ def eval_blocks(
             d_omega = np.multiply(sa, sa, out=off)
             np.divide(sg, d_omega, out=d_omega)
             neg = np.divide(-1.0, sg, out=k)
-            sel = np.greater_equal(sa, sg, out=s.mask())
+            sel = np.greater_equal(sa, sg, out=take(1, np.bool_))
             d_omega *= sel
             neg *= np.logical_not(sel, out=sel)
             d_omega += neg

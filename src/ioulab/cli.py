@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from datetime import datetime, timezone
@@ -247,15 +248,11 @@ def _bases_arg(text: str) -> tuple[str, ...]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    name = args.loss
-    if name.startswith("inner-"):
-        if args.ratio is None:
-            raise ValueError(f"--loss {name} requires --ratio")
-        spec = LossSpec(name[len("inner-") :], inner=args.ratio)
-    else:
-        if args.ratio is not None:
-            raise ValueError("--ratio only applies to inner-* losses")
-        spec = LossSpec(name)
+    inner = args.loss.startswith("inner-")
+    if inner != (args.ratio is not None):
+        why = f"--loss {args.loss} requires --ratio" if inner else "--ratio only applies to inner-* losses"
+        raise ValueError(why)
+    spec = LossSpec(args.loss.removeprefix("inner-"), inner=args.ratio)
     res = eval_batch(spec, args.anchor, args.gt)
     payload = {
         "loss": res.loss,
@@ -433,11 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory: the run is too large for the memory it can get", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning is one line, like an error
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory: the run is too large for the memory it can get", file=sys.stderr)
+            return 2

@@ -89,6 +89,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", sequence("specs", self.specs))
+        if not self.specs:
+            raise ValueError("specs must hold at least one loss spec")
         for s in self.specs:
             if not isinstance(s, LossSpec):
                 raise ValueError(f"specs must contain LossSpec values, got {type(s).__name__}")
@@ -270,7 +272,7 @@ def _simulate_chunk(
         rate *= cfg.step_size
         move = np.multiply(rate, ev.grad.T, out=ev.grad.T)
         x -= move
-        low = np.less(x[2:], MIN_SIZE, out=s.mask())
+        low = np.less(x[2:], MIN_SIZE, out=s.take(1, np.bool_))
         if per_case:
             # one event per clamped coordinate (bool + bool would OR, not add)
             c += low[0]
@@ -279,7 +281,7 @@ def _simulate_chunk(
         err[rows] = _corner_l1(x, g, s, s.take(0))
         totals[t] = err.sum()
         # Retire the cases the step left in place and the clamp did not touch.
-        moving = np.any(move, axis=0, out=s.mask(0))
+        moving = np.any(move, axis=0, out=s.take(0, np.bool_))
         moving |= low[0]
         moving |= low[1]
         keep = np.flatnonzero(moving)
@@ -311,8 +313,6 @@ def run_simulation(
     ``per_case`` do the summaries carry each case's initial error, final
     error, final IoU and clamp count, and only then is the final IoU computed.
     """
-    if not cfg.specs:
-        raise ValueError("config needs at least one loss spec")
     threads = whole_number("threads", threads, 0)
     if threads == 0:
         if hasattr(os, "sched_getaffinity"):

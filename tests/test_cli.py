@@ -483,6 +483,18 @@ class TestSim:
         assert err.startswith("error: invalid config: radius")
         assert "Traceback" not in err
 
+    def test_empty_spec_list_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"specs": []}))
+        assert run_cli("sim", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: invalid config: specs must hold at least one loss spec\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_bases_list_exits_two(self, tmp_path, capsys):
+        assert run_cli("sim", "--scenario", "high", "--bases", " , ", "--out", str(tmp_path / "o")) == 2
+        assert "argument --bases: expected a comma-separated list of base losses" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_json_syntax_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -847,11 +859,11 @@ class TestParser:
         assert run_cli() == 2
 
 
-def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
-    """Run ``code`` in a fresh interpreter that imports this checkout's ioulab.
+def run_python(tmp_path, *args: str, **env: str | None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` in ``tmp_path``, importing this checkout's ioulab.
 
     Each keyword sets that environment variable for it, or removes it when
-    None. Returns the JSON value the probe prints as its last stderr line.
+    None.
     """
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -861,10 +873,14 @@ def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
             full.pop(name, None)
         else:
             full[name] = value
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=tmp_path,
-        env=full, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=full, capture_output=True, text=True, timeout=120
     )
+
+
+def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
+    """Run ``code`` as :func:`run_python` does; the JSON value it prints as its last stderr line."""
+    done = run_python(tmp_path, "-c", code, *argv, **env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr.splitlines()[-1])
 
@@ -911,6 +927,41 @@ class TestImports:
         # sim hashes its manifest, and numpy.random's seeding imports it too
         argv = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
         assert loads_openssl(tmp_path, *argv)
+
+
+RATIO_2_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou", "--ratio", "2")
+
+
+class TestWarnings:
+    """A warning raised during a command prints as one ``warning:`` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv,config,ratio",
+        [
+            (RATIO_2_ARGV, None, "2"),
+            (("sim", "--config", "cfg.json", "--out", "o"),
+             {"specs": [{"base": "ciou", "inner": 1.7}], "n_points": 1, "iterations": 2}, "1.7"),
+        ],
+        ids=["eval", "sim-config"],
+    )
+    def test_one_line_and_the_run_goes_on(self, tmp_path, argv, config, ratio):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        done = run_python(tmp_path, "-m", "ioulab", *argv, PYTHONWARNINGS=None)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == f"warning: inner ratio {ratio} is outside the typical range [0.5, 1.5]\n"
+        if config is None:
+            assert json.loads(done.stdout)["inner_iou"] > 0.0
+        else:
+            assert done.stdout.endswith("wrote o/summary.csv (1 specs, 343 cases)\n")
+
+    def test_scoped_to_the_command(self, capsys):
+        before = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert run_cli(*RATIO_2_ARGV) == 0
+            assert warnings.showwarning is before
+        assert capsys.readouterr().err == "warning: inner ratio 2 is outside the typical range [0.5, 1.5]\n"
 
 
 _LAZY_PROBE = """

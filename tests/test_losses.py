@@ -96,6 +96,17 @@ class TestLossSpec:
         with pytest.raises(ValueError, match="base"):
             LossSpec.from_dict({"inner": 0.8})
 
+    @pytest.mark.parametrize(
+        "data,match",
+        [
+            ({"base": "nope"}, "unknown base loss 'nope'"),
+            ({"base": "iou", "inner": -1}, "inner ratio must lie in"),
+        ],
+    )
+    def test_from_dict_wraps_bad_values(self, data, match):
+        with pytest.raises(ValueError, match=f"^invalid loss spec: {match}"):
+            LossSpec.from_dict(data)
+
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):
             LossSpec.from_dict(["iou"])

@@ -99,6 +99,7 @@ class TestSimConfig:
             (dict(step_size="0.1"), "step_size"),
             (dict(step_size=True), "step_size"),
             (dict(specs=LossSpec("ciou")), r"specs must be a list, got LossSpec\(base='ciou'"),
+            (dict(specs=()), "specs must hold at least one loss spec"),
         ],
     )
     def test_validation(self, overrides, match):
@@ -146,6 +147,10 @@ class TestSimConfig:
     def test_from_dict_missing_specs(self):
         with pytest.raises(ValueError, match="specs"):
             SimConfig.from_dict({"n_points": 5})
+
+    def test_from_dict_specs_must_be_a_list(self):
+        with pytest.raises(ValueError, match="config field 'specs' must be a list of loss spec objects"):
+            SimConfig.from_dict({"specs": {"base": "iou"}})
 
     def test_from_dict_bad_nested_spec(self):
         data = tiny_cfg().to_dict()
