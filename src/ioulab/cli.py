@@ -434,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except ValueError as exc:
+        except (ValueError, Warning) as exc:  # a Warning when warnings are errors (-W error)
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except MemoryError:

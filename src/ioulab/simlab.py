@@ -96,7 +96,7 @@ class SimConfig:
                 raise ValueError(f"specs must contain LossSpec values, got {type(s).__name__}")
         object.__setattr__(self, "n_points", whole_number("n_points", self.n_points, 1))
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 1))
-        # numpy seeds must be non-negative
+        # numpy's seeds, which _pcg64_draws follows, are non-negative
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
         radius = tuple(real_number("radius", v) for v in sequence("radius", self.radius, pair=True))
         if not 0.0 <= radius[0] <= radius[1]:
@@ -168,6 +168,67 @@ class ConvergenceSummary:
     case_clamps: np.ndarray | None = None
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_draws(seed: int):
+    """The 53-bit integers behind ``numpy.random.default_rng(seed).random()``, in order.
+
+    numpy's ``SeedSequence(seed)`` hashes the seed's 32-bit words into the
+    state of a ``PCG64`` generator, whose every 64-bit output keeps its top
+    53 bits. This is that stream in Python integers, bit for bit, so that
+    generating a population loads no ``numpy.random``, whose seeding maps
+    OpenSSL through ``secrets``. All word arithmetic is mod 2**32.
+    """
+
+    def hasher(h: int, mult: int):
+        # SeedSequence's word hash, whose constant h steps at every call
+        def hash_word(v: int) -> int:
+            nonlocal h
+            v ^= h
+            h = h * mult & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+
+        return hash_word
+
+    def mix(x: int, y: int) -> int:
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return v ^ v >> 16
+
+    # The entropy pool of 4 words, least significant seed word first; the
+    # words past the fourth mix into each.
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words, each pair one uint64, low word first
+    out = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [out(pool[i % 4]) for i in range(8)]
+    v0, v1, v2, v3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+
+    # PCG64 (XSL-RR 128/64) on the state (v0, v1) and the stream (v2, v3)
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((v2 << 64 | v3) << 1 | 1) & _M128
+    s = ((inc + (v0 << 64 | v1)) * mult + inc) & _M128
+    while True:
+        s = (s * mult + inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        yield ((x >> rot | x << (64 - rot)) & _M64) >> 11
+
+
+def _uniform(draws, lo: float, hi: float, n: int) -> np.ndarray:
+    """``Generator.uniform(lo, hi, n)`` on the stream ``draws`` of :func:`_pcg64_draws`."""
+    span = hi - lo
+    return np.array([lo + span * (next(draws) * 2.0**-53) for _ in range(n)])
+
+
 def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """All (anchor, target) pairs as two (n, 4) center-form arrays.
 
@@ -175,11 +236,11 @@ def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     scale, anchor aspect (innermost); the seeded point sample is shared by
     every target aspect.
     """
-    rng = np.random.default_rng(cfg.seed)
+    draws = _pcg64_draws(cfg.seed)
     lo, hi = cfg.radius
     # Uniform over the annulus area, so radii are sqrt-uniform.
-    r = np.sqrt(rng.uniform(lo * lo, hi * hi, cfg.n_points))
-    phi = rng.uniform(0.0, 2.0 * np.pi, cfg.n_points)
+    r = np.sqrt(_uniform(draws, lo * lo, hi * hi, cfg.n_points))
+    phi = _uniform(draws, 0.0, 2.0 * np.pi, cfg.n_points)
     px = CENTER[0] + r * np.cos(phi)
     py = CENTER[1] + r * np.sin(phi)
 

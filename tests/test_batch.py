@@ -496,6 +496,25 @@ class TestScratch:
         # the small call's outputs keep the buffers they were written in
         assert small.grad.tobytes() == kept.tobytes()
 
+    def test_every_slot_starts_on_a_cache_line(self):
+        class RecordingScratch(Scratch):
+            def take(self, lead=1, dtype=np.float64):
+                slot = super().take(lead, dtype)
+                taken.append(slot)
+                return slot
+
+        taken = []
+        a, g = chunk_blocks()
+        scratch = RecordingScratch()
+        # the 37-column block re-views every slot, and the last one again
+        for cols in (slice(None), slice(37), slice(None)):
+            for spec in (LossSpec("ciou"), LossSpec("siou", inner=0.8)):
+                eval_blocks(spec, a[:, cols], prepare_target(g[:, cols], spec), scratch=scratch)
+        kinds = {(slot.ndim - 1, slot.dtype.type) for slot in taken}
+        assert kinds == {(0, np.float64), (1, np.float64), (2, np.float64), (0, np.bool_), (1, np.bool_)}
+        assert {slot.shape[-1] for slot in taken} == {8192, 37}
+        assert [slot.shape for slot in taken if slot.__array_interface__["data"][0] % 64] == []
+
     @pytest.mark.parametrize("spec", [LossSpec("ciou"), LossSpec("siou", inner=0.8)], ids=str)
     def test_public_entries_never_share_memory(self, spec):
         a, g = chunk_blocks(1000)

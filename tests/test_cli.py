@@ -886,8 +886,9 @@ def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
 
 
 # Runs `python -m ioulab <argv>` and reports, as it exits, whether the run
-# loaded OpenSSL's hash module, the OpenBLAS thread setting it ran with, and
-# its thread count on Linux (None elsewhere).
+# loaded OpenSSL's hash module, numpy.random and secrets (which maps
+# OpenSSL too), the OpenBLAS thread setting it ran with, and its thread
+# count on Linux (None elsewhere).
 _CLI_PROBE = """
 import json, os, runpy, sys
 sys.argv[0] = "ioulab"
@@ -897,12 +898,16 @@ finally:
     tasks = "/proc/self/task"
     print(json.dumps({
         "openssl": "_hashlib" in sys.modules,
+        "numpy.random": "numpy.random" in sys.modules,
+        "secrets": "secrets" in sys.modules,
         "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     }), file=sys.stderr)
 """
 
 EVAL_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "siou", "--grad")
+SWEEP_ARGV = ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json")
+SIM_ARGV = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
 
 
 def loads_openssl(tmp_path, *argv) -> bool:
@@ -914,26 +919,29 @@ class TestImports:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json"),
-            EVAL_ARGV,
-        ],
+        [SWEEP_ARGV, EVAL_ARGV],
         ids=lambda argv: argv[0],
     )
     def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv):
         assert not loads_openssl(tmp_path, *argv)
 
     def test_the_probe_sees_sim_load_it(self, tmp_path):
-        # sim hashes its manifest, and numpy.random's seeding imports it too
-        argv = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
-        assert loads_openssl(tmp_path, *argv)
+        # sim hashes its manifest, after its descent's memory peak
+        assert loads_openssl(tmp_path, *SIM_ARGV)
+
+    @pytest.mark.parametrize("argv", [SIM_ARGV, SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0])
+    def test_no_command_loads_numpy_random(self, tmp_path, argv):
+        # simlab seeds its population with its own copy of numpy's stream
+        report = run_probe(tmp_path, _CLI_PROBE, *argv)
+        assert (report["numpy.random"], report["secrets"]) == (False, False)
 
 
 RATIO_2_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou", "--ratio", "2")
 
 
 class TestWarnings:
-    """A warning raised during a command prints as one ``warning:`` line on stderr."""
+    """A warning raised during a command prints as one ``warning:`` line on
+    stderr, or as one ``error:`` line, exit 2, where warnings are errors."""
 
     @pytest.mark.parametrize(
         "argv,config,ratio",
@@ -954,6 +962,11 @@ class TestWarnings:
             assert json.loads(done.stdout)["inner_iou"] > 0.0
         else:
             assert done.stdout.endswith("wrote o/summary.csv (1 specs, 343 cases)\n")
+
+    def test_an_error_filter_makes_it_a_usage_error(self, tmp_path):
+        done = run_python(tmp_path, "-W", "error", "-m", "ioulab", *RATIO_2_ARGV, PYTHONWARNINGS=None)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == "error: inner ratio 2 is outside the typical range [0.5, 1.5]\n"
 
     def test_scoped_to_the_command(self, capsys):
         before = warnings.showwarning

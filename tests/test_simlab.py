@@ -17,7 +17,16 @@ from ioulab import (
     scenario_config,
 )
 from ioulab import simlab
-from ioulab.simlab import ASPECTS, CENTER, CHUNK_CASES, MIN_SIZE, SCALES, _simulate_chunk
+from ioulab.simlab import (
+    ASPECTS,
+    CENTER,
+    CHUNK_CASES,
+    MIN_SIZE,
+    SCALES,
+    _pcg64_draws,
+    _simulate_chunk,
+    _uniform,
+)
 
 # Config names for parts of the protocol that simlab fixes as constants
 # (the grid, the center, the unit target area, the size clamp and the step
@@ -219,9 +228,13 @@ class TestCaseGeneration:
         assert not np.array_equal(targets[0], targets[block])
 
 
+    # cases_by_index draws its points from numpy.random itself; the last three
+    # are a zero radius, sim-high's population and the low preset's annulus.
     @pytest.mark.parametrize(
         "n_points,seed,radius",
-        [(1, 0, (0.0, 3.0)), (3, 7, (6.0, 9.0)), (24, 1, (0.0, 3.0)), (100, 123, (0.5, 2.0))],
+        [(1, 0, (0.0, 3.0)), (3, 7, (6.0, 9.0)), (24, 1, (0.0, 3.0)), (100, 123, (0.5, 2.0)),
+         (5, 0, (0.0, 0.0)), (71, 0, SCENARIOS["high"]["radius"]),
+         (100, 2**40 + 3, SCENARIOS["low"]["radius"])],
     )
     def test_matches_the_index_grid_reference(self, n_points, seed, radius):
         cfg = tiny_cfg(n_points=n_points, seed=seed, radius=radius)
@@ -232,7 +245,7 @@ class TestCaseGeneration:
     def test_peak_memory_is_the_outputs(self):
         # the 34,300 cases of the criterion 6/7 fixtures
         cfg = tiny_cfg(n_points=100)
-        generate_case_arrays(cfg)  # warm-up: the first call imports numpy.random
+        generate_case_arrays(cfg)  # warm-up, so that only the call's own allocations count
         tracemalloc.start()
         try:
             anchors, targets = generate_case_arrays(cfg)
@@ -240,6 +253,25 @@ class TestCaseGeneration:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * (anchors.nbytes + targets.nbytes)
+
+
+# The seeds a SimConfig may carry, in one, two, three and more 32-bit words.
+STREAM_SEEDS = (0, 1, 2, 7, 12345, 2**31, 2**32 - 1, 2**32, 2**33 + 7, 2**64 - 1, 2**64,
+                2**127 + 99, 2**200 + 3, 10**40)
+
+
+class TestStream:
+    """simlab's seeded draws are ``numpy.random.default_rng(seed).uniform``'s, byte for byte."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_uniform_matches_numpy(self, seed):
+        # consecutive calls share one stream, as the radii and angles do
+        ranges = [(0.0, 9.0), (0.0, 2.0 * np.pi), (36.0, 81.0), (3.0, 3.0), (-1e3, 1e-3)]
+        rng, draws = np.random.default_rng(seed), _pcg64_draws(seed)
+        for lo, hi in ranges:
+            want = rng.uniform(lo, hi, 300)
+            got = _uniform(draws, lo, hi, 300)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (lo, hi)
 
 
 class TestRunCase:
