@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 on success, 1 when a checked property
 fails (a sweep conclusion does not hold), 2 on usage or config errors, an
 output path that cannot be written, two outputs that name one file, a
-result that is not finite, or a run too large for the memory it can get.
+result that is not finite, a run too large for the memory it can get, or
+a ``sim`` worker process that died.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
 no field holds a comma, quote or newline, so none is ever quoted. numpy
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--iterations", type=int, help="descent iterations (--scenario only)")
     ps.add_argument("--per-case", action="store_true", help="also write cases.csv")
     ps.add_argument("--seed", type=int, help="override the config or preset seed")
-    ps.add_argument("--threads", type=int, default=0, help="worker threads, 0 = one per CPU")
+    ps.add_argument("--threads", type=int, default=0, help="worker processes, 0 = one per usable CPU")
     ps.set_defaults(func=cmd_sim)
 
     pw = sub.add_parser("sweep", help="sweep overlap gradients across center deviations")
@@ -439,4 +440,12 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except MemoryError:
             print("error: out of memory: the run is too large for the memory it can get", file=sys.stderr)
+            return 2
+        except RuntimeError as exc:
+            # a broken pool has loaded it; a module-level import costs every command memory
+            from concurrent.futures.process import BrokenProcessPool
+
+            if not isinstance(exc, BrokenProcessPool):
+                raise
+            print(f"error: a worker process died: {exc}", file=sys.stderr)
             return 2

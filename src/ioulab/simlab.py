@@ -11,7 +11,7 @@ anchor and the target.
 Everything is deterministic: case generation is seeded, cases are laid out
 in a fixed nested order (target aspect, point, anchor scale, anchor
 aspect), and reductions always run in case order over fixed-size chunks,
-so results are identical no matter how many worker threads run the chunks.
+so results are identical no matter how many worker processes run the chunks.
 
 A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
 which the unchecked kernel ``batch.eval_blocks`` takes as it is, against
@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
 from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
-# floating-point reduction) are independent of the thread count.
+# floating-point reduction) are independent of the worker count.
 CHUNK_CASES = BLOCK_ROWS
 
 # The fixed population: every target has unit area and sits at CENTER;
@@ -291,7 +290,7 @@ def _simulate_chunk(
     first_case: int = 0,
     *,
     per_case: bool = False,
-    scratch: Scratch | None = None,
+    scratch: Scratch,
 ):
     """Descend one chunk of (n, 4) cases under ``spec``.
 
@@ -301,9 +300,8 @@ def _simulate_chunk(
     totals and the final error. A final state outside the box domain raises
     ValueError naming the spec and the case id, ``first_case`` plus its row.
     The kernel's temporaries, the step, the clamp test and the corner error
-    live in ``scratch`` (a new one if None); nothing returned shares it.
+    live in ``scratch``; nothing returned shares it.
     """
-    s = Scratch() if scratch is None else scratch
     state = anchors.T.copy()
     goal = prepare_target(np.ascontiguousarray(targets.T), spec)
     n = state.shape[1]
@@ -312,7 +310,7 @@ def _simulate_chunk(
     # clamp events are counted only where they are returned
     clamps = np.zeros(n, dtype=np.int64) if per_case else None
 
-    err = _corner_l1(state, goal, s.start((n,)), np.empty(n))
+    err = _corner_l1(state, goal, scratch.start((n,)), np.empty(n))
     initial = err.copy() if per_case else None
     totals[0] = err.sum()
     # The cases that can still move (chunk rows), and their columns of
@@ -324,7 +322,7 @@ def _simulate_chunk(
         if not x.shape[1]:
             totals[t:] = totals[t - 1]
             break
-        ev = eval_batch(spec, x, g, with_grad=True, scratch=s)
+        ev = eval_batch(spec, x, g, with_grad=True, scratch=scratch)
         # Larger steps while the pair barely overlaps, annealing to
         # step_size as the overlap approaches 1:
         # move = cfg.step_size * (2.0 - ev.iou) * ev.grad.T, in the kernel's
@@ -333,16 +331,16 @@ def _simulate_chunk(
         rate *= cfg.step_size
         move = np.multiply(rate, ev.grad.T, out=ev.grad.T)
         x -= move
-        low = np.less(x[2:], MIN_SIZE, out=s.take(1, np.bool_))
+        low = np.less(x[2:], MIN_SIZE, out=scratch.take(1, np.bool_))
         if per_case:
             # one event per clamped coordinate (bool + bool would OR, not add)
             c += low[0]
             c += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
-        err[rows] = _corner_l1(x, g, s, s.take(0))
+        err[rows] = _corner_l1(x, g, scratch, scratch.take(0))
         totals[t] = err.sum()
         # Retire the cases the step left in place and the clamp did not touch.
-        moving = np.any(move, axis=0, out=s.take(0, np.bool_))
+        moving = np.any(move, axis=0, out=scratch.take(0, np.bool_))
         moving |= low[0]
         moving |= low[1]
         keep = np.flatnonzero(moving)
@@ -367,10 +365,12 @@ def run_simulation(
 ) -> list[ConvergenceSummary]:
     """Run every spec over the full case population.
 
-    ``threads`` parallelizes over the (spec, chunk) jobs, each a fixed-size
-    chunk of cases (0 = one worker per CPU this process may run on); the
-    reduction order is by chunk index, so summaries are bit-identical for any
-    thread count. Only with
+    ``threads`` is the number of worker processes that run the (spec, chunk)
+    jobs, each a fixed-size chunk of cases (0 = one per CPU this process may
+    run on, and never more than there are jobs); the reduction order is by
+    chunk index, so summaries are bit-identical for any worker count. One
+    worker runs the jobs in this process, as does a platform that cannot
+    fork. Only with
     ``per_case`` do the summaries carry each case's initial error, final
     error, final IoU and clamp count, and only then is the final IoU computed.
     """
@@ -385,29 +385,42 @@ def run_simulation(
     n = anchors.shape[0]
     bounds = [(i, min(i + CHUNK_CASES, n)) for i in range(0, n, CHUNK_CASES)]
     jobs = [(spec, span) for spec in cfg.specs for span in bounds]
-    # One scratch per worker for the whole run: a job takes one and puts it back.
-    scratches = queue.SimpleQueue()
-    for _ in range(min(threads, len(jobs))):
-        scratches.put(Scratch())
+    run = (cfg, anchors, targets, per_case)
+    workers = min(threads, len(jobs))
+    pool = None
+    if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def job(item):
-        spec, (a, b) = item
-        scratch = scratches.get()
-        try:
-            return _simulate_chunk(
-                spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case, scratch=scratch
-            )
-        finally:
-            scratches.put(scratch)
-
-    # One pool for every (spec, chunk) job; its map yields them in job order.
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(jobs) > 1 else None
+        # Fork, on purpose: a forked worker inherits the run's case arrays,
+        # so only (spec, span) jobs and their results are pickled, never
+        # the population, and it sees this module as it is, the tests'
+        # patches of eval_batch, CHUNK_CASES and Scratch included. A spawn
+        # or forkserver worker (the default from Python 3.14) gives neither.
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, run)
     try:
-        results = pool.map(job, jobs) if pool is not None else map(job, jobs)
+        # One pool for every (spec, chunk) job; its map yields them in job order.
+        results = pool.map(_pooled_job, jobs) if pool else map(partial(_run_job, *run, Scratch()), jobs)
         return [_summary(spec, [next(results) for _ in bounds], per_case) for spec in cfg.specs]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _start_worker(*run) -> None:
+    """Keep ``run`` and one Scratch, for the life of this pool worker, as ``_worker``."""
+    global _worker
+    _worker = (*run, Scratch())
+
+
+def _pooled_job(job):
+    return _run_job(*_worker, job)
+
+
+def _run_job(cfg, anchors, targets, per_case, scratch, job):
+    """``_simulate_chunk`` on one (spec, (first, end)) job of ``run_simulation``."""
+    spec, (a, b) = job
+    return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case, scratch=scratch)
 
 
 def _summary(spec: LossSpec, parts: list[tuple], per_case: bool) -> ConvergenceSummary:

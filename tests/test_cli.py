@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RECORDED_HOST, csv_reference, skip_off_host
-from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config
+from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config, simlab
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -850,6 +850,29 @@ class TestOutOfMemory:
         assert not (tmp_path / "o" / "deep").exists()
 
 
+class TestDeadWorker:
+    def test_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # Two specs of one chunk each: two jobs, each in a worker process
+        # that dies. The stand-in exits only outside this test's process,
+        # so no in-process path can end pytest.
+        pid = os.getpid()
+        chunk = simlab._simulate_chunk
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != pid:
+                os._exit(1)
+            return chunk(*args, **kwargs)
+
+        monkeypatch.setattr(simlab, "_simulate_chunk", dies_in_a_worker)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*SIM_ARGV, "--threads", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a worker process died: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
@@ -887,8 +910,9 @@ def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
 
 # Runs `python -m ioulab <argv>` and reports, as it exits, whether the run
 # loaded OpenSSL's hash module, numpy.random and secrets (which maps
-# OpenSSL too), the OpenBLAS thread setting it ran with, and its thread
-# count on Linux (None elsewhere).
+# OpenSSL too), concurrent.futures and multiprocessing (the process pool),
+# the OpenBLAS thread setting it ran with, and its thread count on Linux
+# (None elsewhere).
 _CLI_PROBE = """
 import json, os, runpy, sys
 sys.argv[0] = "ioulab"
@@ -900,6 +924,7 @@ finally:
         "openssl": "_hashlib" in sys.modules,
         "numpy.random": "numpy.random" in sys.modules,
         "secrets": "secrets" in sys.modules,
+        "pool": [name in sys.modules for name in ("concurrent.futures", "multiprocessing")],
         "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     }), file=sys.stderr)
@@ -934,6 +959,16 @@ class TestImports:
         # simlab seeds its population with its own copy of numpy's stream
         report = run_probe(tmp_path, _CLI_PROBE, *argv)
         assert (report["numpy.random"], report["secrets"]) == (False, False)
+
+    @pytest.mark.parametrize(
+        "argv", [(*SIM_ARGV, "--threads", "1"), SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0]
+    )
+    def test_one_worker_loads_no_pool(self, tmp_path, argv):
+        assert run_probe(tmp_path, _CLI_PROBE, *argv)["pool"] == [False, False]
+
+    def test_the_probe_sees_a_pooled_sim_load_it(self, tmp_path):
+        # 2 specs of one chunk: two jobs, so two worker processes
+        assert run_probe(tmp_path, _CLI_PROBE, *SIM_ARGV, "--threads", "2")["pool"] == [True, True]
 
 
 RATIO_2_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou", "--ratio", "2")

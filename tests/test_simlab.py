@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import sys
 import tracemalloc
 
@@ -17,6 +19,7 @@ from ioulab import (
     scenario_config,
 )
 from ioulab import simlab
+from ioulab.batch import Scratch
 from ioulab.simlab import (
     ASPECTS,
     CENTER,
@@ -54,7 +57,8 @@ def descend_one(spec: LossSpec, anchor, target, cfg: SimConfig):
     The total-error curve of a one-row chunk is that case's error curve.
     """
     totals, _, _, final_iou, clamps = _simulate_chunk(
-        spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg, per_case=True
+        spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg,
+        per_case=True, scratch=Scratch(),
     )
     return totals, float(final_iou[0]), int(clamps[0])
 
@@ -338,8 +342,9 @@ class TestRunSimulation:
         cfg = tiny_cfg(specs=(LossSpec("giou"),), iterations=6)
         [summary] = run_simulation(cfg)
         anchors, targets = generate_case_arrays(cfg)
+        scratch = Scratch()
         per_case = [
-            _simulate_chunk(cfg.specs[0], anchors[i : i + 1], targets[i : i + 1], cfg)[0]
+            _simulate_chunk(cfg.specs[0], anchors[i : i + 1], targets[i : i + 1], cfg, scratch=scratch)[0]
             for i in range(cfg.case_count)
         ]
         stacked = np.array(per_case)
@@ -398,14 +403,16 @@ class TestRunSimulation:
         assert serial.auc == pooled.auc
 
     def test_final_state_outside_domain_names_spec_and_case(self):
-        # a 1e20 step throws case 3 out to about 1e19 with 0.12-wide sides
-        cfg = tiny_cfg(specs=(LossSpec("ciou"),), step_size=1e20, iterations=2)
-        with pytest.raises(ValueError, match=r"^ciou: the descent's final state of case 3 is"):
-            run_simulation(cfg, threads=1)
+        # a 1e20 step throws case 3 out to about 1e19 with 0.12-wide sides;
+        # two specs make two jobs, so at threads=2 a worker process raises
+        cfg = tiny_cfg(specs=(LossSpec("ciou"), LossSpec("diou")), step_size=1e20, iterations=2)
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=r"^ciou: the descent's final state of case 3 is"):
+                run_simulation(cfg, threads=threads)
         # the case id counts from the chunk's first case
         anchors, targets = generate_case_arrays(cfg)
         with pytest.raises(ValueError, match="final state of case 8195 is outside"):
-            _simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES)
+            _simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES, scratch=Scratch())
 
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):
@@ -415,14 +422,7 @@ class TestRunSimulation:
     def test_threads_zero_counts_usable_cpus(self, monkeypatch, affinity):
         # threads=0 sizes the pool by the CPUs this process may run on, and
         # falls back to the machine's count where affinity is unavailable
-        workers = []
-
-        class RecordingPool(simlab.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        workers = record_pools(monkeypatch)
         monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 5)
         if affinity:
@@ -432,29 +432,41 @@ class TestRunSimulation:
         run_simulation(tiny_cfg(), threads=0)
         assert workers == [3 if affinity else 5]
 
+    def test_never_more_workers_than_jobs(self, monkeypatch):
+        # a fork pool starts every worker at once, so asking for more
+        # workers than there are jobs must not fork the surplus
+        workers = record_pools(monkeypatch)
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
+        [pooled] = run_simulation(tiny_cfg(), threads=64, per_case=True)
+        assert workers == [6]
+        assert_same_summaries([pooled], run_simulation(tiny_cfg(), threads=1, per_case=True))
 
-    def test_one_pool_and_one_scratch_per_worker_for_the_run(self, monkeypatch):
+    def test_one_pool_and_one_scratch_per_worker_for_the_run(self, monkeypatch, tmp_path):
         # Three specs of one chunk each: every (spec, chunk) job goes to one
-        # pool, and each worker keeps one scratch for the whole run.
-        pools, scratches = [], []
-
-        class RecordingPool(simlab.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        # pool, and each worker process keeps one scratch for the whole run.
+        # Workers share no memory with this test, so each new scratch
+        # appends the pid of the process that made it to a file.
+        log = tmp_path / "scratch-pids"
 
         class RecordingScratch(simlab.Scratch):
             def __init__(self):
-                scratches.append(self)
+                with open(log, "a", encoding="ascii") as f:
+                    f.write(f"{os.getpid()}\n")
                 super().__init__()
 
-        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        def made_in() -> list[int]:
+            pids = [int(line) for line in log.read_text(encoding="ascii").split()]
+            log.unlink()
+            return pids
+
+        pools = record_pools(monkeypatch)
         monkeypatch.setattr(simlab, "Scratch", RecordingScratch)
         cfg = tiny_cfg(specs=(LossSpec("iou"), LossSpec("giou"), LossSpec("siou", inner=0.8)))
         serial = run_simulation(cfg, threads=1, per_case=True)
-        assert (pools, len(scratches)) == ([], 1)
+        assert (pools, made_in()) == ([], [os.getpid()])
         pooled = run_simulation(cfg, threads=2, per_case=True)
-        assert (pools, len(scratches)) == ([2], 3)
+        pids = made_in()
+        assert (pools, len(set(pids)), os.getpid() in pids) == ([2], 2, False)
         assert_same_summaries(pooled, serial)
 
     def test_workers_never_share_a_scratch(self, monkeypatch):
@@ -470,6 +482,20 @@ class TestRunSimulation:
         finally:
             sys.setswitchinterval(interval)
         assert_same_summaries(pooled, serial)
+
+
+def record_pools(monkeypatch) -> list[int]:
+    """Patch the process pool that ``run_simulation`` imports with one that
+    records the worker count each pool is asked for; it starts at most two."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(min(max_workers, 2), *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def assert_same_summaries(got, want):
@@ -520,7 +546,7 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         for spec in cfg.specs:
             assert_same_chunk(
-                _simulate_chunk(spec, anchors, targets, cfg, per_case=True),
+                _simulate_chunk(spec, anchors, targets, cfg, per_case=True, scratch=Scratch()),
                 descend_every_row(spec, anchors, targets, cfg),
             )
 
@@ -530,7 +556,8 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         want = descend_every_row(cfg.specs[0], anchors, targets, cfg)
         rows = rows_per_call(monkeypatch)
-        assert_same_chunk(_simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True), want)
+        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
+        assert_same_chunk(got, want)
         # one evaluation finds every case frozen; the kernel is not called again
         assert rows == [cfg.case_count]
         assert np.all(want[0] == want[0][0])
@@ -549,7 +576,7 @@ class TestRetirement:
     def test_clamped_cases(self, anchor, target):
         cfg = tiny_cfg(iterations=7)
         anchors, targets = np.array([anchor], dtype=float), np.array([target], dtype=float)
-        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True)
+        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
         assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
         # both clamp on the first step and end overlapping their targets
         assert got[4][0] >= 2
@@ -569,7 +596,7 @@ class TestRetirement:
         with pytest.raises(ValueError) as want:
             descend_every_row(spec, anchors, targets, cfg, CHUNK_CASES)
         with pytest.raises(ValueError) as got:
-            _simulate_chunk(spec, anchors, targets, cfg, CHUNK_CASES)
+            _simulate_chunk(spec, anchors, targets, cfg, CHUNK_CASES, scratch=Scratch())
         assert str(got.value) == str(want.value)
         assert f"final state of case {CHUNK_CASES + case} is outside" in str(got.value)
 
