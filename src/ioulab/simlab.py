@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -369,10 +370,11 @@ def run_simulation(
     jobs, each a fixed-size chunk of cases (0 = one per CPU this process may
     run on, and never more than there are jobs); the reduction order is by
     chunk index, so summaries are bit-identical for any worker count. One
-    worker runs the jobs in this process, as does a platform that cannot
-    fork. Only with
-    ``per_case`` do the summaries carry each case's initial error, final
-    error, final IoU and clamp count, and only then is the final IoU computed.
+    worker runs the jobs in this process, as does every platform but Linux,
+    the one where the fork pool was measured (macOS has spawned by default
+    since Python 3.8, as a fork can crash there). Only with ``per_case`` do
+    the summaries carry each case's initial error, final error, final IoU
+    and clamp count, and only then is the final IoU computed.
     """
     threads = whole_number("threads", threads, 0)
     if threads == 0:
@@ -388,7 +390,7 @@ def run_simulation(
     run = (cfg, anchors, targets, per_case)
     workers = min(threads, len(jobs))
     pool = None
-    if workers > 1 and hasattr(os, "fork"):
+    if workers > 1 and sys.platform == "linux":
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

@@ -852,8 +852,8 @@ class TestOutOfMemory:
 
 class TestDeadWorker:
     def test_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
-        # Two specs of one chunk each: two jobs, each in a worker process
-        # that dies. The stand-in exits only outside this test's process,
+        # 12 specs of one chunk each: --threads 2 starts two worker
+        # processes, and each dies on its first job. The stand-in exits only outside this test's process,
         # so no in-process path can end pytest.
         pid = os.getpid()
         chunk = simlab._simulate_chunk
@@ -967,7 +967,7 @@ class TestImports:
         assert run_probe(tmp_path, _CLI_PROBE, *argv)["pool"] == [False, False]
 
     def test_the_probe_sees_a_pooled_sim_load_it(self, tmp_path):
-        # 2 specs of one chunk: two jobs, so two worker processes
+        # 12 specs of one chunk each: --threads 2 starts two worker processes
         assert run_probe(tmp_path, _CLI_PROBE, *SIM_ARGV, "--threads", "2")["pool"] == [True, True]
 
 

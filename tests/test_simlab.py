@@ -466,7 +466,7 @@ class TestRunSimulation:
         assert (pools, made_in()) == ([], [os.getpid()])
         pooled = run_simulation(cfg, threads=2, per_case=True)
         pids = made_in()
-        assert (pools, len(set(pids)), os.getpid() in pids) == ([2], 2, False)
+        assert (pools, len(pids), len(set(pids)), os.getpid() in pids) == ([2], 2, 2, False)
         assert_same_summaries(pooled, serial)
 
     def test_workers_never_share_a_scratch(self, monkeypatch):
