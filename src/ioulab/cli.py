@@ -8,7 +8,9 @@ a ``sim`` worker process that died.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
 no field holds a comma, quote or newline, so none is ever quoted. numpy
-builds the floats that ``%.17g`` prints in fixed notation (``_fixed_fields``).
+builds the floats that ``%.17g`` prints in fixed notation as dense 24-byte
+fields, their digits exact by Dekker's two-product (``_fixed_fields``), and
+one ``bytes.translate`` turns a block's fields into its text.
 """
 
 from __future__ import annotations
@@ -83,110 +85,115 @@ def _write(*outputs: tuple[Path, Iterable[str]], directory: Path | None = None) 
         raise
 
 
-# numpy formats a block's floats into rows of _FIELD bytes, NUL where a row has
-# no character: a sign, a "0.000" prefix, then 17 (digit, dot) byte pairs, the
-# last dot slot holding the separator. Deleting the NULs leaves the CSV text.
-_FIELD = 40
+# numpy writes a block's floats into fields of _FIELD bytes, one per value: the
+# separator before it, a sign, two bytes for the start of a small value's
+# "0.000", then the 20 digits of N' (see _fixed_fields) in five 4-digit groups,
+# trailing zeros as NUL. A mark by exponent and sign is ORed over each field;
+# in the text, _PRINT maps what that makes and the NULs and _DROP bytes vanish.
+# 0x40 on an integer digit prints it, or 0 on its NUL; 0x1E on a 0 prints the
+# dot, and alone (the put-in 0 is NUL where no fraction follows) nothing; 0x80
+# on a leading 0 prints nothing.
+_FIELD = 24
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-_POW10 = np.array([float(10**j) for j in range(21)])  # exact doubles
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-_POW10_INT = np.array([10**j for j in range(18)], np.int64)
-_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)])  # 1e-4 ... 1e16
+_PRINT = bytes.maketrans(b"@pqrstuvwxy>", b"00123456789.")  # 0x40 | NUL or a digit, 0x1E | "0"
+_DROP = b"\0\x1e\x80\xb0"
 
 
 @functools.cache  # built on the first write, not at import
-def _digit_groups() -> np.ndarray:
-    """Four digits as (digit, NUL) byte pairs, one uint64: row ``i`` is ``i`` in
-    4 digits, row 10,000 + ``i`` the same with its trailing zeros as NUL, and
-    row 20,000 + ``d`` the leading digit ``d`` alone, in the last pair."""
+def _tables() -> tuple[np.ndarray, ...]:
+    """By frexp's binary exponent e + 14: j = 16 - X for the larger decimal
+    exponent X that e allows, and the double 10**X. By j: the exact double 10**j,
+    its two halves and 9 * 10**j (0 for X < 0). The place of each 4-digit group
+    of N'. The 4-digit groups in ASCII, row 10,000 + i the same with its
+    trailing zeros as NUL. By 2 * j + negative: the marks."""
+    xs = np.arange(-14, 58) * 1233 >> 12  # floor(e * log10(2)), 1233 / 4096 ~ log10(2)
+    p = np.array([float(10**j) for j in range(21)])
+    hi = p * _SPLIT - (p * _SPLIT - p)
+    scales = np.stack([p, hi, p - hi, [9.0 * 10**j * (j < 17) for j in range(21)]])
     i = np.arange(10_000, dtype=np.uint16)[:, None]  # uint16 keeps the build small
     scale = np.array([1000, 100, 10, 1], np.uint16)
     full = i // scale % 10 + 48
-    pairs = np.zeros((20_010, 8), np.uint8)
-    pairs[:10_000, ::2] = full
-    pairs[10_000:20_000, ::2] = np.where(i % (10 * scale) == 0, 0, full)
-    pairs[20_001:, 6] = np.arange(49, 58)
-    return pairs.view(np.uint64).ravel()
+    digits = np.concatenate([full, np.where(i % (10 * scale) == 0, 0, full)]).astype(np.uint8)
+    marks = np.zeros((21, 2, _FIELD), np.uint8)
+    marks[..., :2] = np.frombuffer(b",\0,-", np.uint8).reshape(2, 2)  # separator, sign
+    marks[..., 4:6] = 0x80
+    for m, x in zip(marks, range(16, -5, -1)):
+        if x < 0:  # "0." then -x - 1 zeros, up to byte 6
+            m[:, 6 + x : 7] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+            m[:, 4:7] ^= ord("0")  # over N's leading zeros: "0" stays "0", the dot is 0x1E | "0"
+        else:  # the integer digits, then the put-in 0
+            m[:, 6 : 8 + x] = [0x40] * (x + 1) + [0x1E]
+    return (16 - xs, np.array([float(f"1e{x}") for x in xs]), scales,
+            10 ** np.arange(16, -1, -4)[:, None], digits.view(np.uint32).ravel(),
+            marks.reshape(42, _FIELD).view(np.uint64))
 
 
-@functools.cache
-def _field_templates() -> np.ndarray:
-    """Row ``4 * j + 2 * negative + dot``: the field of a value of decimal
-    exponent 16 - j without its digits, the integer digits as "0"."""
-    t = np.zeros((21, 2, 2, _FIELD), np.uint8)
-    t[..., -1] = ord(",")
-    t[:, 1, :, 0] = ord("-")
-    for j in range(21):
-        if j > 16:
-            t[j, ..., 1 : j - 14] = np.frombuffer(b"0.000"[: j - 15], np.uint8)
-        else:
-            t[j, ..., 6 : 39 - 2 * j : 2] = ord("0")
-            t[j, :, 1, 39 - 2 * j] = ord(".") if j else ord(",")  # X = 16: no fraction
-    return t.reshape(-1, _FIELD)
+def _fixed_fields(v: np.ndarray, other: np.ndarray, fields: np.ndarray) -> None:
+    """Write ``%.17g`` of each ``v`` (overwritten) that is not ``other`` into its
+    row of ``fields``: each value of decimal exponent X in -4..16, and 0.
 
-
-def _fixed_fields(v: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Write ``%.17g`` of each ``v`` (overwritten) that prints in fixed notation,
-    or is zero, into its row of ``fields``; return a mask of the others, for ``%``.
-
-    Such a value, of decimal exponent X in -4..16, prints the 17 digits of
-    N = |v| * 10**j, j = 16 - X, rounded half to even. 10**j is an exact double,
-    so Dekker's two-product gives the exact product as p + e; p >= 1e16 > 2**53
-    is an even integer, so N = p + rint(e), and no double below 1e17 rounds up
-    to the next power of ten.
+    Such a value prints the 17 digits of N = |v| * 10**j, j = 16 - X, rounded
+    half to even. 10**j is an exact double, so Dekker's two-product gives the
+    exact product as p + e; p >= 1e16 > 2**53 is an even integer, so
+    N = p + rint(e), and no double below 1e17 rounds up to the next power of
+    ten. Nor does a double round up to the next integer at 17 digits, so the
+    first X + 1 digits of N are floor(|v|), and N' = N + 9 * 10**j * floor(|v|)
+    is N with a 0 put in after them, where the dot goes.
     """
     negative = np.signbit(v)
     a = np.abs(v, out=v)
     zero = a == 0
-    other = (a < 1e-4) | (a >= 1e17)  # exponent notation
     np.putmask(a, other | zero, 1.0)
-    other &= ~zero
-    # exact: each double 1e-k lies above 10**-k, so none lies between them
-    j = 21 - np.searchsorted(_DECADES, a, side="right")
+    exponent, decades, scales, places, digits, marks = _tables()
+    # a in [2**(e-1), 2**e) has X = floor(e * log10(2)) or one less; exact, as
+    # each double 1e-k lies above 10**-k, so none lies between them
+    b = np.frexp(a)[1] + 14
+    j = exponent.take(b)
+    j += a < decades.take(b)
+    s = scales.take(j, axis=1)
+    p = a * s[0]
     t = a * _SPLIT
     hi = t - (t - a)
     lo = a - hi
-    p = a * _POW10[j]
-    e = hi * _POW10_HI[j] - p
-    e += hi * _POW10_LO[j]
-    e += lo * _POW10_HI[j]
-    e += lo * _POW10_LO[j]
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    e = hi * s[1] - p
+    e += hi * s[2]
+    e += lo * s[1]
+    e += lo * s[2]
+    n = np.add(p, np.rint(e), dtype=np.int64, casting="unsafe")
+    n += np.multiply(a, s[3], dtype=np.int64, casting="unsafe")  # floor(a) * 9 * 10**j
     np.putmask(n, zero, 0)
-    dot = n % _POW10_INT[np.minimum(j, 17)] != 0  # some fractional digit is not 0
-    groups = np.empty((5, len(n)), np.int64)  # N as 1 + 4 * 4 digits
-    for k in (4, 3, 2, 1):
-        q = n // 10_000
-        groups[k] = n - q * 10_000
-        n = q
-    groups[0] = n + 20_000
-    tail = groups[2:] == 0  # a group followed by zeros alone takes the bare row
-    tail[1] &= tail[2]
-    tail[0] &= tail[1]
-    groups[1:4] += tail * 10_000
-    groups[4] += 10_000
-    row = 4 * j + 2 * negative + dot
-    np.take(_field_templates(), row, axis=0, out=fields, mode="clip")  # "raise" buffers out
-    fields.view(np.uint64)[...] |= np.take(_digit_groups(), groups.T)
-    return other
+    groups = np.empty((6, len(n)), np.int64)  # N' in groups 1-5, after a NUL group 0
+    q = np.floor_divide(n, places, out=groups[1:])  # N' // 10**16, // 10**12, ... // 1
+    bare = q * places == n  # only zeros follow: take the row without trailing zeros
+    q[1:] -= q[:-1] * 10_000
+    q += bare * 10_000
+    groups[0] = 10_000
+    digits.take(groups.T, out=fields.view(np.uint32), mode="clip")  # "raise" buffers out
+    fields.view(np.uint64)[...] |= marks.take(2 * j + negative, axis=0)
 
 
 def _rows(prefix: str, part: list[np.ndarray]) -> str:
     """The CSV lines of the columns ``part``, each line starting with ``prefix``."""
     rows, width = len(part[0]), len(part)
-    values = np.stack(part, axis=1).astype(np.float64, copy=False)
-    fields = np.empty((rows, width, _FIELD), np.uint8)
-    other = _fixed_fields(values.reshape(-1), fields.reshape(-1, _FIELD)).reshape(rows, width)
-    fields[:, -1, -1] = ord("\n")
-    other[:, [col.dtype.kind != "f" for col in part]] = True
-    for k in np.flatnonzero(other.any(axis=0)).tolist():
-        at = np.flatnonzero(other[:, k])
+    values = np.empty((rows, width))
+    for k, col in enumerate(part):
+        values[:, k] = col if col.dtype.kind == "f" else np.inf  # an integer prints through %
+    a = np.abs(values)
+    other = (a >= 1e17) | np.logical_xor(a < 1e-4, a == 0)  # exponent notation, or an integer
+    texts = []
+    for k in other.any(axis=0).nonzero()[0].tolist():
+        at = other[:, k].nonzero()[0]
         spec = "%.17g" if part[k].dtype.kind == "f" else "%d"
-        text = np.array([spec % x for x in part[k][at].tolist()], f"S{_FIELD - 1}")
-        fields[at, k, :-1] = text.view(np.uint8).reshape(len(at), -1)
-    text = fields.tobytes().translate(None, b"\0").decode("ascii")
-    return prefix + text[:-1].replace("\n", "\n" + prefix) + "\n" if prefix else text
+        texts.append((at, k, [spec % x for x in part[k][at].tolist()]))
+    # a separator and up to 23 characters, but %.17g of -1.2345678901234567e-100 takes 24
+    size = max([_FIELD - 1] + [max(map(len, t)) for *_, t in texts]) + 1
+    fields = np.zeros((rows, width, size), np.uint8)
+    _fixed_fields(values.reshape(-1), other.reshape(-1), fields[..., :_FIELD].reshape(-1, _FIELD))
+    fields[:, 0, 0] = ord("\n")  # ends the row before; the first row's is dropped
+    for at, k, t in texts:
+        fields[at, k, 1:] = np.array(t, f"S{size - 1}").view(np.uint8).reshape(len(at), -1)
+    text = fields.reshape(-1)[1:].tobytes().translate(_PRINT, _DROP).decode("ascii")
+    return prefix + text.replace("\n", "\n" + prefix) + "\n" if prefix else text + "\n"
 
 
 def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[str]]:

@@ -155,6 +155,26 @@ class TestCsvWriter:
         values += [0.5e-4, 1.5e16, 99999999999999984.0]
         assert_floats_match_reference(values + [-v for v in values])
 
+    @pytest.mark.parametrize(
+        "widest,length",
+        [(-0.00012345678901234567, 23), (-1234567890123456.8, 19), (-12345678901234568.0, 18),
+         (-0.0, 2), (-1.2345678901234567e-100, 24)],
+        ids=["x=-4", "x=15", "x=16", "-0", "exponent"],
+    )
+    def test_widest_fields_first_middle_and_last(self, widest, length):
+        # the widest fixed-notation texts (a sign, "0.000" at X = -4, 17 digits),
+        # -0 and the widest text of all, in the first, a middle and the last
+        # column of the first and the last row of each write
+        assert len(format(widest, ".17g")) == length
+        n = CSV_ROWS_PER_WRITE + 2
+        rng = np.random.default_rng(11)
+        columns = [rng.uniform(-1.0, 1.0, n) for _ in range(11)]
+        for col in (columns[0], columns[5], columns[10]):
+            col[[0, CSV_ROWS_PER_WRITE - 1, CSV_ROWS_PER_WRITE, n - 1]] = widest
+        header = [f"c{k}" for k in range(11)]
+        blocks = [((), columns), (("inner-ciou(0.8)",), columns)]
+        assert csv_text(header, blocks) == csv_reference(header, blocks)
+
     def test_signed_zeros_subnormals_and_extremes_warn_nothing(self):
         values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                   1.7976931348623157e308, -1.7976931348623157e308]
@@ -931,8 +951,8 @@ finally:
 """
 
 EVAL_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "siou", "--grad")
-SWEEP_ARGV = ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json")
-SIM_ARGV = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
+PROBE_SWEEP_ARGV = ("sweep", "--samples", "101", "--out", "s.csv", "--report", "r.json")
+PROBE_SIM_ARGV = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
 
 
 def loads_openssl(tmp_path, *argv) -> bool:
@@ -944,7 +964,7 @@ class TestImports:
 
     @pytest.mark.parametrize(
         "argv",
-        [SWEEP_ARGV, EVAL_ARGV],
+        [PROBE_SWEEP_ARGV, EVAL_ARGV],
         ids=lambda argv: argv[0],
     )
     def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv):
@@ -952,23 +972,27 @@ class TestImports:
 
     def test_the_probe_sees_sim_load_it(self, tmp_path):
         # sim hashes its manifest, after its descent's memory peak
-        assert loads_openssl(tmp_path, *SIM_ARGV)
+        assert loads_openssl(tmp_path, *PROBE_SIM_ARGV)
 
-    @pytest.mark.parametrize("argv", [SIM_ARGV, SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "argv", [PROBE_SIM_ARGV, PROBE_SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0]
+    )
     def test_no_command_loads_numpy_random(self, tmp_path, argv):
         # simlab seeds its population with its own copy of numpy's stream
         report = run_probe(tmp_path, _CLI_PROBE, *argv)
         assert (report["numpy.random"], report["secrets"]) == (False, False)
 
     @pytest.mark.parametrize(
-        "argv", [(*SIM_ARGV, "--threads", "1"), SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0]
+        "argv",
+        [(*PROBE_SIM_ARGV, "--threads", "1"), PROBE_SWEEP_ARGV, EVAL_ARGV],
+        ids=lambda argv: argv[0],
     )
     def test_one_worker_loads_no_pool(self, tmp_path, argv):
         assert run_probe(tmp_path, _CLI_PROBE, *argv)["pool"] == [False, False]
 
     def test_the_probe_sees_a_pooled_sim_load_it(self, tmp_path):
         # 12 specs of one chunk each: --threads 2 starts two worker processes
-        assert run_probe(tmp_path, _CLI_PROBE, *SIM_ARGV, "--threads", "2")["pool"] == [True, True]
+        assert run_probe(tmp_path, _CLI_PROBE, *PROBE_SIM_ARGV, "--threads", "2")["pool"] == [True, True]
 
 
 RATIO_2_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou", "--ratio", "2")
