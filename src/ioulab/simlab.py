@@ -12,6 +12,8 @@ Everything is deterministic: case generation is seeded, cases are laid out
 in a fixed nested order (target aspect, point, anchor scale, anchor
 aspect), and reductions always run in case order over fixed-size chunks,
 so results are identical no matter how many worker processes run the chunks.
+A run draws only its sampled points; each chunk's job builds that chunk's
+cases from them, so memory grows with the chunk, not with the population.
 
 A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
 which the unchecked kernel ``batch.eval_blocks`` takes as it is, against
@@ -229,41 +231,53 @@ def _uniform(draws, lo: float, hi: float, n: int) -> np.ndarray:
     return np.array([lo + span * (next(draws) * 2.0**-53) for _ in range(n)])
 
 
-def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All (anchor, target) pairs as two (n, 4) center-form arrays.
-
-    The flat order nests target aspect (outermost), sampled point, anchor
-    scale, anchor aspect (innermost); the seeded point sample is shared by
-    every target aspect.
-    """
+def _points(cfg: SimConfig) -> np.ndarray:
+    """The run's seeded anchor centers, (2, n_points): x, then y."""
     draws = _pcg64_draws(cfg.seed)
     lo, hi = cfg.radius
     # Uniform over the annulus area, so radii are sqrt-uniform.
     r = np.sqrt(_uniform(draws, lo * lo, hi * hi, cfg.n_points))
     phi = _uniform(draws, 0.0, 2.0 * np.pi, cfg.n_points)
-    px = CENTER[0] + r * np.cos(phi)
-    py = CENTER[1] + r * np.sin(phi)
+    return np.stack((CENTER[0] + r * np.cos(phi), CENTER[1] + r * np.sin(phi)))
 
-    aspect = np.asarray(ASPECTS)
-    scale = np.asarray(SCALES)
-    # Each output is written in place through its (target aspect, point,
-    # anchor scale, anchor aspect, coordinate) shape, so the run holds no
-    # index grid and no gathered copies, only the two outputs.
-    shape = (len(aspect), cfg.n_points, len(scale), len(aspect), 4)
-    targets = np.empty(shape)
-    targets[..., 0] = CENTER[0]
-    targets[..., 1] = CENTER[1]
+
+def _fill_cases(points: np.ndarray, first: int, anchors: np.ndarray, targets: np.ndarray) -> None:
+    """Write cases ``first``, ``first + 1``, ... into the (4, m) blocks ``anchors`` and ``targets``.
+
+    The flat case order nests target aspect (outermost), sampled point of
+    ``points`` (from :func:`_points`), anchor scale, anchor aspect
+    (innermost), so each (target aspect, point) pair is a group of 49
+    consecutive cases that differ only in the anchor's sides. The values are
+    gathered per group, repeated over the whole groups the block touches,
+    then cut to the block, so no per-case index is ever built.
+    """
+    aspect, scale = np.asarray(ASPECTS), np.asarray(SCALES)[:, None]
+    per = scale.size * aspect.size
+    g0, off = divmod(first, per)
+    cut = slice(off, off + anchors.shape[1])
+    # the (target aspect, point) of each group the block touches, whole or in part
+    t, p = np.divmod(g0 + np.arange(-(-cut.stop // per)), points.shape[1])
+    anchors[:2] = np.repeat(points[:, p], per, axis=1)[:, cut]
+    anchors[2:] = np.tile(np.sqrt((scale * aspect, scale / aspect)).reshape(2, per), t.size)[:, cut]
+    targets[:2] = np.array(CENTER)[:, None]
     # unit target area: w * h == 1
-    targets[..., 2] = np.sqrt(aspect)[:, None, None, None]
-    targets[..., 3] = np.sqrt(1.0 / aspect)[:, None, None, None]
+    targets[2:] = np.repeat(np.sqrt((aspect, 1.0 / aspect))[:, t], per, axis=1)[:, cut]
 
-    anchors = np.empty(shape)
-    anchors[..., 0] = px[:, None, None]
-    anchors[..., 1] = py[:, None, None]
-    area = scale[:, None]
-    anchors[..., 2] = np.sqrt(area * aspect)
-    anchors[..., 3] = np.sqrt(area / aspect)
-    return anchors.reshape(-1, 4), targets.reshape(-1, 4)
+
+def generate_case_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """All (anchor, target) pairs as two (n, 4) center-form arrays.
+
+    The flat order nests target aspect (outermost), sampled point, anchor
+    scale, anchor aspect (innermost); the seeded point sample is shared by
+    every target aspect. These are the cases a run's jobs build chunk by
+    chunk, written here one chunk at a time, so the call holds only the
+    two outputs and one chunk's temporaries.
+    """
+    points = _points(cfg)
+    anchors, targets = np.empty((cfg.case_count, 4)), np.empty((cfg.case_count, 4))
+    for a in range(0, cfg.case_count, CHUNK_CASES):
+        _fill_cases(points, a, anchors[a : a + CHUNK_CASES].T, targets[a : a + CHUNK_CASES].T)
+    return anchors, targets
 
 
 def _corner_l1(state: np.ndarray, goal: Target, s: Scratch, out: np.ndarray) -> np.ndarray:
@@ -293,7 +307,7 @@ def _simulate_chunk(
     per_case: bool = False,
     scratch: Scratch,
 ):
-    """Descend one chunk of (n, 4) cases under ``spec``.
+    """Descend one chunk of (n, 4) cases under ``spec``, on a copy: neither input is written.
 
     Returns the per-iteration total error (the case's own error curve for a
     one-row chunk), then the per-case initial error, final error, final IoU
@@ -367,12 +381,15 @@ def run_simulation(
     """Run every spec over the full case population.
 
     ``threads`` is the number of worker processes that run the (spec, chunk)
-    jobs, each a fixed-size chunk of cases (0 = one per CPU this process may
-    run on, and never more than there are jobs); the reduction order is by
-    chunk index, so summaries are bit-identical for any worker count. One
-    worker runs the jobs in this process, as does every platform but Linux,
-    the one where the fork pool was measured (macOS has spawned by default
-    since Python 3.8, as a fork can crash there). Only with ``per_case`` do
+    jobs, each a fixed-size chunk of cases that the job builds from the run's
+    seeded points (0 = one per CPU this process may run on). There are never
+    more workers than full chunks of work, ``CHUNK_CASES`` pairs of case and
+    spec each, rounded up, so a run of one chunk's work or less needs no
+    pool. The reduction order is by chunk index, so summaries are
+    bit-identical for any worker count. One worker runs the jobs in this
+    process, as does every platform but Linux, the one where the fork pool
+    was measured (macOS has spawned by default since Python 3.8, as a fork
+    can crash there). Only with ``per_case`` do
     the summaries carry each case's initial error, final error, final IoU
     and clamp count, and only then is the final IoU computed.
     """
@@ -383,22 +400,20 @@ def run_simulation(
         else:
             threads = os.cpu_count() or 1
 
-    anchors, targets = generate_case_arrays(cfg)
-    n = anchors.shape[0]
+    n = cfg.case_count
     bounds = [(i, min(i + CHUNK_CASES, n)) for i in range(0, n, CHUNK_CASES)]
     jobs = [(spec, span) for spec in cfg.specs for span in bounds]
-    run = (cfg, anchors, targets, per_case)
-    workers = min(threads, len(jobs))
+    run = (cfg, _points(cfg), per_case)
+    # at least one full chunk of work per worker, and so never more workers than jobs
+    workers = min(threads, -(-n * len(cfg.specs) // CHUNK_CASES))
     pool = None
     if workers > 1 and sys.platform == "linux":
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Fork, on purpose: a forked worker inherits the run's case arrays,
-        # so only (spec, span) jobs and their results are pickled, never
-        # the population, and it sees this module as it is, the tests'
-        # patches of eval_batch, CHUNK_CASES and Scratch included. A spawn
-        # or forkserver worker (the default from Python 3.14) gives neither.
+        # Fork, on purpose: a forked worker sees this module as it is, the
+        # tests' patches of eval_batch, CHUNK_CASES and Scratch included. A
+        # spawn or forkserver worker (the default from Python 3.14) does not.
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, run)
     try:
         # One pool for every (spec, chunk) job; its map yields them in job order.
@@ -419,10 +434,16 @@ def _pooled_job(job):
     return _run_job(*_worker, job)
 
 
-def _run_job(cfg, anchors, targets, per_case, scratch, job):
-    """``_simulate_chunk`` on one (spec, (first, end)) job of ``run_simulation``."""
+def _run_job(cfg, points, per_case, scratch, job):
+    """``_simulate_chunk`` on one (spec, (first, end)) job of ``run_simulation``.
+
+    The job builds its chunk's cases from the run's ``points`` as (4, m)
+    blocks, and hands over their (m, 4) views; the descent copies the anchors.
+    """
     spec, (a, b) = job
-    return _simulate_chunk(spec, anchors[a:b], targets[a:b], cfg, a, per_case=per_case, scratch=scratch)
+    anchors, targets = np.empty((4, b - a)), np.empty((4, b - a))
+    _fill_cases(points, a, anchors, targets)
+    return _simulate_chunk(spec, anchors.T, targets.T, cfg, a, per_case=per_case, scratch=scratch)
 
 
 def _summary(spec: LossSpec, parts: list[tuple], per_case: bool) -> ConvergenceSummary:

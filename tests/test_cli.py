@@ -872,9 +872,11 @@ class TestOutOfMemory:
 
 class TestDeadWorker:
     def test_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys):
-        # 12 specs of one chunk each: --threads 2 starts two worker
-        # processes, and each dies on its first job. The stand-in exits only outside this test's process,
-        # so no in-process path can end pytest.
+        # 2 specs of six chunks each, 11 chunks' worth of work: --threads 2
+        # starts two worker processes, and each dies on its first job. The
+        # stand-in exits only outside this test's process, so no in-process
+        # path can end pytest.
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         pid = os.getpid()
         chunk = simlab._simulate_chunk
 
@@ -991,8 +993,10 @@ class TestImports:
         assert run_probe(tmp_path, _CLI_PROBE, *argv)["pool"] == [False, False]
 
     def test_the_probe_sees_a_pooled_sim_load_it(self, tmp_path):
-        # 12 specs of one chunk each: --threads 2 starts two worker processes
-        assert run_probe(tmp_path, _CLI_PROBE, *PROBE_SIM_ARGV, "--threads", "2")["pool"] == [True, True]
+        # 2 specs of 4,116 cases, just over one chunk's worth of work:
+        # --threads 2 starts two worker processes
+        argv = ("sim", "--scenario", "high", "--points", "12", "--iterations", "1", "--out", "o")
+        assert run_probe(tmp_path, _CLI_PROBE, *argv, "--threads", "2")["pool"] == [True, True]
 
 
 RATIO_2_ARGV = ("eval", "--anchor", "0,0,10,5", "--gt", "2,1,8,6", "--loss", "inner-iou", "--ratio", "2")

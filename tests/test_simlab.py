@@ -258,6 +258,21 @@ class TestCaseGeneration:
             tracemalloc.stop()
         assert peak <= 1.1 * (anchors.nbytes + targets.nbytes)
 
+    @pytest.mark.parametrize(
+        "first,end",
+        # 10,290 cases, 210 groups of 49: 8,192 = 167 * 49 + 9, so the first
+        # chunk ends and the last, partial one starts inside a group
+        [(0, CHUNK_CASES), (CHUNK_CASES, 10290), (5000, 5001)],
+        ids=["end-splits-a-group", "last-partial-chunk", "one-case"],
+    )
+    def test_chunk_blocks_match_the_reference(self, first, end):
+        # a job's blocks, as run_simulation's jobs build them
+        cfg = tiny_cfg(n_points=30, seed=3)
+        got = np.empty((4, end - first)), np.empty((4, end - first))
+        simlab._fill_cases(simlab._points(cfg), first, *got)
+        for block, want in zip(got, cases_by_index(cfg)):
+            assert block.tobytes() == want[first:end].T.tobytes()
+
 
 # The seeds a SimConfig may carry, in one, two, three and more 32-bit words.
 STREAM_SEEDS = (0, 1, 2, 7, 12345, 2**31, 2**32 - 1, 2**32, 2**33 + 7, 2**64 - 1, 2**64,
@@ -402,9 +417,11 @@ class TestRunSimulation:
         assert serial.mean_final_error == pooled.mean_final_error
         assert serial.auc == pooled.auc
 
-    def test_final_state_outside_domain_names_spec_and_case(self):
+    def test_final_state_outside_domain_names_spec_and_case(self, monkeypatch):
         # a 1e20 step throws case 3 out to about 1e19 with 0.12-wide sides;
-        # two specs make two jobs, so at threads=2 a worker process raises
+        # two specs of six chunks each, 11 chunks' worth of work, so at
+        # threads=2 a worker process raises
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         cfg = tiny_cfg(specs=(LossSpec("ciou"), LossSpec("diou")), step_size=1e20, iterations=2)
         for threads in (1, 2):
             with pytest.raises(ValueError, match=r"^ciou: the descent's final state of case 3 is"):
@@ -413,6 +430,21 @@ class TestRunSimulation:
         anchors, targets = generate_case_arrays(cfg)
         with pytest.raises(ValueError, match="final state of case 8195 is outside"):
             _simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES, scratch=Scratch())
+
+    def test_a_run_holds_no_population(self):
+        # each job builds its own chunk of cases, so the run never holds the
+        # two (n, 4) arrays of all 102,900 cases (6.6 MB)
+        cfg = tiny_cfg(n_points=300, iterations=1)
+        anchors, targets = generate_case_arrays(cfg)
+        population = anchors.nbytes + targets.nbytes
+        del anchors, targets
+        tracemalloc.start()
+        try:
+            run_simulation(cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < population
 
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):
@@ -442,8 +474,9 @@ class TestRunSimulation:
         assert_same_summaries([pooled], run_simulation(tiny_cfg(), threads=1, per_case=True))
 
     def test_one_pool_and_one_scratch_per_worker_for_the_run(self, monkeypatch, tmp_path):
-        # Three specs of one chunk each: every (spec, chunk) job goes to one
-        # pool, and each worker process keeps one scratch for the whole run.
+        # Three specs of six chunks each, 17 chunks' worth of work: every
+        # (spec, chunk) job goes to one pool, and each worker process keeps
+        # one scratch for the whole run.
         # Workers share no memory with this test, so each new scratch
         # appends the pid of the process that made it to a file.
         log = tmp_path / "scratch-pids"
@@ -460,6 +493,7 @@ class TestRunSimulation:
             return pids
 
         pools = record_pools(monkeypatch)
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         monkeypatch.setattr(simlab, "Scratch", RecordingScratch)
         cfg = tiny_cfg(specs=(LossSpec("iou"), LossSpec("giou"), LossSpec("siou", inner=0.8)))
         serial = run_simulation(cfg, threads=1, per_case=True)
@@ -581,6 +615,21 @@ class TestRetirement:
         # both clamp on the first step and end overlapping their targets
         assert got[4][0] >= 2
         assert got[3][0] > 0.0
+
+    @pytest.mark.parametrize("layout", ["one-row", "rows", "block-view"])
+    def test_inputs_keep_their_bytes(self, layout):
+        # giou moves every case; the transpose of a (1, 4) input, and of a
+        # (4, n) block's view, is contiguous, yet the descent must copy it
+        cfg = tiny_cfg(specs=(LossSpec("giou"),), iterations=3)
+        anchors, targets = generate_case_arrays(cfg)
+        if layout == "one-row":
+            anchors, targets = anchors[:1], targets[:1]
+        elif layout == "block-view":
+            anchors, targets = anchors.T.copy().T, targets.T.copy().T
+        before = anchors.tobytes(), targets.tobytes()
+        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
+        assert got[0][-1] < got[0][0]
+        assert (anchors.tobytes(), targets.tobytes()) == before
 
     @pytest.mark.parametrize(
         "spec,step_size,case",
