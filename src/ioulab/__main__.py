@@ -3,13 +3,18 @@
 numpy's bundled OpenBLAS starts one thread per CPU when numpy loads, though
 no ioulab code calls BLAS; that start is about half of ``import numpy``.
 So this entry defaults ``OPENBLAS_NUM_THREADS`` to 1 before anything loads
-numpy, and a value already in the environment wins. ``ioulab`` and
-``ioulab.cli`` imported as a library leave the environment alone.
+numpy, and a value already in the environment wins. It also registers
+``gc.freeze`` with ``atexit`` first, so that it runs after every other exit
+handler and the interpreter's final collections skip the heap. ``ioulab``
+and ``ioulab.cli`` imported as a library change neither.
 """
 
+import atexit
+import gc
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+atexit.register(gc.freeze)
 
 # batch, losses and simlab load before cli, not through it. Where no bytecode
 # cache is written (PYTHONDONTWRITEBYTECODE), each module compiles from

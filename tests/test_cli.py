@@ -1097,3 +1097,51 @@ import ioulab.cli
 print(json.dumps([entry is ioulab.cli.main, os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
 """
         assert run_probe(tmp_path, code, OPENBLAS_NUM_THREADS=None) == [True, "1"]
+
+
+# Both register an exit handler before ioulab loads, so it runs after every
+# handler of the run, and print how many objects the collector has frozen by
+# then. The first runs `python -m ioulab <argv>`, the second ioulab.cli.main
+# as a library; each keeps the command's exit code.
+_EXIT_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+sys.argv[0] = "ioulab"
+runpy.run_module("ioulab", run_name="__main__", alter_sys=True)
+"""
+
+_LIBRARY_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+from ioulab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def frozen_at_exit(tmp_path, probe: str, code: int, *argv: str) -> int:
+    done = run_python(tmp_path, "-c", probe, *argv)
+    assert done.returncode == code, done.stderr
+    return int(done.stderr.splitlines()[-1])
+
+
+class TestExit:
+    """The command freezes the heap as it exits, so the interpreter's final
+    collections skip it; ioulab as a library leaves the collector alone."""
+
+    @pytest.mark.parametrize(
+        "code,argv",
+        [
+            (0, EVAL_ARGV),
+            (1, ("sweep", "--samples", "11")),  # a failed conclusion
+            (2, ("sweep", "--samples", "1")),  # a refused setting
+            (0, ("--version",)),  # argparse's SystemExit
+            (2, ("sweep", "--no-such-option")),  # argparse's usage error
+            (0, (*PROBE_SIM_ARGV, "--threads", "1")),
+        ],
+        ids=["eval", "failed-conclusion", "refused", "version", "usage", "sim"],
+    )
+    def test_every_way_out_freezes_the_heap(self, tmp_path, code, argv):
+        assert frozen_at_exit(tmp_path, _EXIT_PROBE, code, *argv) > 0
+
+    def test_library_use_freezes_nothing(self, tmp_path):
+        assert frozen_at_exit(tmp_path, _LIBRARY_EXIT_PROBE, 0, *EVAL_ARGV) == 0
