@@ -13,7 +13,9 @@ in a fixed nested order (target aspect, point, anchor scale, anchor
 aspect), and reductions always run in case order over fixed-size chunks,
 so results are identical no matter how many worker processes run the chunks.
 A run draws only its sampled points; each chunk's job builds that chunk's
-cases from them, so memory grows with the chunk, not with the population.
+cases from them and descends them in place, and without per-case output
+returns only its totals, so memory grows with the chunk, not the population.
+A spec's mean final error is its final total over the case count.
 
 A chunk descends as a (4, n) block, one row per coordinate (x, y, w, h),
 which the unchecked kernel ``batch.eval_blocks`` takes as it is, against
@@ -162,7 +164,7 @@ class ConvergenceSummary:
 
     label: str
     total_error_curve: np.ndarray  # length iterations + 1
-    mean_final_error: float
+    mean_final_error: float  # the final total over the case count
     auc: float  # trapezoidal area under the total error curve
     case_initial_error: np.ndarray | None = None
     case_final_error: np.ndarray | None = None
@@ -299,7 +301,7 @@ def _corner_l1(state: np.ndarray, goal: Target, s: Scratch, out: np.ndarray) -> 
 
 def _simulate_chunk(
     spec: LossSpec,
-    anchors: np.ndarray,
+    state: np.ndarray,
     targets: np.ndarray,
     cfg: SimConfig,
     first_case: int = 0,
@@ -307,18 +309,17 @@ def _simulate_chunk(
     per_case: bool = False,
     scratch: Scratch,
 ):
-    """Descend one chunk of (n, 4) cases under ``spec``, on a copy: neither input is written.
+    """Descend one chunk under ``spec``, moving its (4, n) anchor block ``state`` in place.
 
     Returns the per-iteration total error (the case's own error curve for a
     one-row chunk), then the per-case initial error, final error, final IoU
     and clamp count; without ``per_case``, None in place of all but the
-    totals and the final error. A final state outside the box domain raises
-    ValueError naming the spec and the case id, ``first_case`` plus its row.
-    The kernel's temporaries, the step, the clamp test and the corner error
-    live in ``scratch``; nothing returned shares it.
+    totals. ``state`` ends as the final state; ``targets`` is not written. A
+    final state outside the box domain raises ValueError naming the spec and
+    the case id, ``first_case`` plus its row. The kernel's temporaries, the
+    step and the errors live in ``scratch``; nothing returned shares it.
     """
-    state = anchors.T.copy()
-    goal = prepare_target(np.ascontiguousarray(targets.T), spec)
+    goal = prepare_target(targets, spec)
     n = state.shape[1]
     steps = cfg.iterations
     totals = np.empty(steps + 1)
@@ -371,7 +372,7 @@ def _simulate_chunk(
         clamps[rows] = live[2]
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     if not per_case:
-        return totals, None, err, None, None
+        return totals, None, None, None, None
     return totals, initial, err, iou_batch(state, goal), clamps
 
 
@@ -418,7 +419,7 @@ def run_simulation(
     try:
         # One pool for every (spec, chunk) job; its map yields them in job order.
         results = pool.map(_pooled_job, jobs) if pool else map(partial(_run_job, *run, Scratch()), jobs)
-        return [_summary(spec, [next(results) for _ in bounds], per_case) for spec in cfg.specs]
+        return [_summary(spec, [next(results) for _ in bounds], n, per_case) for spec in cfg.specs]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -438,32 +439,30 @@ def _run_job(cfg, points, per_case, scratch, job):
     """``_simulate_chunk`` on one (spec, (first, end)) job of ``run_simulation``.
 
     The job builds its chunk's cases from the run's ``points`` as (4, m)
-    blocks, and hands over their (m, 4) views; the descent copies the anchors.
+    blocks, and the descent moves the anchor block in place.
     """
     spec, (a, b) = job
     anchors, targets = np.empty((4, b - a)), np.empty((4, b - a))
     _fill_cases(points, a, anchors, targets)
-    return _simulate_chunk(spec, anchors.T, targets.T, cfg, a, per_case=per_case, scratch=scratch)
+    return _simulate_chunk(spec, anchors, targets, cfg, a, per_case=per_case, scratch=scratch)
 
 
-def _summary(spec: LossSpec, parts: list[tuple], per_case: bool) -> ConvergenceSummary:
-    """The summary of ``spec`` from its chunks' ``_simulate_chunk`` results, in chunk order."""
+def _summary(spec: LossSpec, parts: list[tuple], cases: int, per_case: bool) -> ConvergenceSummary:
+    """The summary of ``spec`` over ``cases`` cases from its chunks' results, in chunk order."""
     totals = parts[0][0].copy()
     for p in parts[1:]:
         totals += p[0]
-    final_err = np.concatenate([p[2] for p in parts])
-    mean_final = float(final_err.sum() / final_err.size)
     # trapezoids; iterations >= 1, so the curve has at least two points
     auc = float(0.5 * (totals[0] + totals[-1]) + totals[1:-1].sum())
     summary = ConvergenceSummary(
         label=spec.label(),
         total_error_curve=totals,
-        mean_final_error=mean_final,
+        mean_final_error=float(totals[-1] / cases),
         auc=auc,
     )
     if per_case:
         summary.case_initial_error = np.concatenate([p[1] for p in parts])
-        summary.case_final_error = final_err
+        summary.case_final_error = np.concatenate([p[2] for p in parts])
         summary.case_final_iou = np.concatenate([p[3] for p in parts])
         summary.case_clamps = np.concatenate([p[4] for p in parts])
     return summary

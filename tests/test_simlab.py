@@ -51,12 +51,21 @@ def tiny_cfg(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def simulate_chunk(spec: LossSpec, anchors, targets, cfg: SimConfig, *args, **kwargs):
+    """``_simulate_chunk`` on (n, 4) cases, descending (4, n) copies of them.
+
+    The cases of ``generate_case_arrays`` and of ``helpers.descend_every_row``
+    are rows; the descent moves the (4, n) anchor block it is given.
+    """
+    return _simulate_chunk(spec, anchors.T.copy(), targets.T.copy(), cfg, *args, **kwargs)
+
+
 def descend_one(spec: LossSpec, anchor, target, cfg: SimConfig):
     """Descend one (x, y, w, h) case: (error curve, final IoU, clamp events).
 
     The total-error curve of a one-row chunk is that case's error curve.
     """
-    totals, _, _, final_iou, clamps = _simulate_chunk(
+    totals, _, _, final_iou, clamps = simulate_chunk(
         spec, np.array([anchor], dtype=float), np.array([target], dtype=float), cfg,
         per_case=True, scratch=Scratch(),
     )
@@ -359,7 +368,7 @@ class TestRunSimulation:
         anchors, targets = generate_case_arrays(cfg)
         scratch = Scratch()
         per_case = [
-            _simulate_chunk(cfg.specs[0], anchors[i : i + 1], targets[i : i + 1], cfg, scratch=scratch)[0]
+            simulate_chunk(cfg.specs[0], anchors[i : i + 1], targets[i : i + 1], cfg, scratch=scratch)[0]
             for i in range(cfg.case_count)
         ]
         stacked = np.array(per_case)
@@ -369,14 +378,30 @@ class TestRunSimulation:
     def test_mean_final_and_auc_consistent(self):
         cfg = tiny_cfg(specs=(LossSpec("diou"),), iterations=9)
         [s] = run_simulation(cfg, per_case=True)
-        assert s.mean_final_error == pytest.approx(
-            s.total_error_curve[-1] / cfg.case_count, rel=1e-12
-        )
+        assert s.mean_final_error == s.total_error_curve[-1] / cfg.case_count
         assert s.auc == pytest.approx(float(np.trapezoid(s.total_error_curve)), rel=1e-12)
         assert np.sum(s.case_final_error) == pytest.approx(s.total_error_curve[-1], rel=1e-12)
         assert np.sum(s.case_initial_error) == pytest.approx(s.total_error_curve[0], rel=1e-12)
         assert s.case_final_iou.shape == (cfg.case_count,)
         assert np.all(s.case_clamps >= 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mean_final_is_the_final_total_over_the_cases(self, monkeypatch, threads):
+        # the mean comes from the chunk-ordered totals, not from per-case parts
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
+        cfg = tiny_cfg(specs=(LossSpec("diou"), LossSpec("siou", inner=0.8)), iterations=4)
+        for s in run_simulation(cfg, threads=threads):
+            assert s.mean_final_error == float(s.total_error_curve[-1] / cfg.case_count), s.label
+            assert s.case_final_error is None
+
+    def test_a_job_returns_only_its_totals(self):
+        cfg = tiny_cfg(specs=(LossSpec("ciou"),), iterations=3)
+        job = (cfg.specs[0], (49, 200))
+        totals, *rest = simlab._run_job(cfg, simlab._points(cfg), False, Scratch(), job)
+        assert rest == [None, None, None, None]
+        assert totals.shape == (cfg.iterations + 1,)
+        [full] = run_simulation(cfg, per_case=True)
+        assert totals[-1] == np.sum(full.case_final_error[49:200])
 
     def test_final_iou_only_for_per_case_runs(self, monkeypatch):
         cfg = tiny_cfg(specs=(LossSpec("ciou", inner=0.8),), n_points=30, iterations=3)
@@ -429,7 +454,7 @@ class TestRunSimulation:
         # the case id counts from the chunk's first case
         anchors, targets = generate_case_arrays(cfg)
         with pytest.raises(ValueError, match="final state of case 8195 is outside"):
-            _simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES, scratch=Scratch())
+            simulate_chunk(cfg.specs[0], anchors[:10], targets[:10], cfg, CHUNK_CASES, scratch=Scratch())
 
     def test_a_run_holds_no_population(self):
         # each job builds its own chunk of cases, so the run never holds the
@@ -445,6 +470,21 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak < population
+
+    def test_a_plain_run_holds_nothing_per_case(self):
+        # without per_case no chunk returns, and no summary joins, per-case
+        # arrays: 411,600 cases peak within 256 KiB of 102,900 (the final
+        # errors alone would be 2.4 MB more)
+        peaks = []
+        for n_points in (300, 1200):
+            cfg = tiny_cfg(n_points=n_points, iterations=1)
+            tracemalloc.start()
+            try:
+                run_simulation(cfg, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
     def test_threads_validation(self):
         with pytest.raises(ValueError, match="threads"):
@@ -580,7 +620,7 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         for spec in cfg.specs:
             assert_same_chunk(
-                _simulate_chunk(spec, anchors, targets, cfg, per_case=True, scratch=Scratch()),
+                simulate_chunk(spec, anchors, targets, cfg, per_case=True, scratch=Scratch()),
                 descend_every_row(spec, anchors, targets, cfg),
             )
 
@@ -590,7 +630,7 @@ class TestRetirement:
         anchors, targets = generate_case_arrays(cfg)
         want = descend_every_row(cfg.specs[0], anchors, targets, cfg)
         rows = rows_per_call(monkeypatch)
-        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
+        got = simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
         assert_same_chunk(got, want)
         # one evaluation finds every case frozen; the kernel is not called again
         assert rows == [cfg.case_count]
@@ -610,26 +650,28 @@ class TestRetirement:
     def test_clamped_cases(self, anchor, target):
         cfg = tiny_cfg(iterations=7)
         anchors, targets = np.array([anchor], dtype=float), np.array([target], dtype=float)
-        got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
+        got = simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
         assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
         # both clamp on the first step and end overlapping their targets
         assert got[4][0] >= 2
         assert got[3][0] > 0.0
 
-    @pytest.mark.parametrize("layout", ["one-row", "rows", "block-view"])
-    def test_inputs_keep_their_bytes(self, layout):
-        # giou moves every case; the transpose of a (1, 4) input, and of a
-        # (4, n) block's view, is contiguous, yet the descent must copy it
-        cfg = tiny_cfg(specs=(LossSpec("giou"),), iterations=3)
-        anchors, targets = generate_case_arrays(cfg)
-        if layout == "one-row":
-            anchors, targets = anchors[:1], targets[:1]
-        elif layout == "block-view":
-            anchors, targets = anchors.T.copy().T, targets.T.copy().T
-        before = anchors.tobytes(), targets.tobytes()
+    @pytest.mark.parametrize(
+        "base,cases",
+        # giou moves every case; plain iou retires cases after its first step
+        # and again later on, so the loop writes their columns back into the block
+        [("giou", 1), ("giou", 686), ("iou", 686)],
+        ids=["giou-one-case", "giou-chunk", "iou-chunk"],
+    )
+    def test_target_keeps_its_bytes_and_anchors_end_as_the_final_state(self, base, cases):
+        cfg = preset_cfg("high", specs=(LossSpec(base),), iterations=16)
+        anchors, targets = (a[:cases].T.copy() for a in generate_case_arrays(cfg))
+        before = targets.tobytes()
         got = _simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
         assert got[0][-1] < got[0][0]
-        assert (anchors.tobytes(), targets.tobytes()) == before
+        assert targets.tobytes() == before
+        final = helpers._corner_l1_rows(anchors.T, targets.T)
+        assert final.tobytes() == got[2].tobytes()
 
     @pytest.mark.parametrize(
         "spec,step_size,case",
@@ -645,7 +687,7 @@ class TestRetirement:
         with pytest.raises(ValueError) as want:
             descend_every_row(spec, anchors, targets, cfg, CHUNK_CASES)
         with pytest.raises(ValueError) as got:
-            _simulate_chunk(spec, anchors, targets, cfg, CHUNK_CASES, scratch=Scratch())
+            simulate_chunk(spec, anchors, targets, cfg, CHUNK_CASES, scratch=Scratch())
         assert str(got.value) == str(want.value)
         assert f"final state of case {CHUNK_CASES + case} is outside" in str(got.value)
 
