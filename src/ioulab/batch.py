@@ -2,15 +2,18 @@
 
 Boxes are in center form (x, y, w, h). The public entry :func:`eval_batch`
 takes broadcastable (..., 4) arrays, checks every box with
-:func:`check_boxes` and copies each into a contiguous (4, ...) block for the
-unchecked kernels :func:`eval_blocks` and :func:`iou_blocks`, which take the
-gt block's :class:`Target`. The descent and the sweep prepare each target
-once and call the kernels directly: a descent state may leave the domain.
+:func:`check_boxes` and copies each into a contiguous (4, n) block of
+columns for the unchecked kernels :func:`eval_blocks` and
+:func:`iou_blocks`, which take the gt block's :class:`Target`; it alone
+knows the caller's shape, and gives each output back in it. A one-column
+block broadcasts against the other. The descent and the sweep prepare each
+target once and call the kernels directly: a descent state may leave the
+domain.
 
 Per-axis layout: ``block[:2]`` holds the centers (x, y) and ``block[2:]``
 the sides (w, h). Every overlap, enclosure and offset quantity splits into
 an x and a y factor that depends only on that axis's center and side, so it
-is one (2, ...) array over both axes. A derivative is one (2, 2, ...) array
+is one (2, n) array over both axes. A derivative is one (2, 2, n) array
 shaped like the gradient's rows: half 0 holds the partials with respect to
 the anchor's center (x, y), half 1 those with respect to its sides (w, h).
 The (low, high) edges of a box are one such array too, so an operation that
@@ -38,7 +41,6 @@ ratios in ``RATIO_LIMITS``. There every loss and gradient is finite and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -77,12 +79,14 @@ ALIGN = 64
 
 
 def check_boxes(boxes, name: str, *, first_row: int = 0) -> np.ndarray:
-    """``boxes`` as a float64 (..., 4) array; ValueError if one is outside the domain.
+    """``boxes`` as a float64 (..., 4) array; ValueError if it is not, or if one is outside the domain.
 
     NaN fails every comparison. The message names ``name`` and, for more
     than one box, the first bad one's flat index plus ``first_row``.
     """
     arr = np.asarray(boxes, dtype=np.float64)
+    if arr.shape[-1:] != (4,):
+        raise ValueError(f"{name} must have a trailing axis of size 4, got shape {arr.shape}")
     flat = arr.reshape(-1, 4)
     # Column by column: `.all(axis=1)` over rows of 4 costs about five times more.
     x, y, w, h = flat.T
@@ -130,9 +134,9 @@ class BatchEval:
 
 
 class Target(NamedTuple):
-    """What the kernels read of a (4, ...) gt block (:func:`prepare_target`).
+    """What the kernels read of a (4, n) gt block (:func:`prepare_target`).
 
-    ``plain`` and ``inner`` stack the (x, y) low and high edges and the area, (5, ...),
+    ``plain`` and ``inner`` stack the (x, y) low and high edges and the area, (5, n),
     at ratio 1 and at the spec's inner ratio; ``aspect`` is ciou's arctan(w / h).
     """
 
@@ -158,37 +162,35 @@ class Scratch:
     those slots for its own temporaries until then, as the descent's step
     does.
 
-    A slot is a contiguous view of one flat buffer, its ``base``, shaped like
-    the block's columns behind ``lead`` leading axes of size 2: none for one
-    value per column, one for an (x, y) pair, two for a pair of pairs such as
-    a derivative or the (low, high) edges. As an ``out=``, its half ``i`` is
-    ``slot[i, ...]``, which stays an array for a one-pair block. The views
-    are reshaped only when the block's shape changes, and the buffers grow to
+    A slot is a contiguous view of one flat buffer, its ``base``: the
+    block's n columns behind ``lead`` leading axes of size 2, (2,) * lead +
+    (n,): none for one value per column, one for an (x, y) pair, two for a
+    pair of pairs such as a derivative or the (low, high) edges. The views
+    are reshaped only when the column count changes, and the buffers grow to
     the largest block seen, plus the few items it takes to start every slot
     on an ``ALIGN``-byte boundary. One scratch serves one thread at a time.
     """
 
     def __init__(self) -> None:
         self._size = 0  # columns each buffer holds
-        self._shape: tuple[int, ...] | None = None
+        self._cols: int | None = None
         self._slots: dict[tuple, list[np.ndarray]] = {}  # (lead, dtype) -> every slot
         self._free: dict[tuple, list[np.ndarray]] = {}
 
-    def start(self, shape: tuple[int, ...]) -> "Scratch":
-        """Free every slot and shape the slots to blocks of ``shape`` columns."""
-        if shape != self._shape:
-            size = math.prod(shape)
-            if size > self._size:
+    def start(self, cols: int) -> "Scratch":
+        """Free every slot and shape the slots to blocks of ``cols`` columns."""
+        if cols != self._cols:
+            if cols > self._size:
                 # an earlier call's outputs keep their old buffers alive
-                self._size, self._slots, self._free = size, {}, {}
-            self._shape = shape
+                self._size, self._slots, self._free = cols, {}, {}
+            self._cols = cols
             for (lead, _), slots in self._slots.items():
-                slots[:] = [_aligned(slot.base, (2,) * lead + shape) for slot in slots]
+                slots[:] = [_aligned(slot.base, lead, cols) for slot in slots]
         self.release()
         return self
 
     def _key(self, slot: np.ndarray) -> tuple:
-        return slot.ndim - len(self._shape), slot.dtype.type
+        return slot.ndim - 1, slot.dtype.type
 
     def release(self, *keep: np.ndarray | None) -> None:
         """Free every slot but those in ``keep``."""
@@ -205,7 +207,7 @@ class Scratch:
         if free:
             return free.pop()
         pad = ALIGN // np.dtype(dtype).itemsize - 1
-        slot = _aligned(np.empty((self._size << lead) + pad, dtype), (2,) * lead + self._shape)
+        slot = _aligned(np.empty((self._size << lead) + pad, dtype), lead, self._cols)
         self._slots.setdefault((lead, dtype), []).append(slot)
         return slot
 
@@ -216,17 +218,18 @@ class Scratch:
                 self._free[self._key(slot)].append(slot)
 
 
-def _aligned(flat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """The view of ``flat`` shaped ``dims`` that starts at its first ``ALIGN``-byte boundary."""
+def _aligned(flat: np.ndarray, lead: int, cols: int) -> np.ndarray:
+    """The (2,) * lead + (cols,) view of ``flat`` that starts at its first ``ALIGN``-byte boundary."""
     skip = -flat.__array_interface__["data"][0] % ALIGN // flat.itemsize
-    return flat[skip : skip + math.prod(dims)].reshape(dims)
+    return flat[skip : skip + (cols << lead)].reshape((2,) * lead + (cols,))
 
 
 def _started(scratch: Scratch | None, a: np.ndarray, g: np.ndarray) -> Scratch:
     # A fresh scratch when the caller passes none, so nothing it returns is
-    # shared with another call's results.
-    shape = a.shape[1:] if a.shape == g.shape else np.broadcast_shapes(a.shape[1:], g.shape[1:])
-    return (Scratch() if scratch is None else scratch).start(shape)
+    # shared with another call's results. A one-column block broadcasts, so
+    # against one gt column an empty anchor block stays empty.
+    cols = a.shape[1] if g.shape[1] == 1 else g.shape[1]
+    return (Scratch() if scratch is None else scratch).start(cols)
 
 
 def _pick(u: np.ndarray, v: np.ndarray, w: np.ndarray, le: np.ndarray) -> np.ndarray:
@@ -239,25 +242,23 @@ def _pick(u: np.ndarray, v: np.ndarray, w: np.ndarray, le: np.ndarray) -> np.nda
     return w
 
 
-def _blocks(anchors, gts) -> tuple[np.ndarray, np.ndarray]:
-    """Both box arrays, checked by :func:`check_boxes`, as contiguous (4, ...) blocks of equal rank."""
-    arrs = []
-    for name, boxes in (("anchors", anchors), ("gts", gts)):
-        arr = np.asarray(boxes, dtype=np.float64)
-        if arr.shape[-1:] != (4,):
-            raise ValueError(f"{name} must have a trailing axis of size 4, got shape {arr.shape}")
-        arrs.append(check_boxes(arr, name))
-    # Pad the leading dimensions first: with the box axis in front, a
-    # (3, 4) gt would otherwise not broadcast against (2, 3, 4) anchors.
-    nd = max(arr.ndim for arr in arrs)
-    return tuple(
-        np.ascontiguousarray(np.moveaxis(arr.reshape((1,) * (nd - arr.ndim) + arr.shape), -1, 0))
-        for arr in arrs
+def _blocks(anchors, gts) -> tuple:
+    """The broadcast leading shape of both box arrays, checked by :func:`check_boxes`,
+    then each as a contiguous (4, n) block: one box stays a (4, 1) column for
+    the kernel to broadcast, and any other input is broadcast to the shape first."""
+    a, g = check_boxes(anchors, "anchors"), check_boxes(gts, "gts")
+    try:
+        shape = np.broadcast_shapes(a.shape[:-1], g.shape[:-1])
+    except ValueError:
+        raise ValueError(f"anchors of shape {a.shape} and gts of shape {g.shape} do not broadcast") from None
+    return shape, *(
+        np.ascontiguousarray((arr if arr.size == 4 else np.broadcast_to(arr, (*shape, 4))).reshape(-1, 4).T)
+        for arr in (a, g)
     )
 
 
 def _edges(box: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarray:
-    # The (low, high) edges c -+ (w * r) / 2 of a (4, ...) block as one (2, 2, ...)
+    # The (low, high) edges c -+ (w * r) / 2 of a (4, n) block as one (2, 2, n)
     # array, into ``out``; c -+ w / 2 at r == 1, as w * 1.0 == w
     lo, hi = out = np.empty((2, *box[2:].shape)) if out is None else out
     if r == 1.0:
@@ -271,7 +272,7 @@ def _edges(box: np.ndarray, r: float, out: np.ndarray | None = None) -> np.ndarr
 
 
 def prepare_target(g: np.ndarray, spec: "LossSpec") -> Target:
-    """The :class:`Target` of the (4, ...) gt block ``g`` under ``spec`` (unchecked).
+    """The :class:`Target` of the (4, n) gt block ``g`` under ``spec`` (unchecked).
     A target does not move: build it once."""
     def scaled(r):
         edges = _edges(g, r)
@@ -284,7 +285,7 @@ def prepare_target(g: np.ndarray, spec: "LossSpec") -> Target:
 
 
 def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: bool = False) -> tuple:
-    """IoU of the (4, ...) anchor block ``a`` and a target's (5, ...) edges and area ``gt`` at ratio ``r``.
+    """IoU of the (4, n) anchor block ``a`` and a target's (5, n) edges and area ``gt`` at ratio ``r``.
 
     This is the one overlap computation: the plain overlap is ``r == 1``,
     and since ``w * 1.0 == w`` an auxiliary ratio of 1 reproduces it bit for
@@ -361,30 +362,29 @@ def _overlap(a: np.ndarray, gt, r: float, with_grad: bool, s: Scratch, enclose: 
     return union, iou, d_union, d_iou, ext, d_ext
 
 
-def _scalars(value):
-    # A one-pair call's slots are 0-d arrays: give the numpy scalars that the
-    # same expressions give without out=.
-    return value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-
-
 def eval_batch(spec: "LossSpec", anchors, gts, *, with_grad: bool = True) -> BatchEval:
     """Evaluate ``spec`` over broadcastable (..., 4) box arrays; ValueError outside the domain.
 
     Every field is filled: ``with_grad`` adds the gradient pass's ``grad`` to
-    the forward pass's outputs. Each call returns arrays of its own.
+    the forward pass's outputs, each in the inputs' broadcast leading shape.
+    Each call returns arrays of its own.
     """
-    a, g = _blocks(anchors, gts)
+    shape, a, g = _blocks(anchors, gts)
     target = prepare_target(g, spec)
     ev = eval_blocks(spec, a, target, with_grad=False)
     if with_grad:
-        ev.grad = eval_blocks(spec, a, target, with_grad=True).grad
-    ev.iou, ev.inner_iou = _scalars(ev.iou), _scalars(ev.inner_iou)
-    ev.terms = {k: _scalars(v) for k, v in ev.terms.items()}
+        ev.grad = eval_blocks(spec, a, target, with_grad=True).grad.reshape(*shape, 4)
+
+    def shaped(v):  # ``[()]`` gives one pair's numpy scalars
+        return v.reshape(shape)[()] if isinstance(v, np.ndarray) else v
+
+    ev.loss, ev.iou, ev.inner_iou = shaped(ev.loss), shaped(ev.iou), shaped(ev.inner_iou)
+    ev.terms = {k: shaped(v) for k, v in ev.terms.items()}
     return ev
 
 
 def iou_blocks(a: np.ndarray, target: Target) -> np.ndarray:
-    """Plain IoU of the (4, ...) anchor block ``a`` and a prepared target (unchecked)."""
+    """Plain IoU of the (4, n) anchor block ``a`` and a prepared target (unchecked)."""
     return _overlap(a, target.plain, 1.0, False, _started(None, a, target.box))[1]
 
 
@@ -392,12 +392,13 @@ def eval_blocks(
     spec: "LossSpec", a: np.ndarray, target: Target, *, with_grad: bool = True,
     scratch: Scratch | None = None,
 ) -> BatchEval:
-    """One pass of ``spec`` on the (4, ...) anchor block ``a`` and ``prepare_target(g, spec)`` (unchecked).
+    """One pass of ``spec`` on the (4, n) anchor block ``a`` and ``prepare_target(g, spec)`` (unchecked).
 
     The forward pass (``with_grad=False``) gives ``loss``, ``iou``,
     ``inner_iou`` and ``terms``; the gradient pass gives ``iou``,
     ``inner_iou`` and ``grad``, with ``loss`` None and ``terms`` empty.
-    With a ``scratch``, the arrays are its slots (see :class:`Scratch`).
+    ``grad`` is (n, 4). With a ``scratch``, the arrays are its slots (see
+    :class:`Scratch`).
 
     The gradient pass writes every value of the block's size into a slot.
     ``reference_blocks`` in ``tests/helpers.py`` states each value as one
@@ -488,8 +489,8 @@ def eval_blocks(
             np.divide(v, alpha, out=alpha)
             if with_grad:
                 d_v = take()
-                np.negative(ah, out=d_v[0, ...])
-                d_v[1, ...] = aw
+                np.negative(ah, out=d_v[0])
+                d_v[1] = aw
                 np.multiply(2.0 * _K_ASPECT, q, out=q)
                 d_v *= q
                 np.multiply(aw, aw, out=q)
@@ -553,8 +554,8 @@ def eval_blocks(
             # m, dist and so gamma depend on the centers only. d_m is sign(off) on
             # m's axis, else 0: comparisons give a masked np.sign's bits in a sixth of its time.
             pick, sign = take(1, np.bool_), take(1, np.bool_)
-            np.less_equal(absx, absy, out=pick[0, ...])
-            np.logical_not(pick[0], out=pick[1, ...])
+            np.less_equal(absx, absy, out=pick[0])
+            np.logical_not(pick[0], out=pick[1])
             give(absoff)
             d_m = take()
             np.copyto(d_m, np.logical_and(np.greater(off, 0.0, out=sign), pick, out=sign))
@@ -638,5 +639,5 @@ def eval_blocks(
 
     if with_grad:
         s.release(iou, inner, grad)
-        grad = np.moveaxis(grad.reshape(4, *grad.shape[2:]), 0, -1)
+        grad = grad.reshape(4, -1).T
     return BatchEval(loss, iou, inner, terms, grad)

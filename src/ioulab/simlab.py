@@ -326,7 +326,7 @@ def _simulate_chunk(
     # clamp events are counted only where they are returned
     clamps = np.zeros(n, dtype=np.int64) if per_case else None
 
-    err = _corner_l1(state, goal, scratch.start((n,)), np.empty(n))
+    err = _corner_l1(state, goal, scratch.start(n), np.empty(n))
     initial = err.copy() if per_case else None
     totals[0] = err.sum()
     # The cases that can still move (chunk rows), and their columns of
@@ -395,20 +395,18 @@ def run_simulation(
     and clamp count, and only then is the final IoU computed.
     """
     threads = whole_number("threads", threads, 0)
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            threads = len(os.sched_getaffinity(0))
-        else:
-            threads = os.cpu_count() or 1
+    if sys.platform != "linux":
+        threads = 1
 
     n = cfg.case_count
     bounds = [(i, min(i + CHUNK_CASES, n)) for i in range(0, n, CHUNK_CASES)]
     jobs = [(spec, span) for spec in cfg.specs for span in bounds]
     run = (cfg, _points(cfg), per_case)
-    # at least one full chunk of work per worker, and so never more workers than jobs
-    workers = min(threads, -(-n * len(cfg.specs) // CHUNK_CASES))
+    # at least one full chunk of work per worker, and so never more workers than
+    # jobs; 0 threads count the CPUs this process may run on, which Linux reports
+    workers = min(threads or len(os.sched_getaffinity(0)), -(-n * len(cfg.specs) // CHUNK_CASES))
     pool = None
-    if workers > 1 and sys.platform == "linux":
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

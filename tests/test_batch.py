@@ -152,6 +152,35 @@ class TestEvalBatch:
             assert np.array_equal(res.loss.ravel(), flat.loss)
             assert np.array_equal(res.grad.reshape(-1, 4), flat.grad)
 
+    def test_shapes_that_do_not_broadcast_are_named(self):
+        with pytest.raises(ValueError, match=r"anchors of shape \(3, 4\) and gts of shape \(2, 4\)"):
+            eval_batch(LossSpec("iou"), np.ones((3, 4)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize(
+        "spec", [LossSpec(b, inner=r) for b in BASE_NAMES for r in (None, 0.8)], ids=LossSpec.label
+    )
+    @pytest.mark.parametrize("gts", [np.ones(4), np.ones((0, 4))], ids=["one-gt", "empty-gts"])
+    def test_empty_anchors_give_empty_outputs(self, spec, gts):
+        # one gt column broadcasts to the anchors' zero columns
+        res = eval_batch(spec, np.ones((0, 4)), gts, with_grad=True)
+        assert res.loss.shape == res.iou.shape == (0,)
+        assert res.grad.shape == (0, 4)
+
+    def test_one_gt_is_never_tiled(self):
+        anchors, gts = _random_arrays(61, 20_000)
+        spec = LossSpec("ciou", inner=0.8)
+        peaks = []
+        for gt in (gts[0], np.tile(gts[0], (20_000, 1))):
+            tracemalloc.start()
+            try:
+                res = eval_batch(spec, anchors, gt, with_grad=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del res
+        # the tiled call holds at least its (4, n) gt block more
+        assert peaks[1] - peaks[0] >= 4 * 20_000 * 8, peaks
+
     @pytest.mark.parametrize("base", BASE_NAMES)
     def test_strided_and_fortran_inputs_match_contiguous(self, base):
         # Inputs are copied once into contiguous per-axis blocks, so the
@@ -328,7 +357,7 @@ class TestKernelBits:
         # once came from their own sign-based picks
         a, g = (block.copy() for block in np.array(rows).transpose(1, 2, 0))
         target = prepare_target(g, LossSpec("giou"))
-        *_, d_ext = _overlap(a, target.plain, 1.0, True, Scratch().start(a.shape[1:]), enclose=True)
+        *_, d_ext = _overlap(a, target.plain, 1.0, True, Scratch().start(a.shape[1]), enclose=True)
         (a_lo, a_hi), (g_lo, g_hi) = _edges(a, 1.0), target.plain[:4].reshape(2, 2, -1)
         u_hi, u_lo = pick_reference(g_hi, a_hi), pick_reference(a_lo, g_lo)
         assert d_ext[0].tobytes() == (u_hi - u_lo).tobytes()
@@ -558,9 +587,9 @@ def scale_about_center(box, ratio: float) -> tuple:
 
 def kernel_corners(box, ratio: float = 1.0) -> tuple[float, ...]:
     """(left, right, top, bottom) of the (x, y, w, h) ``box`` as the overlap kernel scales it."""
-    block, _ = _blocks(box, box)
+    _, block, _ = _blocks(box, box)
     low, high = _edges(block, ratio)
-    return tuple(float(v) for v in (low[0], high[0], low[1], high[1]))
+    return tuple(v.item() for v in (low[0], high[0], low[1], high[1]))
 
 
 def enclosing_losses(a, b) -> tuple[float, float, float]:

@@ -490,19 +490,26 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="threads"):
             run_simulation(tiny_cfg(), threads=-1)
 
-    @pytest.mark.parametrize("affinity", [True, False])
-    def test_threads_zero_counts_usable_cpus(self, monkeypatch, affinity):
-        # threads=0 sizes the pool by the CPUs this process may run on, and
-        # falls back to the machine's count where affinity is unavailable
+    def test_threads_zero_counts_usable_cpus(self, monkeypatch):
+        # threads=0 sizes the pool by the CPUs this process may run on
         workers = record_pools(monkeypatch)
         monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: 5)
-        if affinity:
-            monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
-        else:
-            monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
         run_simulation(tiny_cfg(), threads=0)
-        assert workers == [3 if affinity else 5]
+        assert workers == [3]
+
+    @pytest.mark.parametrize("threads", [0, 4])
+    def test_no_pool_off_linux(self, monkeypatch, threads):
+        # Only Linux forks a pool: elsewhere every job runs in this process,
+        # and no CPU count is read.
+        workers = record_pools(monkeypatch)
+        monkeypatch.setattr(simlab, "CHUNK_CASES", 64)  # 343 cases -> 6 chunks
+        want = run_simulation(tiny_cfg(), threads=1, per_case=True)
+        monkeypatch.setattr(simlab.sys, "platform", "darwin")
+        monkeypatch.delattr(simlab.os, "sched_getaffinity", raising=False)
+        assert_same_summaries(run_simulation(tiny_cfg(), threads=threads, per_case=True), want)
+        assert workers == []
 
     def test_never_more_workers_than_jobs(self, monkeypatch):
         # a fork pool starts every worker at once, so asking for more
