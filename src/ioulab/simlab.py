@@ -25,9 +25,9 @@ clamp has the same state at the next iteration, and since every output of
 the kernel is computed case by case from that case's boxes alone, it stays
 frozen for good. Such cases retire: later iterations evaluate, step and
 measure only the cases still moving, with their columns of the target,
-and skip the kernel once none are. A retired case keeps its last error in
-the chunk's full per-case error array, so every total sums the same values
-in the same order as an every-case loop.
+and skip the kernel once none are. A retired case keeps its last error and
+its clamp count in the chunk's full per-case arrays, so every total sums
+the same values in the same order as an every-case loop.
 """
 
 from __future__ import annotations
@@ -316,8 +316,10 @@ def _simulate_chunk(
     and clamp count; without ``per_case``, None in place of all but the
     totals. ``state`` ends as the final state; ``targets`` is not written. A
     final state outside the box domain raises ValueError naming the spec and
-    the case id, ``first_case`` plus its row. The kernel's temporaries, the
-    step and the errors live in ``scratch``; nothing returned shares it.
+    the case id, ``first_case`` plus its row. A case that retires keeps its
+    last error and its clamp count, as they stood at its retirement, in the
+    chunk's full per-case arrays. The kernel's temporaries, the step and the
+    errors live in ``scratch``; nothing returned shares it.
     """
     goal = prepare_target(targets, spec)
     n = state.shape[1]
@@ -329,12 +331,11 @@ def _simulate_chunk(
     err = _corner_l1(state, goal, scratch.start(n), np.empty(n))
     initial = err.copy() if per_case else None
     totals[0] = err.sum()
-    # The cases that can still move (chunk rows), and their columns of
-    # state, goal and clamps.
-    rows = slice(None)
-    live = (state, goal, clamps)
+    # The cases that can still move (chunk rows), and their columns of state
+    # and goal. err and clamps are written at these rows only, so a retired
+    # case keeps its last error and its clamp count in the full arrays.
+    rows, x, g = slice(None), state, goal
     for t in range(1, steps + 1):
-        x, g, c = live
         if not x.shape[1]:
             totals[t:] = totals[t - 1]
             break
@@ -350,8 +351,8 @@ def _simulate_chunk(
         low = np.less(x[2:], MIN_SIZE, out=scratch.take(1, np.bool_))
         if per_case:
             # one event per clamped coordinate (bool + bool would OR, not add)
-            c += low[0]
-            c += low[1]
+            clamps[rows] += low[0]
+            clamps[rows] += low[1]
         np.maximum(x[2:], MIN_SIZE, out=x[2:])
         err[rows] = _corner_l1(x, g, scratch, scratch.take(0))
         totals[t] = err.sum()
@@ -362,14 +363,9 @@ def _simulate_chunk(
         keep = np.flatnonzero(moving)
         if keep.size < x.shape[1]:
             state[:, rows] = x
-            if per_case:
-                clamps[rows] = c
-                c = np.take(c, keep)
             rows = np.arange(n)[rows][keep]
-            live = (np.take(x, keep, axis=-1), g.take(keep), c)
-    state[:, rows] = live[0]
-    if per_case:
-        clamps[rows] = live[2]
+            x, g = np.take(x, keep, axis=-1), g.take(keep)
+    state[:, rows] = x
     check_boxes(state.T, f"{spec.label()}: the descent's final state of case", first_row=first_case)
     if not per_case:
         return totals, None, None, None, None

@@ -618,6 +618,16 @@ def rows_per_call(monkeypatch) -> list[int]:
     return rows
 
 
+# (anchor, target) starts for the clamp checks of TestRetirement.
+# Equilibrium sides below MIN_SIZE: both sides clamp every step.
+CLAMPED_EVERY_STEP = ((0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), (0, 0, MIN_SIZE / 2, MIN_SIZE / 2))
+# Disjoint until the clamp widens it into the target: its first step is
+# zero, yet it moves after the clamp.
+CLAMP_STARTS_OVERLAP = ((-0.5 - 0.3 * MIN_SIZE, 0, 0.2 * MIN_SIZE, 0.2 * MIN_SIZE), (0, 0, 1, 1))
+# Disjoint, and plain iou's step is zero with no clamp: it retires after step 1.
+RETIRES_AFTER_STEP_1 = ((10, 10, 1, 1), (0, 0, 1, 1))
+
+
 class TestRetirement:
     """The retiring chunk loop against the every-row loop in ``helpers``."""
 
@@ -644,24 +654,29 @@ class TestRetirement:
         assert np.all(want[0] == want[0][0])
 
     @pytest.mark.parametrize(
-        "anchor,target",
+        "cases,calls",
         [
-            # equilibrium sides below MIN_SIZE: both sides clamp every step
-            ((0, 0, 2 * MIN_SIZE, 2 * MIN_SIZE), (0, 0, MIN_SIZE / 2, MIN_SIZE / 2)),
-            # disjoint until the clamp widens it into the target: its first
-            # step is zero, yet it moves after the clamp
-            ((-0.5 - 0.3 * MIN_SIZE, 0, 0.2 * MIN_SIZE, 0.2 * MIN_SIZE), (0, 0, 1, 1)),
+            ([CLAMPED_EVERY_STEP], [1] * 7),
+            ([CLAMP_STARTS_OVERLAP], [1] * 7),
+            # The disjoint start retires after the first step, so the other
+            # two go on as the index rows (0, 2) of the chunk, and the last
+            # keeps clamping past the retired row.
+            ([CLAMP_STARTS_OVERLAP, RETIRES_AFTER_STEP_1, CLAMPED_EVERY_STEP], [3] + [2] * 6),
         ],
-        ids=["clamped-every-step", "clamp-starts-overlap"],
+        ids=["clamped-every-step", "clamp-starts-overlap", "clamped-around-a-retired-case"],
     )
-    def test_clamped_cases(self, anchor, target):
+    def test_clamped_cases(self, monkeypatch, cases, calls):
         cfg = tiny_cfg(iterations=7)
-        anchors, targets = np.array([anchor], dtype=float), np.array([target], dtype=float)
+        anchors, targets = (np.array(boxes, dtype=float) for boxes in zip(*cases))
+        rows = rows_per_call(monkeypatch)
         got = simulate_chunk(cfg.specs[0], anchors, targets, cfg, per_case=True, scratch=Scratch())
         assert_same_chunk(got, descend_every_row(cfg.specs[0], anchors, targets, cfg))
-        # both clamp on the first step and end overlapping their targets
-        assert got[4][0] >= 2
-        assert got[3][0] > 0.0
+        assert rows == calls
+        # the clamped cases clamp on the first step and end overlapping their
+        # targets; the retired one never clamps
+        clamped = np.array([case is not RETIRES_AFTER_STEP_1 for case in cases])
+        assert np.all(got[4][clamped] >= 2) and np.all(got[4][~clamped] == 0)
+        assert np.all(got[3][clamped] > 0.0)
 
     @pytest.mark.parametrize(
         "base,cases",
