@@ -7,7 +7,7 @@ spec's total error as a fraction of its starting value (terminal jitter
 from the fixed step; large values mean the step overshoots), and for
 which bases the auxiliary variant finished with lower total error than
 the plain loss. This is the evidence behind the tuned steps in
-ioulab.simlab.SCENARIOS.
+ioulab.SCENARIOS.
 """
 
 import argparse

@@ -21,13 +21,13 @@ _HOMES = {
     "BASE_NAMES": "losses",
     "LossSpec": "losses",
     "eval_batch": "batch",
-    "SCENARIOS": "simlab",
+    "SCENARIOS": "losses",
     "SimConfig": "simlab",
     "scenario_config": "simlab",
     "run_simulation": "simlab",
     "generate_case_arrays": "simlab",
 }
-_SUBMODULES = ("batch", "cli", "losses", "simlab", "sweep")
+_SUBMODULES = ("batch", "cli", "csvtext", "losses", "simlab", "sweep")
 
 __all__ = ["__version__", *_HOMES]
 

@@ -7,16 +7,13 @@ result that is not finite, a run too large for the memory it can get, or
 a ``sim`` worker process that died.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
-no field holds a comma, quote or newline, so none is ever quoted. numpy
-builds the floats that ``%.17g`` prints in fixed notation as dense 24-byte
-fields, their digits exact by Dekker's two-product (``_fixed_fields``), and
-one ``bytes.translate`` turns a block's fields into its text.
+no field holds a comma, quote or newline, so none is ever quoted;
+:mod:`ioulab.csvtext` builds the text.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -30,8 +27,7 @@ import numpy as np
 
 from . import __version__
 from .batch import check_boxes, eval_batch
-from .losses import BASE_NAMES, LossSpec
-from .simlab import SCENARIOS, SimConfig, run_simulation, scenario_config
+from .losses import BASE_NAMES, SCENARIOS, LossSpec
 from .sweep import AXES, HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
@@ -85,126 +81,15 @@ def _write(*outputs: tuple[Path, Iterable[str]], directory: Path | None = None) 
         raise
 
 
-# numpy writes a block's floats into fields of _FIELD bytes, one per value: the
-# separator before it, a sign, two bytes for the start of a small value's
-# "0.000", then the 20 digits of N' (see _fixed_fields) in five 4-digit groups,
-# trailing zeros as NUL. A mark by exponent and sign is ORed over each field;
-# in the text, _PRINT maps what that makes and the NULs and _DROP bytes vanish.
-# 0x40 on an integer digit prints it, or 0 on its NUL; 0x1E on a 0 prints the
-# dot, and alone (the put-in 0 is NUL where no fraction follows) nothing; 0x80
-# on a leading 0 prints nothing.
-_FIELD = 24
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-_PRINT = bytes.maketrans(b"@pqrstuvwxy>", b"00123456789.")  # 0x40 | NUL or a digit, 0x1E | "0"
-_DROP = b"\0\x1e\x80\xb0"
-
-
-@functools.cache  # built on the first write, not at import
-def _tables() -> tuple[np.ndarray, ...]:
-    """By frexp's binary exponent e + 14: j = 16 - X for the larger decimal
-    exponent X that e allows, and the double 10**X. By j: the exact double 10**j,
-    its two halves and 9 * 10**j (0 for X < 0). The place of each 4-digit group
-    of N'. The 4-digit groups in ASCII, row 10,000 + i the same with its
-    trailing zeros as NUL. By 2 * j + negative: the marks."""
-    xs = np.arange(-14, 58) * 1233 >> 12  # floor(e * log10(2)), 1233 / 4096 ~ log10(2)
-    p = np.array([float(10**j) for j in range(21)])
-    hi = p * _SPLIT - (p * _SPLIT - p)
-    scales = np.stack([p, hi, p - hi, [9.0 * 10**j * (j < 17) for j in range(21)]])
-    i = np.arange(10_000, dtype=np.uint16)[:, None]  # uint16 keeps the build small
-    scale = np.array([1000, 100, 10, 1], np.uint16)
-    full = i // scale % 10 + 48
-    digits = np.concatenate([full, np.where(i % (10 * scale) == 0, 0, full)]).astype(np.uint8)
-    marks = np.zeros((21, 2, _FIELD), np.uint8)
-    marks[..., :2] = np.frombuffer(b",\0,-", np.uint8).reshape(2, 2)  # separator, sign
-    marks[..., 4:6] = 0x80
-    for m, x in zip(marks, range(16, -5, -1)):
-        if x < 0:  # "0." then -x - 1 zeros, up to byte 6
-            m[:, 6 + x : 7] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
-            m[:, 4:7] ^= ord("0")  # over N's leading zeros: "0" stays "0", the dot is 0x1E | "0"
-        else:  # the integer digits, then the put-in 0
-            m[:, 6 : 8 + x] = [0x40] * (x + 1) + [0x1E]
-    return (16 - xs, np.array([float(f"1e{x}") for x in xs]), scales,
-            10 ** np.arange(16, -1, -4)[:, None], digits.view(np.uint32).ravel(),
-            marks.reshape(42, _FIELD).view(np.uint64))
-
-
-def _fixed_fields(v: np.ndarray, other: np.ndarray, fields: np.ndarray) -> None:
-    """Write ``%.17g`` of each ``v`` (overwritten) that is not ``other`` into its
-    row of ``fields``: each value of decimal exponent X in -4..16, and 0.
-
-    Such a value prints the 17 digits of N = |v| * 10**j, j = 16 - X, rounded
-    half to even. 10**j is an exact double, so Dekker's two-product gives the
-    exact product as p + e; p >= 1e16 > 2**53 is an even integer, so
-    N = p + rint(e), and no double below 1e17 rounds up to the next power of
-    ten. Nor does a double round up to the next integer at 17 digits, so the
-    first X + 1 digits of N are floor(|v|), and N' = N + 9 * 10**j * floor(|v|)
-    is N with a 0 put in after them, where the dot goes.
-    """
-    negative = np.signbit(v)
-    a = np.abs(v, out=v)
-    zero = a == 0
-    np.putmask(a, other | zero, 1.0)
-    exponent, decades, scales, places, digits, marks = _tables()
-    # a in [2**(e-1), 2**e) has X = floor(e * log10(2)) or one less; exact, as
-    # each double 1e-k lies above 10**-k, so none lies between them
-    b = np.frexp(a)[1] + 14
-    j = exponent.take(b)
-    j += a < decades.take(b)
-    s = scales.take(j, axis=1)
-    p = a * s[0]
-    t = a * _SPLIT
-    hi = t - (t - a)
-    lo = a - hi
-    e = hi * s[1] - p
-    e += hi * s[2]
-    e += lo * s[1]
-    e += lo * s[2]
-    n = np.add(p, np.rint(e), dtype=np.int64, casting="unsafe")
-    n += np.multiply(a, s[3], dtype=np.int64, casting="unsafe")  # floor(a) * 9 * 10**j
-    np.putmask(n, zero, 0)
-    groups = np.empty((6, len(n)), np.int64)  # N' in groups 1-5, after a NUL group 0
-    q = np.floor_divide(n, places, out=groups[1:])  # N' // 10**16, // 10**12, ... // 1
-    bare = q * places == n  # only zeros follow: take the row without trailing zeros
-    q[1:] -= q[:-1] * 10_000
-    q += bare * 10_000
-    groups[0] = 10_000
-    digits.take(groups.T, out=fields.view(np.uint32), mode="clip")  # "raise" buffers out
-    fields.view(np.uint64)[...] |= marks.take(2 * j + negative, axis=0)
-
-
-def _rows(prefix: str, part: list[np.ndarray]) -> str:
-    """The CSV lines of the columns ``part``, each line starting with ``prefix``."""
-    rows, width = len(part[0]), len(part)
-    values = np.empty((rows, width))
-    for k, col in enumerate(part):
-        values[:, k] = col if col.dtype.kind == "f" else np.inf  # an integer prints through %
-    a = np.abs(values)
-    other = (a >= 1e17) | np.logical_xor(a < 1e-4, a == 0)  # exponent notation, or an integer
-    texts = []
-    for k in other.any(axis=0).nonzero()[0].tolist():
-        at = other[:, k].nonzero()[0]
-        spec = "%.17g" if part[k].dtype.kind == "f" else "%d"
-        texts.append((at, k, [spec % x for x in part[k][at].tolist()]))
-    # a separator and up to 23 characters, but %.17g of -1.2345678901234567e-100 takes 24
-    size = max([_FIELD - 1] + [max(map(len, t)) for *_, t in texts]) + 1
-    fields = np.zeros((rows, width, size), np.uint8)
-    _fixed_fields(values.reshape(-1), other.reshape(-1), fields[..., :_FIELD].reshape(-1, _FIELD))
-    fields[:, 0, 0] = ord("\n")  # ends the row before; the first row's is dropped
-    for at, k, t in texts:
-        fields[at, k, 1:] = np.array(t, f"S{size - 1}").view(np.uint8).reshape(len(at), -1)
-    text = fields.reshape(-1)[1:].tobytes().translate(_PRINT, _DROP).decode("ascii")
-    return prefix + text.replace("\n", "\n" + prefix) + "\n" if prefix else text + "\n"
-
-
 def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[str]]:
     """``path`` with the lines of ``header``, then of each ``(lead, columns)`` block.
 
     A row is the fields ``lead`` (a spec label, or none), then one value
     from each column: ``%d`` for an integer column, ``%.17g`` for a float
-    one. ``CSV_ROWS_PER_WRITE`` rows at a time become one string: numpy
-    builds the floats that print in fixed notation (``_fixed_fields``),
-    and ``%`` formats the integers and the floats in exponent notation. A
-    non-finite value raises ValueError here, before any file is opened.
+    one. ``CSV_ROWS_PER_WRITE`` rows at a time become one string
+    (``csvtext.block_text``), and every block of the file reuses one set of
+    buffers. A non-finite value raises ValueError here, before any file is
+    opened.
     """
     line = 2
     for lead, columns in blocks:
@@ -217,11 +102,17 @@ def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[st
         line += len(columns[0])
 
     def lines():
+        # Imported with the first CSV, so eval never compiles it, and sweep
+        # compiles it after its memory peak: sweep-dense's peak RSS reads
+        # 35.19 MiB against 35.26 with it imported by cli (medians of 40 paths).
+        from .csvtext import Buffers, block_text
+
         yield ",".join(header) + "\n"
+        buf = Buffers()
         for lead, columns in blocks:
             prefix = "".join(f"{field}," for field in lead)
             for a in range(0, len(columns[0]), CSV_ROWS_PER_WRITE):
-                yield _rows(prefix, [col[a : a + CSV_ROWS_PER_WRITE] for col in columns])
+                yield block_text(prefix, [col[a : a + CSV_ROWS_PER_WRITE] for col in columns], buf)
 
     return path, lines()
 
@@ -278,7 +169,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
+def run_simulation(cfg, **kwargs):
+    """``simlab.run_simulation``, loaded only when ``sim`` runs: a fresh
+    ``sweep`` no longer compiles simlab, about 8 of the 95 ms its imports took."""
+    from .simlab import run_simulation
+
+    return run_simulation(cfg, **kwargs)
+
+
+def _resolve_sim_config(args: argparse.Namespace):
+    from .simlab import SimConfig, scenario_config
+
     if args.config is not None:
         for flag in ("bases", "points", "iterations"):
             if getattr(args, flag) is not None:

@@ -5,6 +5,7 @@ the boxes coincide. Boxes live in center form (x, y, w, h) with y growing
 downward. A :class:`LossSpec` selects the base loss and an optional
 center-scaled auxiliary ("inner") ratio; :func:`inner_ratio` is the one
 place that validates a ratio, against ``ioulab.batch.RATIO_LIMITS``.
+``SCENARIOS`` is the one table of the regression simulation's presets.
 :func:`ioulab.batch.eval_batch` evaluates a spec on boxes, one pair or
 many: the loss comes with its analytic gradient with respect to the anchor
 parameters (x, y, w, h); the gt box is treated as constant.
@@ -22,6 +23,20 @@ from .batch import RATIO_LIMITS
 RATIO_RANGE = (0.5, 1.5)
 
 BASE_NAMES: tuple[str, ...] = ("iou", "giou", "diou", "ciou", "eiou", "siou")
+
+# The high- and low-overlap starts of the DIoU paper's regression
+# simulation: anchors clustered on the target, where a shrunken auxiliary
+# pair should help, versus anchors that mostly miss it, where an enlarged
+# one should. ``step_size`` is the largest grid step at which every loss
+# variant still descends stably from that start (scripts/scan_step_sizes.py);
+# every preset run takes it, through ``simlab.scenario_config``. The
+# SimConfig default of 0.1 is the safe setting for arbitrary configs. The
+# table lives here, not in simlab, so that the CLI's parser lists the
+# presets without loading the simulation.
+SCENARIOS = {
+    "high": {"radius": (0.0, 3.0), "ratio": 0.8, "step_size": 0.2},
+    "low": {"radius": (6.0, 9.0), "ratio": 1.2, "step_size": 0.3},
+}
 
 
 def whole_number(name: str, value, least: int) -> int:

@@ -43,7 +43,7 @@ import numpy as np
 from .batch import BLOCK_ROWS, Scratch, Target, _edges, check_boxes, prepare_target
 # perfbench/tracing.py wraps the kernels under these module attribute names.
 from .batch import eval_blocks as eval_batch, iou_blocks as iou_batch
-from .losses import BASE_NAMES, LossSpec, check_fields, real_number, sequence, whole_number
+from .losses import BASE_NAMES, SCENARIOS, LossSpec, check_fields, real_number, sequence, whole_number
 
 # Cases per work unit. Fixed so that partial sums (and therefore every
 # floating-point reduction) are independent of the worker count.
@@ -57,18 +57,6 @@ ASPECTS = (0.25, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 4.0)
 SCALES = (0.5, 0.67, 0.75, 1.0, 1.33, 1.5, 2.0)
 # Widths and heights are clamped from below at this size after every step.
 MIN_SIZE = 1e-4
-
-# The high- and low-overlap starts of the DIoU paper's regression
-# simulation: anchors clustered on the target, where a shrunken auxiliary
-# pair should help, versus anchors that mostly miss it, where an enlarged
-# one should. ``step_size`` is the largest grid step at which every loss
-# variant still descends stably from that start (scripts/scan_step_sizes.py);
-# every preset run takes it, through ``scenario_config``. The SimConfig
-# default of 0.1 is the safe setting for arbitrary configs.
-SCENARIOS = {
-    "high": {"radius": (0.0, 3.0), "ratio": 0.8, "step_size": 0.2},
-    "low": {"radius": (6.0, 9.0), "ratio": 1.2, "step_size": 0.3},
-}
 
 
 @dataclass(frozen=True)
@@ -360,8 +348,8 @@ def _simulate_chunk(
         moving = np.any(move, axis=0, out=scratch.take(0, np.bool_))
         moving |= low[0]
         moving |= low[1]
-        keep = np.flatnonzero(moving)
-        if keep.size < x.shape[1]:
+        if np.count_nonzero(moving) < x.shape[1]:  # most steps retire none
+            keep = np.flatnonzero(moving)
             state[:, rows] = x
             rows = np.arange(n)[rows][keep]
             x, g = np.take(x, keep, axis=-1), g.take(keep)

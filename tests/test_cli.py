@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import RECORDED_HOST, csv_reference, skip_off_host
 from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config, simlab
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
+from ioulab.csvtext import Buffers, block_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -218,6 +219,24 @@ class TestCsvWriter:
         assert max(peaks) < WRITER_PEAK_BYTES
         assert peaks[1] < peaks[0] + 64 * 1024
 
+    def test_a_warm_block_allocates_nothing_of_its_size(self):
+        # a second block of the same width builds its fields in the first's
+        # arrays; one block's 8-byte values would be the least of any temporary
+        n, width = CSV_ROWS_PER_WRITE, 11
+        rng = np.random.default_rng(0)
+        buf = Buffers()
+        block_fields([rng.uniform(-20.0, 20.0, n) for _ in range(width)], buf)
+        columns = [rng.uniform(-20.0, 20.0, n) for _ in range(width)]
+        columns[0][::7] = 0.0
+        columns[1][::11] = -1e-7  # exponent notation, through %
+        tracemalloc.start()
+        try:
+            block_fields(columns, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * width * 8
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_names_file_column_and_line(self, tmp_path, bad):
         path = tmp_path / "out.csv"
@@ -357,7 +376,9 @@ class TestSim:
         assert manifest["spec_list"] == ["ciou", "inner-ciou(1.2)"]
 
     def test_scenario_reads_preset_table(self, tmp_path, monkeypatch):
-        # radius, ratio and step all come from SCENARIOS
+        # radius, ratio and step all come from SCENARIOS, one table that the
+        # parser lists and simlab runs
+        assert SCENARIOS is simlab.SCENARIOS
         monkeypatch.setitem(SCENARIOS, "low", {"radius": (1.0, 2.0), "ratio": 1.3, "step_size": 0.25})
         out = tmp_path / "run"
         code = run_cli(
@@ -933,8 +954,8 @@ def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
 # Runs `python -m ioulab <argv>` and reports, as it exits, whether the run
 # loaded OpenSSL's hash module, numpy.random and secrets (which maps
 # OpenSSL too), concurrent.futures and multiprocessing (the process pool),
-# the OpenBLAS thread setting it ran with, and its thread count on Linux
-# (None elsewhere).
+# and ioulab.simlab, the OpenBLAS thread setting it ran with, and its thread
+# count on Linux (None elsewhere).
 _CLI_PROBE = """
 import json, os, runpy, sys
 sys.argv[0] = "ioulab"
@@ -947,6 +968,7 @@ finally:
         "numpy.random": "numpy.random" in sys.modules,
         "secrets": "secrets" in sys.modules,
         "pool": [name in sys.modules for name in ("concurrent.futures", "multiprocessing")],
+        "simlab": "ioulab.simlab" in sys.modules,
         "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     }), file=sys.stderr)
@@ -957,12 +979,9 @@ PROBE_SWEEP_ARGV = ("sweep", "--samples", "101", "--out", "s.csv", "--report", "
 PROBE_SIM_ARGV = ("sim", "--scenario", "high", "--points", "1", "--iterations", "1", "--out", "o")
 
 
-def loads_openssl(tmp_path, *argv) -> bool:
-    return run_probe(tmp_path, _CLI_PROBE, *argv)["openssl"]
-
-
 class TestImports:
-    """A command maps only what it reads: hashlib's OpenSSL costs about 3.6 MiB of RSS."""
+    """A command maps only what it reads: hashlib's OpenSSL costs about 3.6 MiB
+    of RSS, and simlab compiles in each fresh process without a bytecode cache."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -970,11 +989,16 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv):
-        assert not loads_openssl(tmp_path, *argv)
+        report = run_probe(tmp_path, _CLI_PROBE, *argv)
+        assert (report["openssl"], report["simlab"]) == (False, False)
+
+    def test_version_does_not_load_simlab(self, tmp_path):
+        assert run_probe(tmp_path, _CLI_PROBE, "--version")["simlab"] is False
 
     def test_the_probe_sees_sim_load_it(self, tmp_path):
         # sim hashes its manifest, after its descent's memory peak
-        assert loads_openssl(tmp_path, *PROBE_SIM_ARGV)
+        report = run_probe(tmp_path, _CLI_PROBE, *PROBE_SIM_ARGV)
+        assert (report["openssl"], report["simlab"]) == (True, True)
 
     @pytest.mark.parametrize(
         "argv", [PROBE_SIM_ARGV, PROBE_SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0]
