@@ -151,24 +151,27 @@ class Target(NamedTuple):
 
 
 class Scratch:
-    """Float64 and bool buffers that kernel calls reuse, so that a warm call
-    allocates nothing of the block's size.
+    """Buffers of any dtype (float64 and bool in the kernel) that calls
+    reuse, so that a warm call allocates nothing of the block's size.
 
-    :func:`eval_blocks` takes one as ``scratch``. A call starts by freeing
-    every slot. It writes each temporary and each output into a slot, and
-    gives a temporary's slot back once its value is dead, so that a later
-    value reuses it. The outputs stay valid until the scratch's next call; a
-    gradient pass frees the rest when it returns, and the caller may take
-    those slots for its own temporaries until then, as the descent's step
-    does.
+    :func:`eval_blocks` takes one as ``scratch``, and the CSV writer
+    (``csvtext.block_fields``) builds each block's text in one, its columns
+    being the block's values. A call starts by freeing every slot. It writes
+    each temporary and each output into a slot, and gives a temporary's slot
+    back once its value is dead, so that a later value reuses it. The
+    outputs stay valid until the scratch's next call; a gradient pass frees
+    the rest when it returns, and the caller may take those slots for its
+    own temporaries until then, as the descent's step does.
 
     A slot is a contiguous view of one flat buffer, its ``base``: the
     block's n columns behind ``lead`` leading axes of size 2, (2,) * lead +
     (n,): none for one value per column, one for an (x, y) pair, two for a
-    pair of pairs such as a derivative or the (low, high) edges. The views
-    are reshaped only when the column count changes, and the buffers grow to
-    the largest block seen, plus the few items it takes to start every slot
-    on an ``ALIGN``-byte boundary. One scratch serves one thread at a time.
+    pair of pairs such as a derivative or the (low, high) edges. The writer
+    cuts its other shapes, such as (n, 6) digit groups or a block's bytes,
+    from the front of a larger slot. The views are reshaped only when the
+    column count changes, and the buffers grow to the largest block seen,
+    plus the few items it takes to start every slot on an ``ALIGN``-byte
+    boundary. One scratch serves one thread at a time.
     """
 
     def __init__(self) -> None:

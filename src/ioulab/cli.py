@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .batch import check_boxes, eval_batch
+from .batch import Scratch, check_boxes, eval_batch
 from .losses import BASE_NAMES, SCENARIOS, LossSpec
 from .sweep import AXES, HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD, SweepConfig, check_conclusions, run_sweep
 
@@ -87,9 +87,9 @@ def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[st
     A row is the fields ``lead`` (a spec label, or none), then one value
     from each column: ``%d`` for an integer column, ``%.17g`` for a float
     one. ``CSV_ROWS_PER_WRITE`` rows at a time become one string
-    (``csvtext.block_text``), and every block of the file reuses one set of
-    buffers. A non-finite value raises ValueError here, before any file is
-    opened.
+    (``csvtext.block_text``), and every block of the file builds its arrays
+    in one :class:`~ioulab.batch.Scratch`. A non-finite value raises
+    ValueError here, before any file is opened.
     """
     line = 2
     for lead, columns in blocks:
@@ -105,14 +105,14 @@ def _csv(path: Path, header: list[str], blocks: list) -> tuple[Path, Iterator[st
         # Imported with the first CSV, so eval never compiles it, and sweep
         # compiles it after its memory peak: sweep-dense's peak RSS reads
         # 35.19 MiB against 35.26 with it imported by cli (medians of 40 paths).
-        from .csvtext import Buffers, block_text
+        from .csvtext import block_text
 
         yield ",".join(header) + "\n"
-        buf = Buffers()
+        scratch = Scratch()
         for lead, columns in blocks:
             prefix = "".join(f"{field}," for field in lead)
             for a in range(0, len(columns[0]), CSV_ROWS_PER_WRITE):
-                yield block_text(prefix, [col[a : a + CSV_ROWS_PER_WRITE] for col in columns], buf)
+                yield block_text(prefix, [col[a : a + CSV_ROWS_PER_WRITE] for col in columns], scratch)
 
     return path, lines()
 

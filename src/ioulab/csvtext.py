@@ -5,6 +5,12 @@ numpy builds the floats that ``%.17g`` prints in fixed notation as dense
 24-byte fields, their digits exact by Dekker's two-product
 (``_fixed_fields``), and one ``bytes.translate`` turns a block's fields into
 its text; ``%`` formats the integers and the floats in exponent notation.
+A block builds its arrays in the slots of a :class:`~ioulab.batch.Scratch`
+that every block of a file reuses, so that a block after the first
+allocates nothing of its size: made afresh, a block's 25 temporaries
+(about 1 MB at 372 rows of 11 columns) left the heap top free after every
+block in some heap layouts, and glibc trimmed it and faulted it back in on
+the next.
 ``cli._csv`` loads this module with a command's first CSV, so that ``eval``
 never compiles it and ``sim`` and ``sweep`` compile it after their memory
 peak.
@@ -13,10 +19,10 @@ peak.
 from __future__ import annotations
 
 import functools
-import math
-from types import SimpleNamespace
 
 import numpy as np
+
+from .batch import Scratch
 
 # numpy writes a block's floats into fields of _FIELD bytes, one per value: the
 # separator before it, a sign, two bytes for the start of a small value's
@@ -36,9 +42,9 @@ _DROP = b"\0\x1e\x80\xb0"
 def _tables() -> tuple[np.ndarray, ...]:
     """By frexp's binary exponent e + 14: j = 16 - X for the larger decimal
     exponent X that e allows, and the double 10**X. By j: the exact double 10**j
-    and its two halves, and 9 * 10**j (0 for X < 0). The place of each 4-digit
-    group of N'. The 4-digit groups in ASCII, row 10,000 + i the same with its
-    trailing zeros as NUL. By 2 * j + negative: the marks."""
+    and its two halves, and 9 * 10**j (0 for X < 0). The 4-digit groups in
+    ASCII, row 10,000 + i the same with its trailing zeros as NUL. By
+    2 * j + negative: the marks."""
     xs = np.arange(-14, 58) * 1233 >> 12  # floor(e * log10(2)), 1233 / 4096 ~ log10(2)
     p = np.array([float(10**j) for j in range(21)])
     hi = p * _SPLIT - (p * _SPLIT - p)
@@ -57,66 +63,16 @@ def _tables() -> tuple[np.ndarray, ...]:
         else:  # the integer digits, then the put-in 0
             m[:, 6 : 8 + x] = [0x40] * (x + 1) + [0x1E]
     return (16 - xs, np.array([float(f"1e{x}") for x in xs]), np.stack([p, hi, p - hi]), nines,
-            10 ** np.arange(16, -1, -4)[:, None], digits.view(np.uint32).ravel(),
-            marks.reshape(42, _FIELD).view(np.uint64))
+            digits.view(np.uint32).ravel(), marks.reshape(42, _FIELD).view(np.uint64))
 
 
-class Buffers:
-    """The arrays of a CSV's blocks, kept across the blocks and cut to each
-    block's shape, so that a block allocates nothing of its size.
-
-    Made afresh, a block's 25 temporaries (about 1 MB at 372 rows of 11
-    columns) left the heap top free after every block in some heap layouts,
-    so glibc trimmed it and the next block faulted it back in: a fresh
-    sweep-dense run then took 4 times its minor faults. The shapes ((5, n)
-    and (n, 6) digit groups, (n, 3) marks, the field bytes) are not
-    batch.Scratch's (2,) * lead + (n,) slots, so these are named flat
-    buffers, each grown to the largest array asked of it.
-    """
-
-    def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
-        self._blocks: dict[tuple[int, int], SimpleNamespace] = {}
-
-    def block(self, rows: int, width: int) -> SimpleNamespace:
-        """The arrays of a block of ``rows`` x ``width`` values; one shape's are made once."""
-        arrays = self._blocks.get((rows, width))
-        if arrays is None:
-            arrays = self._blocks[rows, width] = self._arrays(rows * width)
-            arrays.values = arrays.values.reshape(rows, width)
-        return arrays
-
-    def _arrays(self, m: int) -> SimpleNamespace:
-        # Arrays of one name share their memory: the digit groups, and the
-        # temporary before them, reuse the float work rows once N' is built,
-        # and the marks reuse the groups' quotients once the groups hold them.
-        a = self._array
-        return SimpleNamespace(
-            values=a("values", (m,)), negative=a("negative", (m,), np.int64),
-            zero=a("zero", (m,), np.bool_), other=a("other", (m,), np.bool_),
-            small=a("small", (m,), np.bool_), b=a("b", (m,), np.int64),
-            j=a("j", (m,), np.int64), n=a("n", (m,), np.int64),
-            work=a("work", (8, m)), groups=a("work", (m, 6), np.int64),
-            spare=a("work", (4, m), np.int64), q=a("q", (5, m), np.int64),
-            marks=a("q", (m, 3), np.uint64), bare=a("bare", (4, m), np.bool_),
-            text=a("text", (m * (_FIELD + 1),), np.uint8),  # up to 25 bytes a field
-        )
-
-    def _array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, np.uint8)
-            self._blocks.clear()  # views of the old buffer: made again on use
-        return flat[:size].view(dtype).reshape(shape)
-
-
-def _fixed_fields(a: np.ndarray, v: SimpleNamespace, fields: np.ndarray) -> None:
-    """Write ``%.17g`` of each value ``a`` (overwritten) that is not ``v.other``
+def _fixed_fields(a: np.ndarray, negative: np.ndarray, zero: np.ndarray, other: np.ndarray,
+                  fields: np.ndarray, scratch: Scratch) -> None:
+    """Write ``%.17g`` of each value ``a`` (overwritten) that is not ``other``
     (overwritten) into its row of ``fields``: each value of decimal exponent X
-    in -4..16, and 0. ``v.negative`` is -1 where the value's sign bit is set,
-    else 0, and ``v.zero`` is where ``a`` is 0; the other arrays of ``v``
-    hold the temporaries.
+    in -4..16, and 0. ``negative`` is -1 where the value's sign bit is set,
+    else 0, and ``zero`` is where ``a`` is 0. The temporaries are slots of
+    ``scratch``, started at ``a.size`` columns.
 
     Such a value prints the 17 digits of N = a * 10**j, j = 16 - X, rounded
     half to even. 10**j is an exact double, so Dekker's two-product gives the
@@ -126,16 +82,18 @@ def _fixed_fields(a: np.ndarray, v: SimpleNamespace, fields: np.ndarray) -> None
     first X + 1 digits of N are floor(a), and N' = N + 9 * 10**j * floor(a)
     is N with a 0 put in after them, where the dot goes.
 
-    No step adds a bool to an int, broadcasts two blocks against each other
-    or takes with mode "raise": numpy runs each of those through a buffer of
-    up to 8,192 values.
+    No step adds a bool to an int, broadcasts a block against another block
+    or against a column, or takes with mode "raise": numpy runs each of
+    those through a buffer of up to 8,192 values.
     """
-    np.logical_or(v.other, v.zero, out=v.other)
-    np.putmask(a, v.other, 1.0)
-    exponent, decades, scales, nines, places, digits, marks = _tables()
-    b, j, n = v.b, v.j, v.n
-    p, hi, lo, e, t = v.work[:5]
-    s = v.work[5:]
+    np.logical_or(other, zero, out=other)
+    np.putmask(a, other, 1.0)
+    exponent, decades, scales, nines, digits, marks = _tables()
+    m, take = a.size, scratch.take
+    b, j, n = (take(0, np.int64) for _ in range(3))
+    work = take(3).reshape(8, m)  # N's digit groups, and the temporary before them, reuse it
+    p, hi, lo, e, t = work[:5]
+    s = work[5:]
     # a in [2**(e-1), 2**e) has X = floor(e * log10(2)) or one less; exact, as
     # each double 1e-k lies above 10**-k, so none lies between them. Every a
     # here is a normal double, whose frexp exponent e is its biased one - 1022.
@@ -160,35 +118,43 @@ def _fixed_fields(a: np.ndarray, v: SimpleNamespace, fields: np.ndarray) -> None
     b[...] = a  # floor(a)
     b *= np.take(nines, j, out=t.view(np.int64), mode="clip")
     n += b
-    np.putmask(n, v.zero, 0)
-    q = np.floor_divide(n, places, out=v.q)  # N' // 10**16, // 10**12, ... // 1
-    q[1:] -= np.multiply(q[:-1], 10_000, out=v.spare)
-    bare = np.equal(q[1:], 0, out=v.bare)  # group k + 1 is 0
+    np.putmask(n, zero, 0)
+    quotients = take(3, np.int64).reshape(-1)  # the marks reuse it once the groups hold N'
+    q = quotients[: 5 * m].reshape(5, m)
+    for row, place in zip(q, (10**16, 10**12, 10**8, 10**4, 1)):  # N' // 10**16, ... // 1
+        np.floor_divide(n, place, out=row)
+    ints = work.view(np.int64)
+    q[1:] -= np.multiply(q[:-1], 10_000, out=ints[:4])
+    bare = np.equal(q[1:], 0, out=take(2, np.bool_).reshape(4, m))  # group k + 1 is 0
     for k in (2, 1, 0):
         bare[k] &= bare[k + 1]  # so only zeros follow group k
     np.add(q[:4], 10_000, out=q[:4], where=bare)  # the row without trailing zeros
     q[4] += 10_000
-    v.groups[:, 0] = 10_000  # N' in groups 1-5, after a NUL group 0
-    v.groups[:, 1:] = q.T
-    digits.take(v.groups, out=fields.view(np.uint32), mode="clip")
+    groups = ints.reshape(-1)[: 6 * m].reshape(m, 6)
+    groups[:, 0] = 10_000  # N' in groups 1-5, after a NUL group 0
+    groups[:, 1:] = q.T
+    digits.take(groups, out=fields.view(np.uint32), mode="clip")
     j *= 2
-    j -= v.negative  # 2 * j + negative
-    fields.view(np.uint64)[...] |= np.take(marks, j, axis=0, out=v.marks, mode="clip")
+    j -= negative  # 2 * j + negative
+    mark = quotients[: 3 * m].view(np.uint64).reshape(m, 3)
+    fields.view(np.uint64)[...] |= np.take(marks, j, axis=0, out=mark, mode="clip")
 
 
-def block_fields(part: list[np.ndarray], buf: Buffers) -> np.ndarray:
+def block_fields(part: list[np.ndarray], scratch: Scratch) -> np.ndarray:
     """The bytes that ``_PRINT`` and ``_DROP`` turn into the CSV lines of the
-    columns ``part``, as a view of ``buf``'s arrays."""
+    columns ``part``, as a view of ``scratch``'s slots, which it starts."""
     rows, width = len(part[0]), len(part)
-    v = buf.block(rows, width)
+    take = scratch.start(rows * width).take
+    values = take(0).reshape(rows, width)
     for k, col in enumerate(part):
-        v.values[:, k] = col if col.dtype.kind == "f" else np.inf  # an integer prints through %
-    a = v.values.reshape(-1)
-    np.right_shift(a.view(np.int64), 63, out=v.negative)
+        values[:, k] = col if col.dtype.kind == "f" else np.inf  # an integer prints through %
+    a = values.reshape(-1)
+    negative = np.right_shift(a.view(np.int64), 63, out=take(0, np.int64))
     np.abs(a, out=a)
-    np.equal(a, 0.0, out=v.zero)
-    other = np.greater_equal(a, 1e17, out=v.other)  # exponent notation, or an integer
-    other |= np.logical_xor(np.less(a, 1e-4, out=v.small), v.zero, out=v.small)
+    zero, other, small = (take(0, np.bool_) for _ in range(3))
+    np.equal(a, 0.0, out=zero)
+    np.greater_equal(a, 1e17, out=other)  # exponent notation, or an integer
+    other |= np.logical_xor(np.less(a, 1e-4, out=small), zero, out=small)
     texts = []
     columns = other.reshape(rows, width)
     for k in columns.any(axis=0).nonzero()[0].tolist():
@@ -197,16 +163,16 @@ def block_fields(part: list[np.ndarray], buf: Buffers) -> np.ndarray:
         texts.append((at, k, [spec % x for x in part[k][at].tolist()]))
     # a separator and up to 23 characters, but %.17g of -1.2345678901234567e-100 takes 24
     size = max([_FIELD - 1] + [max(map(len, t)) for *_, t in texts]) + 1
-    fields = v.text[: a.size * size].reshape(rows, width, size)
+    fields = take(5, np.uint8).reshape(-1)[: a.size * size].reshape(rows, width, size)
     fields[..., _FIELD:] = 0
-    _fixed_fields(a, v, fields[..., :_FIELD].reshape(-1, _FIELD))
+    _fixed_fields(a, negative, zero, other, fields[..., :_FIELD].reshape(-1, _FIELD), scratch)
     fields[:, 0, 0] = ord("\n")  # ends the row before; the first row's is dropped
     for at, k, t in texts:
         fields[at, k, 1:] = np.array(t, f"S{size - 1}").view(np.uint8).reshape(len(at), -1)
     return fields.reshape(-1)[1:]
 
 
-def block_text(prefix: str, part: list[np.ndarray], buf: Buffers) -> str:
+def block_text(prefix: str, part: list[np.ndarray], scratch: Scratch) -> str:
     """The CSV lines of the columns ``part``, each line starting with ``prefix``."""
-    text = block_fields(part, buf).tobytes().translate(_PRINT, _DROP).decode("ascii")
+    text = block_fields(part, scratch).tobytes().translate(_PRINT, _DROP).decode("ascii")
     return prefix + text.replace("\n", "\n" + prefix) + "\n" if prefix else text + "\n"

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from helpers import RECORDED_HOST, csv_reference, skip_off_host
 from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config, simlab
+from ioulab.batch import Scratch
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
-from ioulab.csvtext import Buffers, block_fields
+from ioulab.csvtext import block_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -219,19 +220,23 @@ class TestCsvWriter:
         assert max(peaks) < WRITER_PEAK_BYTES
         assert peaks[1] < peaks[0] + 64 * 1024
 
-    def test_a_warm_block_allocates_nothing_of_its_size(self):
-        # a second block of the same width builds its fields in the first's
-        # arrays; one block's 8-byte values would be the least of any temporary
-        n, width = CSV_ROWS_PER_WRITE, 11
+    @pytest.mark.parametrize(
+        "n,width", [(CSV_ROWS_PER_WRITE, 11), (CSV_ROWS_PER_WRITE, 6), (153, 11)],
+        ids=["sweep", "cases", "last-block"],
+    )
+    def test_a_warm_block_allocates_nothing_of_its_size(self, n, width):
+        # a block after a full one of the same width (a file's next block, or
+        # its short last one) builds its fields in the first's slots; one
+        # block's 8-byte values would be the least of any temporary
         rng = np.random.default_rng(0)
-        buf = Buffers()
-        block_fields([rng.uniform(-20.0, 20.0, n) for _ in range(width)], buf)
+        scratch = Scratch()
+        block_fields([rng.uniform(-20.0, 20.0, CSV_ROWS_PER_WRITE) for _ in range(width)], scratch)
         columns = [rng.uniform(-20.0, 20.0, n) for _ in range(width)]
         columns[0][::7] = 0.0
         columns[1][::11] = -1e-7  # exponent notation, through %
         tracemalloc.start()
         try:
-            block_fields(columns, buf)
+            block_fields(columns, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -954,8 +959,8 @@ def run_probe(tmp_path, code: str, *argv: str, **env: str | None):
 # Runs `python -m ioulab <argv>` and reports, as it exits, whether the run
 # loaded OpenSSL's hash module, numpy.random and secrets (which maps
 # OpenSSL too), concurrent.futures and multiprocessing (the process pool),
-# and ioulab.simlab, the OpenBLAS thread setting it ran with, and its thread
-# count on Linux (None elsewhere).
+# ioulab.simlab and ioulab.csvtext, the OpenBLAS thread setting it ran with,
+# and its thread count on Linux (None elsewhere).
 _CLI_PROBE = """
 import json, os, runpy, sys
 sys.argv[0] = "ioulab"
@@ -969,6 +974,7 @@ finally:
         "secrets": "secrets" in sys.modules,
         "pool": [name in sys.modules for name in ("concurrent.futures", "multiprocessing")],
         "simlab": "ioulab.simlab" in sys.modules,
+        "csvtext": "ioulab.csvtext" in sys.modules,
         "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
     }), file=sys.stderr)
@@ -984,21 +990,21 @@ class TestImports:
     of RSS, and simlab compiles in each fresh process without a bytecode cache."""
 
     @pytest.mark.parametrize(
-        "argv",
-        [PROBE_SWEEP_ARGV, EVAL_ARGV],
-        ids=lambda argv: argv[0],
+        "argv,csv", [(PROBE_SWEEP_ARGV, True), (EVAL_ARGV, False)], ids=["sweep", "eval"]
     )
-    def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv):
+    def test_sweep_and_eval_do_not_load_openssl(self, tmp_path, argv, csv):
+        # cli._csv imports csvtext with a command's first CSV, after its memory peak
         report = run_probe(tmp_path, _CLI_PROBE, *argv)
-        assert (report["openssl"], report["simlab"]) == (False, False)
+        assert (report["openssl"], report["simlab"], report["csvtext"]) == (False, False, csv)
 
     def test_version_does_not_load_simlab(self, tmp_path):
-        assert run_probe(tmp_path, _CLI_PROBE, "--version")["simlab"] is False
+        report = run_probe(tmp_path, _CLI_PROBE, "--version")
+        assert (report["simlab"], report["csvtext"]) == (False, False)
 
     def test_the_probe_sees_sim_load_it(self, tmp_path):
         # sim hashes its manifest, after its descent's memory peak
         report = run_probe(tmp_path, _CLI_PROBE, *PROBE_SIM_ARGV)
-        assert (report["openssl"], report["simlab"]) == (True, True)
+        assert (report["openssl"], report["simlab"], report["csvtext"]) == (True, True, True)
 
     @pytest.mark.parametrize(
         "argv", [PROBE_SIM_ARGV, PROBE_SWEEP_ARGV, EVAL_ARGV], ids=lambda argv: argv[0]
