@@ -8,7 +8,8 @@ a ``sim`` worker process that died.
 Every CSV has a header row, LF line endings, integers as ``%d`` and
 floats as ``%.17g`` (17 significant digits, so they round-trip exactly);
 no field holds a comma, quote or newline, so none is ever quoted;
-:mod:`ioulab.csvtext` builds the text.
+:mod:`ioulab.csvtext` builds the text. The integer columns of ``sim``
+are exact float64 counts, which ``%.17g`` prints as ``%d`` would.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .batch import Scratch, check_boxes, eval_batch
 from .losses import BASE_NAMES, SCENARIOS, LossSpec
-from .sweep import AXES, HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD, SweepConfig, check_conclusions, run_sweep
+from .sweep import AXES, SweepConfig, check_conclusions, run_sweep
 
 LOSS_CHOICES = tuple(BASE_NAMES) + tuple(f"inner-{b}" for b in BASE_NAMES)
 
@@ -206,15 +207,17 @@ def cmd_sim(args: argparse.Namespace) -> int:
     summaries = run_simulation(cfg, threads=args.threads, per_case=args.per_case)
 
     out = Path(args.out)
+    # The integer columns are floats below 2**53, so %.17g prints them as %d would.
     curves = [
-        ((s.label,), [np.arange(len(s.total_error_curve)), s.total_error_curve]) for s in summaries
+        ((s.label,), [np.arange(len(s.total_error_curve), dtype=np.float64), s.total_error_curve])
+        for s in summaries
     ]
     outputs = [_csv(out / "summary.csv", ["spec", "iteration", "total_error"], curves)]
     if args.per_case:
         header = ["spec", "case_id", "initial_error", "final_error", "final_iou", "clamps"]
         cases = [
-            ((s.label,), [np.arange(len(s.case_clamps)), s.case_initial_error,
-                          s.case_final_error, s.case_final_iou, s.case_clamps])
+            ((s.label,), [np.arange(len(s.case_clamps), dtype=np.float64), s.case_initial_error,
+                          s.case_final_error, s.case_final_iou, s.case_clamps.astype(np.float64)])
             for s in summaries
         ]
         outputs.append(_csv(out / "cases.csv", header, cases))
@@ -253,16 +256,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         deviation_range=(args.dev_min, args.dev_max),
         samples=args.samples,
         axis=args.axis,
-    )
-    devs, iou, absgrad = run_sweep(cfg)
-    doc = check_conclusions(
-        devs,
-        iou,
-        absgrad,
-        actual_side=cfg.box_side,
         high_iou_threshold=args.high_iou_threshold,
         low_iou_threshold=args.low_iou_threshold,
     )
+    devs, iou, absgrad = run_sweep(cfg)
+    doc = check_conclusions(cfg, devs, iou, absgrad)
 
     outputs = []
     if args.out is not None:
@@ -329,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--dev-max", type=float, default=SweepConfig.deviation_range[1])
     pw.add_argument("--samples", type=int, default=SweepConfig.samples)
     pw.add_argument("--axis", choices=AXES, default=SweepConfig.axis)
-    pw.add_argument("--high-iou-threshold", type=float, default=HIGH_IOU_THRESHOLD)
-    pw.add_argument("--low-iou-threshold", type=float, default=LOW_IOU_THRESHOLD)
+    pw.add_argument("--high-iou-threshold", type=float, default=SweepConfig.high_iou_threshold)
+    pw.add_argument("--low-iou-threshold", type=float, default=SweepConfig.low_iou_threshold)
     pw.add_argument("--out", metavar="FILE", help="write the sweep curves as CSV")
     pw.add_argument("--report", metavar="FILE", help="also write the conclusions report JSON")
     pw.set_defaults(func=cmd_sweep)

@@ -8,7 +8,11 @@ which is exactly what evaluating the overlap on center-rescaled boxes
 computes, so larger or smaller stand-in pairs can be compared against the
 actual pair point by point.
 
-``check_conclusions`` tests three qualitative claims about those curves:
+A :class:`SweepConfig` is the whole sweep: the pair, its auxiliary sides,
+the sampled deviations and the two overlap thresholds of the claims below,
+all checked when it is made, so a bad sweep fails before any curve is
+computed. ``check_conclusions`` tests three qualitative claims about the
+curves of that config:
 
 1. every curve's overlap decays as the deviation grows, so the auxiliary
    trends are consistent with the actual pair,
@@ -39,7 +43,6 @@ AXES = ("x", "y")
 
 # Slack for the monotone-decay comparisons, float noise only.
 _TREND_SLACK = 1e-12
-HIGH_IOU_THRESHOLD, LOW_IOU_THRESHOLD = 0.7, 0.0  # check_conclusions' defaults, and the CLI's
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,12 @@ class SweepConfig:
     The target square of side ``box_side`` sits at the origin; the anchor
     is the same square displaced by each sampled deviation along ``axis``.
     Each entry of ``aux_sides`` adds a curve for the pair rescaled to that
-    side about both centers. The CLI reads its defaults off the class.
+    side about both centers; at least one must be smaller than ``box_side``
+    and one larger. ``check_conclusions`` compares them with the actual
+    curve where its IoU is at least ``high_iou_threshold`` (claim 2) and
+    where it is at most ``low_iou_threshold`` (claim 3). Every field is
+    checked here, before any curve is computed. The CLI reads its defaults
+    off the class.
     """
 
     box_side: float = 10.0
@@ -57,6 +65,8 @@ class SweepConfig:
     deviation_range: tuple[float, float] = (-15.0, 15.0)
     samples: int = 601
     axis: str = "x"
+    high_iou_threshold: float = 0.7
+    low_iou_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "box_side", real_number("box_side", self.box_side))
@@ -86,6 +96,17 @@ class SweepConfig:
         names = [f"{s:g}" for s in self.sides()]  # the CSV's column names
         if len(set(names)) < len(names):
             raise ValueError(f"aux_sides must give distinct column names, got {names}")
+        for name in ("high_iou_threshold", "low_iou_threshold"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
+        high, low = self.high_iou_threshold, self.low_iou_threshold
+        if not (math.isfinite(high) and math.isfinite(low)):
+            raise ValueError("thresholds must be finite")
+        if low >= high:
+            raise ValueError(f"low_iou_threshold must be below high_iou_threshold, got {low} >= {high}")
+        if not min(aux) < self.box_side:
+            raise ValueError("need an auxiliary side smaller than the actual one")
+        if not max(aux) > self.box_side:
+            raise ValueError("need an auxiliary side larger than the actual one")
 
     def sides(self) -> tuple[float, ...]:
         """All curve sides, each once: the actual one first, then the auxiliaries."""
@@ -151,46 +172,26 @@ def _conclusion(statement: str, checked: int, violations: int, devs, mask) -> di
 
 
 def check_conclusions(
-    devs: np.ndarray,
-    iou: dict[float, np.ndarray],
-    grad: dict[float, np.ndarray],
-    *,
-    actual_side: float,
-    high_iou_threshold: float = HIGH_IOU_THRESHOLD,
-    low_iou_threshold: float = LOW_IOU_THRESHOLD,
+    cfg: SweepConfig, devs: np.ndarray, iou: dict[float, np.ndarray], grad: dict[float, np.ndarray]
 ) -> dict:
-    """Test the three gradient-behavior claims against the curves of a sweep.
+    """Test the three gradient-behavior claims against the curves of ``cfg``.
 
-    The arguments are what :func:`run_sweep` returns: increasing deviations
-    and per-side overlap and |gradient| columns. ``actual_side`` names the
-    curve of the unscaled pair; every other side is an auxiliary curve,
-    compared as smaller or larger than the actual one. A claim whose
-    precondition never holds is reported vacuous, which does not count as
-    passing.
+    The curves are what :func:`run_sweep` returns for ``cfg``: increasing
+    deviations and per-side overlap and |gradient| columns. The
+    ``box_side`` curve is the unscaled pair; every other side is an
+    auxiliary curve, compared as smaller or larger than it, at the
+    thresholds of ``cfg``. A claim whose precondition never holds is
+    reported vacuous, which does not count as passing.
 
     Returns the report the CLI prints: the two thresholds, each claim's
     entry under ``c1``..``c3`` and ``all_passed``.
     """
-    if len(devs) == 0:
-        raise ValueError("sweep has no samples to check")
-    high = float(high_iou_threshold)
-    low = float(low_iou_threshold)
-    if not (math.isfinite(high) and math.isfinite(low)):
-        raise ValueError("thresholds must be finite")
-    if low >= high:
-        raise ValueError(
-            f"low_iou_threshold must be below high_iou_threshold, got {low} >= {high}"
-        )
-    actual = float(actual_side)
-    sides = tuple(iou)
-    if actual not in sides:
-        raise ValueError(f"sweep has no curve for actual_side {actual:g}")
+    sides = cfg.sides()
+    if len(devs) != cfg.samples or not tuple(iou) == tuple(grad) == sides:
+        raise ValueError(f"the curves are not this config's: {len(devs)} samples of sides {list(iou)}")
+    actual, high, low = cfg.box_side, cfg.high_iou_threshold, cfg.low_iou_threshold
     smaller = tuple(s for s in sides if s < actual)
     larger = tuple(s for s in sides if s > actual)
-    if not smaller:
-        raise ValueError("need an auxiliary side smaller than the actual one")
-    if not larger:
-        raise ValueError("need an auxiliary side larger than the actual one")
 
     nonzero = devs != 0.0
 

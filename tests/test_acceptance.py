@@ -124,7 +124,8 @@ def test_criterion_4_overlap_matches_cell_counting_oracle():
 
 
 def test_criterion_5_deviation_sweep_conclusions(capsys):
-    c1, c2, c3 = check_conclusions(*run_sweep(SweepConfig()), actual_side=10.0)["conclusions"].values()
+    cfg = SweepConfig()
+    c1, c2, c3 = check_conclusions(cfg, *run_sweep(cfg))["conclusions"].values()
     assert c1["passed"], "overlap trends are not consistent across scales"
     assert c2["passed"] and not c2["vacuous"], "no high-overlap region where the smaller auxiliary is steeper"
     assert c3["passed"] and not c3["vacuous"], "no zero-overlap region where the larger auxiliary is steeper"

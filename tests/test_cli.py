@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RECORDED_HOST, csv_reference, skip_off_host
-from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config, simlab
+from ioulab import SCENARIOS, SimConfig, __version__, cli, scenario_config, simlab, sweep
 from ioulab.batch import Scratch
 from ioulab.cli import CSV_ROWS_PER_WRITE, _csv, _write, main
 from ioulab.csvtext import block_fields
@@ -686,10 +686,31 @@ class TestSweep:
         assert report["all_passed"] is False
         assert report["conclusions"]["c2"]["vacuous"] is True
 
-    def test_missing_aux_side_exits_two(self, capsys):
-        code = run_cli("sweep", "--aux-sides", "10")
-        assert code == 2
-        assert "auxiliary side" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--aux-sides", "10"], "need an auxiliary side smaller than the actual one"),
+            (["--aux-sides", "8"], "need an auxiliary side larger than the actual one"),
+            (["--aux-sides", "12,14"], "need an auxiliary side smaller than the actual one"),
+            (["--high-iou-threshold", "nan"], "thresholds must be finite"),
+            (["--high-iou-threshold", "0.2", "--low-iou-threshold", "0.5"],
+             "low_iou_threshold must be below high_iou_threshold, got 0.5 >= 0.2"),
+        ],
+        ids=["aux-10", "aux-8", "aux-12-14", "high-nan", "low-above-high"],
+    )
+    def test_missing_aux_side_exits_two(self, capsys, monkeypatch, argv, message):
+        # SweepConfig rejects the sweep before any curve is computed
+        rows = []
+        kernel = sweep.eval_batch
+
+        def counting(spec, anchors, gts, **kwargs):
+            rows.append(anchors.shape[-1])
+            return kernel(spec, anchors, gts, **kwargs)
+
+        monkeypatch.setattr(sweep, "eval_batch", counting)
+        assert run_cli("sweep", *argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert rows == []
 
     def test_repeated_aux_sides_write_each_column_once(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"

@@ -36,6 +36,7 @@ class TestSweepConfig:
         assert cfg.deviation_range == (-15.0, 15.0)
         assert cfg.samples == 601
         assert cfg.axis == "x"
+        assert (cfg.high_iou_threshold, cfg.low_iou_threshold) == (0.7, 0.0)
         assert cfg.sides() == (10.0, 8.0, 12.0)
 
     def test_sides_dedups_actual(self):
@@ -81,6 +82,19 @@ class TestSweepConfig:
             # the CSV names columns by each side's %g form
             (dict(aux_sides=(8.0, 8.0000001, 12.0)), r"column names, got \['10', '8', '8', '12'\]"),
             (dict(aux_sides=(8.0, 10.0000001, 12.0)), r"column names, got \['10', '8', '10', '12'\]"),
+            # check_conclusions compares a smaller and a larger curve with the actual one
+            (dict(aux_sides=(10.0,)), "need an auxiliary side smaller than the actual one"),
+            (dict(aux_sides=(12.0,)), "need an auxiliary side smaller than the actual one"),
+            (dict(aux_sides=(8.0,)), "need an auxiliary side larger than the actual one"),
+            (dict(aux_sides=(8.0, 10.0)), "need an auxiliary side larger than the actual one"),
+            # the thresholds of the high- and lost-overlap claims
+            (dict(high_iou_threshold=0.2, low_iou_threshold=0.5),
+             "low_iou_threshold must be below high_iou_threshold, got 0.5 >= 0.2"),
+            (dict(high_iou_threshold=0.5, low_iou_threshold=0.5), "must be below high_iou_threshold"),
+            (dict(high_iou_threshold=math.nan), "thresholds must be finite"),
+            (dict(low_iou_threshold=-math.inf), "thresholds must be finite"),
+            (dict(high_iou_threshold="0.7"), "high_iou_threshold must be a number, got '0.7'"),
+            (dict(low_iou_threshold=False), "low_iou_threshold must be a number, got False"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -239,13 +253,13 @@ def _regions_by_loop(devs, mask):
 
 class TestCheckConclusions:
     def test_default_sweep_passes_everything(self, sweep):
-        rep = check_conclusions(*sweep, actual_side=10.0)
+        rep = check_conclusions(SweepConfig(), *sweep)
         assert rep["all_passed"] is True
         for c in rep["conclusions"].values():
             assert c["passed"] and not c["vacuous"] and c["violations"] == 0
 
     def test_checked_counts(self, sweep):
-        c = check_conclusions(*sweep, actual_side=10.0)["conclusions"]
+        c = check_conclusions(SweepConfig(), *sweep)["conclusions"]
         # 600 displaced samples per curve -> 599 consecutive comparisons
         assert c["c1"]["checked"] == 3 * 599
         # overlap >= 0.7 for side 10: |dev| <= 30/17, 35 grid points per sign
@@ -254,7 +268,7 @@ class TestCheckConclusions:
         assert c["c3"]["checked"] == 80
 
     def test_region_endpoints(self, sweep):
-        c = check_conclusions(*sweep, actual_side=10.0)["conclusions"]
+        c = check_conclusions(SweepConfig(), *sweep)["conclusions"]
         (neg, pos) = c["c2"]["regions"]
         assert neg[0] == pytest.approx(-1.75, abs=1e-9)
         assert pos[1] == pytest.approx(1.75, abs=1e-9)
@@ -277,7 +291,7 @@ class TestCheckConclusions:
 
     def test_report_dict_shape(self, sweep):
         # the CLI prints this dict in insertion order, so the order is pinned too
-        d = check_conclusions(*sweep, actual_side=10.0)
+        d = check_conclusions(SweepConfig(), *sweep)
         assert list(d) == ["thresholds", "conclusions", "all_passed"]
         assert d["all_passed"] is True
         assert d["thresholds"] == {"high_iou": 0.7, "low_iou": 0.0}
@@ -286,39 +300,35 @@ class TestCheckConclusions:
             assert list(c) == ["statement", "passed", "vacuous", "checked", "violations", "regions"]
 
     def test_three_sample_sweep_is_vacuous_not_passed(self):
-        rep = check_conclusions(*run_sweep(SweepConfig(samples=3)), actual_side=10.0)
+        cfg = SweepConfig(samples=3)
+        rep = check_conclusions(cfg, *run_sweep(cfg))
         c = rep["conclusions"]
         assert c["c2"]["vacuous"] and not c["c2"]["passed"]
         assert c["c3"]["vacuous"] and not c["c3"]["passed"]
         assert rep["all_passed"] is False
 
-    def test_requires_smaller_and_larger_aux(self):
-        only_small = run_sweep(SweepConfig(aux_sides=(8.0,)))
-        with pytest.raises(ValueError, match="larger"):
-            check_conclusions(*only_small, actual_side=10.0)
-        only_large = run_sweep(SweepConfig(aux_sides=(12.0,)))
-        with pytest.raises(ValueError, match="smaller"):
-            check_conclusions(*only_large, actual_side=10.0)
-
-    def test_requires_known_actual_side(self, sweep):
-        with pytest.raises(ValueError, match="actual_side"):
-            check_conclusions(*sweep, actual_side=9.0)
-
-    def test_threshold_validation(self, sweep):
-        with pytest.raises(ValueError, match="below"):
-            check_conclusions(*sweep, actual_side=10.0, high_iou_threshold=0.2, low_iou_threshold=0.5)
-        with pytest.raises(ValueError, match="finite"):
-            check_conclusions(*sweep, actual_side=10.0, high_iou_threshold=math.nan)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            check_conclusions(np.array([]), {}, {}, actual_side=10.0)
+    @pytest.mark.parametrize(
+        "cfg,edit",
+        [
+            (SweepConfig(box_side=9.0), None),  # no curve for its actual side
+            (SweepConfig(aux_sides=(6.0, 12.0)), None),
+            (SweepConfig(aux_sides=(8.0, 12.0, 14.0)), None),
+            (SweepConfig(samples=600), None),
+            (SweepConfig(), lambda devs, iou, grad: (devs[:0], {}, {})),
+            (SweepConfig(), lambda devs, iou, grad: (devs, iou, {10.0: grad[10.0], 8.0: grad[8.0]})),
+        ],
+        ids=["actual-side", "other-aux-side", "extra-aux-side", "samples", "empty", "missing-grad"],
+    )
+    def test_curves_of_another_config_rejected(self, sweep, cfg, edit):
+        # the default sweep's curves, or the case's edit of them
+        with pytest.raises(ValueError, match="the curves are not this config's"):
+            check_conclusions(cfg, *(edit(*sweep) if edit else sweep))
 
     def test_tight_low_threshold_fails_conclusion_three(self, sweep):
         # with the cutoff raised into the overlapping band, the larger
         # auxiliary no longer dominates everywhere, which is exactly why
         # the default cutoff is the zero-overlap boundary
-        c3 = check_conclusions(*sweep, actual_side=10.0, low_iou_threshold=0.3)["conclusions"]["c3"]
+        c3 = check_conclusions(SweepConfig(low_iou_threshold=0.3), *sweep)["conclusions"]["c3"]
         assert c3["checked"] > 80
         assert not c3["vacuous"]
         assert not c3["passed"]
